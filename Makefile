@@ -3,7 +3,9 @@
 # sweep, the full test suite under the race detector, the allocation
 # gate for the simulation hot paths (run without -race, which would
 # perturb the counts), a short hot-path benchmark smoke so ns/op
-# regressions fail fast, and a one-iteration benchmark pass (which also
+# regressions fail fast, the determinism smokes, a vet+test pass over the
+# perfbench module (so the benchmark keeps compiling against the API),
+# and a one-iteration benchmark pass (which also
 # regenerates the paper's tables and figures once and exercises the
 # attack and architecture-fingerprinting and topology-recovery stages at
 # both worker counts via BenchmarkAttackStage, BenchmarkArchIDStage and
@@ -17,7 +19,7 @@ BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
 BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
-.PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke ci golden
+.PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck ci golden
 
 all: build
 
@@ -126,10 +128,17 @@ obssmoke:
 	test -s $$tmp/campaign.jsonl; \
 	echo "obssmoke: traced and untraced distributions are byte-identical; trace is schema-valid"
 
+# Benchmark compile gate: perfbench/ is its own Go module built against
+# the repro API, so vetting and testing it here makes a rename of any
+# identifier the benchmark uses fail CI instead of the benchmark run.
+# Read-only: nothing under perfbench/ is modified.
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Regenerate all four golden reports (end-to-end evaluation, attack
 # stage, architecture fingerprinting, topology recovery) after a
 # *deliberate* behavior change (review the diff before committing it).
 golden:
 	$(GO) test -run 'TestGoldenReport|TestAttackGoldenReport|TestArchIDGoldenReport|TestTopoGoldenReport|TestGoldenMonitor' -update .
 
-ci: vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke bench
+ci: vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck bench

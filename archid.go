@@ -14,10 +14,8 @@ package repro
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/archid"
-	"repro/internal/hpc"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -81,14 +79,6 @@ func (s *Scenario) ArchID(ctx context.Context, cfg ArchIDConfig) (*ArchIDResult,
 // differ per session), and the per-run profiles are joined per
 // (architecture, run). Results are bit-identical at any worker count.
 func (s *Scenario) ArchIDGrouped(ctx context.Context, level DefenseLevel, cfg ArchIDConfig) (*ArchIDResult, error) {
-	zoo, err := s.ArchZoo()
-	if err != nil {
-		return nil, err
-	}
-	inputs := s.Test.Inputs()
-	if cfg.MaxInputs > 0 && cfg.MaxInputs < len(inputs) {
-		inputs = inputs[:cfg.MaxInputs]
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = s.Config.Seed
@@ -97,87 +87,16 @@ func (s *Scenario) ArchIDGrouped(ctx context.Context, level DefenseLevel, cfg Ar
 	if len(events) == 0 {
 		events = []Event{EvCacheMisses, EvBranches}
 	}
-	camp, err := archid.NewCampaign(archid.Config{
-		Name:           fmt.Sprintf("%s-archid/%s", s.Config.Dataset, level),
-		Zoo:            zoo,
-		Inputs:         inputs,
-		Level:          level,
-		ProfileRuns:    cfg.ProfileRuns,
-		AttackRuns:     cfg.AttackRuns,
-		K:              cfg.K,
-		Workers:        cfg.Workers,
-		Seed:           seed,
-		ShardRuns:      cfg.ShardRuns,
-		DisableRuntime: s.Config.DisableRuntime,
-		DisableNoise:   s.Config.DisableNoise,
-		NoPad:          cfg.NoPad,
-		Obs:            cfg.Obs,
-	})
+	spec := s.workerSpec(StageArchID, level, events)
+	spec.Seed, spec.ProfileRuns, spec.AttackRuns, spec.MaxInputs, spec.NoPad, spec.ShardRuns =
+		seed, cfg.ProfileRuns, cfg.AttackRuns, cfg.MaxInputs, cfg.NoPad, cfg.ShardRuns
+	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, k: cfg.K})
 	if err != nil {
 		return nil, err
 	}
-
-	// One collection session per register-sized event group against the
-	// campaign's shared victims (one group in the common case); profiles
-	// of the same (architecture, run) are joined across sessions into one
-	// feature vector.
-	byArch := map[int][]hpc.Profile{}
-	for g := 0; g*hpc.DefaultCounters < len(events); g++ {
-		lo := g * hpc.DefaultCounters
-		hi := lo + hpc.DefaultCounters
-		if hi > len(events) {
-			hi = len(events)
-		}
-		var part map[int][]hpc.Profile
-		if cfg.Processes > 0 {
-			p, _, err := camp.SessionExecutor(events[lo:hi], g)
-			if err != nil {
-				return nil, err
-			}
-			spec := WorkerSpec{
-				Stage:       StageArchID,
-				Scenario:    s.spec(),
-				Level:       level.String(),
-				Events:      eventNames(events[lo:hi]),
-				Session:     g,
-				Seed:        seed,
-				ProfileRuns: cfg.ProfileRuns,
-				AttackRuns:  cfg.AttackRuns,
-				MaxInputs:   cfg.MaxInputs,
-				NoPad:       cfg.NoPad,
-				ShardRuns:   cfg.ShardRuns,
-			}
-			part, err = collectFabric(ctx, p, camp.Pools(), spec, cfg.Processes, cfg.Fabric)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			part, err = camp.Collect(ctx, events[lo:hi], g)
-			if err != nil {
-				return nil, err
-			}
-		}
-		joinProfiles(byArch, part)
+	byArch, err := c.profiles(ctx, nil)
+	if err != nil {
+		return nil, err
 	}
-	return camp.Score(events, byArch)
-}
-
-// joinProfiles merges one collection session's labelled profiles into the
-// accumulated per-(class, run) feature vectors — the multi-session join
-// both the attack and archid wide-event paths perform. Sessions of one
-// campaign always produce the same classes and run counts (same pools,
-// same RunsPerClass), so the positional merge is total.
-func joinProfiles(dst, part map[int][]hpc.Profile) {
-	for cls, profs := range part {
-		if dst[cls] == nil {
-			dst[cls] = profs
-			continue
-		}
-		for r, prof := range profs {
-			for e, v := range prof {
-				dst[cls][r][e] = v
-			}
-		}
-	}
+	return c.camp.(*archid.Campaign).Score(events, byArch)
 }

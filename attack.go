@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/hpc"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // AttackResult is the attack stage's output: confusion matrices and
@@ -108,91 +106,21 @@ func (s *Scenario) AttackGrouped(ctx context.Context, level DefenseLevel, cfg At
 	if cfg.ProfileRuns < 2 {
 		return nil, fmt.Errorf("repro: attack needs at least 2 profiling runs per class, got %d", cfg.ProfileRuns)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = s.Config.Seed
+	root := cfg.Seed
+	if root == 0 {
+		root = s.Config.Seed
 	}
-	total := cfg.ProfileRuns + cfg.AttackRuns
-	factory := s.FactoryFor(level)
-	pools, err := s.ClassPools(cfg.Classes...)
+	spec := s.workerSpec(StageAttack, level, cfg.Events)
+	spec.Classes, spec.RunsPerClass, spec.ShardRuns, spec.Batch = cfg.Classes, cfg.ProfileRuns+cfg.AttackRuns, cfg.ShardRuns, cfg.Batch
+	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s/%s", s.Config.Dataset, level)
-
 	// Domain 2 separates attack observations from evaluation campaigns
 	// (EvaluateGrouped derives with domain 1).
-	groupPipeline := func(g int) (*pipeline.Pipeline, error) {
-		lo := g * hpc.DefaultCounters
-		hi := lo + hpc.DefaultCounters
-		if hi > len(cfg.Events) {
-			hi = len(cfg.Events)
-		}
-		ev, err := core.NewEvaluator(core.Config{
-			Events:       cfg.Events[lo:hi],
-			RunsPerClass: total,
-			Batch:        cfg.Batch,
-			Obs:          cfg.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return pipeline.New(ev, pipeline.Config{
-			Workers:   cfg.Workers,
-			RootSeed:  core.DeriveSeed(seed, g, 2),
-			ShardRuns: cfg.ShardRuns,
-			Obs:       cfg.Obs,
-		})
-	}
-
-	// The common case — the event set fits the register file and shards
-	// run in-process — is one campaign on the pipeline's canonical attack
-	// path. (The fabric path below decomposes into the exact same collect,
-	// split and evaluate steps, so both produce identical bytes.)
-	if len(cfg.Events) <= hpc.DefaultCounters && cfg.Processes == 0 {
-		p, err := groupPipeline(0)
-		if err != nil {
-			return nil, err
-		}
-		return p.Attack(ctx, name, factory, pools, cfg.ProfileRuns, cfg.K)
-	}
-
-	// Wide event sets (and all fabric campaigns): one collection campaign
-	// per register-sized group; profiles of the same (class, run) are
-	// joined across groups into one feature vector.
-	byClass := map[int][]hpc.Profile{}
-	for g := 0; g*hpc.DefaultCounters < len(cfg.Events); g++ {
-		p, err := groupPipeline(g)
-		if err != nil {
-			return nil, err
-		}
-		var part map[int][]hpc.Profile
-		if cfg.Processes > 0 {
-			lo := g * hpc.DefaultCounters
-			hi := lo + hpc.DefaultCounters
-			if hi > len(cfg.Events) {
-				hi = len(cfg.Events)
-			}
-			spec := WorkerSpec{
-				Stage:        StageAttack,
-				Scenario:     s.spec(),
-				Level:        level.String(),
-				Events:       eventNames(cfg.Events[lo:hi]),
-				Session:      g,
-				Classes:      cfg.Classes,
-				RunsPerClass: total,
-				RootSeed:     core.DeriveSeed(seed, g, 2),
-				ShardRuns:    cfg.ShardRuns,
-				Batch:        cfg.Batch,
-			}
-			part, err = collectFabric(ctx, p, pools, spec, cfg.Processes, cfg.Fabric)
-		} else {
-			part, err = p.CollectProfiles(ctx, factory, pools)
-		}
-		if err != nil {
-			return nil, err
-		}
-		joinProfiles(byClass, part)
+	byClass, err := c.profiles(ctx, func(g int) int64 { return core.DeriveSeed(root, g, 2) })
+	if err != nil {
+		return nil, err
 	}
 
 	cfg.Obs.SetPhase("attack")
@@ -201,5 +129,5 @@ func (s *Scenario) AttackGrouped(ctx context.Context, level DefenseLevel, cfg At
 	if err != nil {
 		return nil, err
 	}
-	return attack.Evaluate(name, cfg.Events, profSet, atkSet, cfg.K)
+	return attack.Evaluate(fmt.Sprintf("%s/%s", s.Config.Dataset, level), cfg.Events, profSet, atkSet, cfg.K)
 }

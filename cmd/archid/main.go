@@ -29,10 +29,10 @@ import (
 	"os/signal"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/archid"
 	"repro/internal/hpc"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -51,9 +51,8 @@ func main() {
 		maxInputs   = flag.Int("max-inputs", 0, "cap on the shared input pool; 0 = all test images")
 		noPad       = flag.Bool("nopad", false, "disable constant-time envelope padding (ablation)")
 		jsonPath    = flag.String("json", "", "write the result as JSON to this file")
-		tracePath   = flag.String("trace", "", "write a Chrome trace_event timeline of the campaign to this file")
-		obsPath     = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "archid")
 	flag.Parse()
 
 	level, err := repro.ParseDefense(*defName)
@@ -85,7 +84,7 @@ func main() {
 	fmt.Printf("fingerprinting a %d-architecture zoo on %s inputs at defense %s (%d events)...\n\n",
 		zoo.Len(), *dsName, level, len(evs))
 
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "archid")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}

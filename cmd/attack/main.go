@@ -24,8 +24,8 @@ import (
 	"os/signal"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/hpc"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -45,9 +45,8 @@ func main() {
 		seed        = flag.Int64("seed", 0, "campaign root seed; 0 = scenario seed")
 		batch       = flag.Int("batch", 1, "inputs classified per batched replay session; attribution is exact, so results match -batch 1 byte-for-byte")
 		jsonPath    = flag.String("json", "", "write the result as JSON to this file")
-		tracePath   = flag.String("trace", "", "write a Chrome trace_event timeline of the campaign to this file")
-		obsPath     = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "attack")
 	flag.Parse()
 
 	level, err := repro.ParseDefense(*defName)
@@ -83,7 +82,7 @@ func main() {
 	fmt.Printf("profiling %d + attacking %d classifications per category for categories %v (%d events, root seed %d)...\n\n",
 		*profileRuns, *attackRuns, cls, len(evs), *seed)
 
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "attack")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}

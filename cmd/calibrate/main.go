@@ -8,9 +8,9 @@
 //
 //	calibrate [-runs 300] [-workers N] [-seed 1]
 //
-// Campaigns run on the concurrent sharded pipeline by default (-workers -1
-// = GOMAXPROCS, 0 = the legacy sequential path, matching cmd/evaluate);
-// the shape verdict is identical at any worker count for a fixed -seed.
+// Campaigns run on the concurrent sharded pipeline over -workers workers
+// (0 = GOMAXPROCS); the shape verdict is identical at any worker count
+// for a fixed -seed.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"repro"
 )
@@ -28,14 +27,10 @@ func main() {
 	log.SetPrefix("calibrate: ")
 	var (
 		runs    = flag.Int("runs", 300, "classifications per category")
-		workers = flag.Int("workers", -1, "pipeline workers; -1 = GOMAXPROCS, 0 = legacy sequential path")
+		workers = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
 		seed    = flag.Int64("seed", 0, "pipeline root seed; 0 = scenario seed")
 	)
 	flag.Parse()
-	nw := *workers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
 
 	allOK := true
 	for _, d := range []repro.Dataset{repro.DatasetMNIST, repro.DatasetCIFAR} {
@@ -44,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s (test accuracy %.3f) ==\n", d, s.TestAccuracy)
-		rep, err := s.Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: nw, Seed: *seed})
+		rep, err := s.Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,10 +9,11 @@
 //	         [-alpha 0.05] [-csv out.csv] [-events base] [-workers N] [-seed 1]
 //	         [-processes N] [-worker-bin PATH] [-journal BASE] [-fabric-tcp]
 //
-// With -workers ≥ 1 the campaign runs on the concurrent sharded pipeline:
-// collection fans out over the worker pool with deterministic per-shard
+// The campaign runs on the concurrent sharded pipeline: collection fans
+// out over -workers workers (0 = GOMAXPROCS) with deterministic per-shard
 // seeds derived from -seed, so any worker count reproduces the same
-// report. -workers 0 keeps the legacy sequential path.
+// report. Event sets wider than the 6 HPC registers are split into
+// register-sized collection sessions automatically.
 //
 // With -processes ≥ 1 the same shard plan is executed by shardworker OS
 // processes through the distributed audit fabric; reports stay
@@ -21,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,8 +29,8 @@ import (
 	"runtime"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/hpc"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -44,18 +44,12 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.05, "significance level")
 		csvPath = flag.String("csv", "", "write raw distributions to this CSV file")
 		events  = flag.String("events", "base", "event set (base, fig2b, extended) or comma-separated event list")
-		workers = flag.Int("workers", 0, "pipeline workers; 0 = legacy sequential path, -1 = GOMAXPROCS")
+		workers = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
 		seed    = flag.Int64("seed", 0, "pipeline root seed for per-shard RNG derivation; 0 = scenario seed")
 		batch   = flag.Int("batch", 1, "inputs classified per batched replay session; attribution is exact, so any batch size reproduces -batch 1 byte-for-byte")
-
-		processes = flag.Int("processes", 0, "shardworker OS processes via the distributed audit fabric; 0 = in-process")
-		workerBin = flag.String("worker-bin", "", "shardworker binary for -processes (default $REPRO_SHARDWORKER)")
-		journal   = flag.String("journal", "", "shard-completion journal base path; reruns resume finished shards")
-		fabricTCP = flag.Bool("fabric-tcp", false, "dispatch fabric shards over loopback TCP instead of pipes")
-
-		tracePath = flag.String("trace", "", "write a Chrome trace_event timeline of the campaign to this file (open in Perfetto / chrome://tracing, validate with obsview -check)")
-		obsPath   = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	fab := cliflags.AddFabric(flag.CommandLine)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "evaluate")
 	flag.Parse()
 
 	level, err := repro.ParseDefense(*defName)
@@ -71,14 +65,8 @@ func main() {
 		log.Fatal(err)
 	}
 	nw := *workers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	grouped := len(evs) > hpc.DefaultCounters
-	if grouped && nw == 0 {
-		// Event sets wider than the register file need one campaign per
-		// register-sized group; that path runs on the pipeline.
-		nw = 1
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0) // the pipeline default, for the banner
 	}
 
 	s, err := repro.NewScenario(repro.ScenarioConfig{Dataset: repro.Dataset(*dsName), Defense: level})
@@ -86,37 +74,26 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("scenario: %s, defense %s, test accuracy %.3f\n", *dsName, level, s.TestAccuracy)
-	switch {
-	case grouped:
+	if groups := (len(evs) + hpc.DefaultCounters - 1) / hpc.DefaultCounters; groups > 1 {
 		fmt.Printf("collecting %d classifications per category for categories %v (%d events in %d register groups, %d pipeline workers, root seed %d)...\n",
-			*runs, cls, len(evs), (len(evs)+hpc.DefaultCounters-1)/hpc.DefaultCounters, nw, *seed)
-	case nw > 0:
+			*runs, cls, len(evs), groups, nw, *seed)
+	} else {
 		fmt.Printf("collecting %d classifications per category for categories %v (%d pipeline workers, root seed %d)...\n",
 			*runs, cls, nw, *seed)
-	default:
-		fmt.Printf("collecting %d classifications per category for categories %v...\n", *runs, cls)
 	}
 
 	// Telemetry is observational output only: the report below is
 	// byte-identical whether or not a recorder is armed.
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "evaluate")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	evalCfg := repro.EvalConfig{
+	rep, err := s.Evaluate(repro.EvalConfig{
 		Classes: cls, Events: evs, RunsPerClass: *runs, Alpha: *alpha,
-		Workers: nw, Seed: *seed, Batch: *batch,
-		Processes: *processes,
-		Fabric:    repro.FabricConfig{WorkerBin: *workerBin, Journal: *journal, TCP: *fabricTCP},
-		Obs:       rec,
-	}
-	var rep *repro.Report
-	if grouped {
-		rep, err = s.EvaluateGrouped(context.Background(), level, evalCfg)
-	} else {
-		rep, err = s.Evaluate(evalCfg)
-	}
+		Workers: *workers, Seed: *seed, Batch: *batch,
+		Processes: fab.Processes, Fabric: fab.Config,
+		Obs: rec,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,10 +12,9 @@
 // Figure index: 1a, 1b (bar charts), 2b (perf stat), 3a, 3b (MNIST
 // distributions), 4a, 4b (CIFAR distributions).
 //
-// Collection campaigns run on the concurrent sharded pipeline by default
-// (-workers -1 = GOMAXPROCS, 0 = the legacy sequential path, matching
-// cmd/evaluate); for a fixed -seed every figure is reproducible at any
-// worker count.
+// Collection campaigns run on the concurrent sharded pipeline over
+// -workers workers (0 = GOMAXPROCS); for a fixed -seed every figure is
+// reproducible at any worker count.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"repro"
 )
@@ -35,7 +33,7 @@ func main() {
 		fig     = flag.String("fig", "all", "figure id: 1a,1b,2b,3a,3b,4a,4b,all")
 		runs    = flag.Int("runs", 300, "classifications per category")
 		defName = flag.String("defense", "baseline", "defense level: baseline, dense-execution, constant-time, noise-injection, padded-envelope")
-		workers = flag.Int("workers", -1, "pipeline workers; -1 = GOMAXPROCS, 0 = legacy sequential path")
+		workers = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
 		seed    = flag.Int64("seed", 0, "pipeline root seed; 0 = scenario seed")
 	)
 	flag.Parse()
@@ -43,10 +41,6 @@ func main() {
 	level, err := repro.ParseDefense(*defName)
 	if err != nil {
 		log.Fatal(err)
-	}
-	nw := *workers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
 	}
 
 	want := func(id string) bool { return *fig == "all" || *fig == id }
@@ -65,7 +59,7 @@ func main() {
 		return s
 	}
 	mustReport := func(d repro.Dataset) *repro.Report {
-		rep, err := scenario(d).Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: nw, Seed: *seed})
+		rep, err := scenario(d).Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
 		check(err)
 		return rep
 	}

@@ -30,8 +30,8 @@ import (
 	"runtime"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/hpc"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -57,15 +57,9 @@ func main() {
 
 		jsonOut = flag.Bool("json", false, "print the monitor report as JSON")
 		csvPath = flag.String("csv", "", "on exhaustion, write raw distributions to this CSV file (byte-identical to evaluate's)")
-
-		processes = flag.Int("processes", 0, "shardworker OS processes via the distributed audit fabric; 0 = in-process")
-		workerBin = flag.String("worker-bin", "", "shardworker binary for -processes (default $REPRO_SHARDWORKER)")
-		journal   = flag.String("journal", "", "shard-completion journal base path; reruns resume finished shards")
-		fabricTCP = flag.Bool("fabric-tcp", false, "dispatch fabric shards over loopback TCP instead of pipes")
-
-		tracePath = flag.String("trace", "", "write a Chrome trace_event timeline of the campaign to this file")
-		obsPath   = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	fab := cliflags.AddFabric(flag.CommandLine)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "monitor")
 	flag.Parse()
 
 	level, err := repro.ParseDefense(*defName)
@@ -95,7 +89,7 @@ func main() {
 			*budget, cls, *alpha, nw, *seed)
 	}
 
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "monitor")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,9 +99,8 @@ func main() {
 		Workers: nw, Seed: *seed, Batch: *batch,
 		MannWhitney: *mannWhitney, MinSamples: *minSamples, NoStop: *noStop,
 		Tenants: *tenants, Quantum: *quantum,
-		Processes: *processes,
-		Fabric:    repro.FabricConfig{WorkerBin: *workerBin, Journal: *journal, TCP: *fabricTCP},
-		Obs:       rec,
+		Processes: fab.Processes, Fabric: fab.Config,
+		Obs: rec,
 	})
 	if err == nil {
 		err = obsFinish()

@@ -32,7 +32,7 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/obs"
+	"repro/cmd/internal/cliflags"
 )
 
 func main() {
@@ -60,15 +60,9 @@ func main() {
 		perTrain     = flag.Int("train", 0, "per-class training images (0 = paper default)")
 		perTest      = flag.Int("test", 0, "per-class test images (0 = paper default)")
 		epochs       = flag.Int("epochs", 0, "training epochs (0 = paper default)")
-
-		processes = flag.Int("processes", 0, "shardworker OS processes per cell via the distributed audit fabric; 0 = in-process")
-		workerBin = flag.String("worker-bin", "", "shardworker binary for -processes (default $REPRO_SHARDWORKER)")
-		journal   = flag.String("journal", "", "shard-completion journal base path; reruns resume finished shards")
-		fabricTCP = flag.Bool("fabric-tcp", false, "dispatch fabric shards over loopback TCP instead of pipes")
-
-		tracePath = flag.String("trace", "", "write a Chrome trace_event timeline of the sweep to this file")
-		obsPath   = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	fab := cliflags.AddFabric(flag.CommandLine)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "sweep")
 	flag.Parse()
 	if *format != "csv" && *format != "json" {
 		log.Fatalf("unknown format %q (want csv or json)", *format)
@@ -78,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "sweep")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,8 +91,8 @@ func main() {
 		ArchIDRuns:   *archidRuns,
 		Topo:         *topoStage,
 		TopoHoldout:  *topoHoldout,
-		Processes:    *processes,
-		Fabric:       repro.FabricConfig{WorkerBin: *workerBin, Journal: *journal, TCP: *fabricTCP},
+		Processes:    fab.Processes,
+		Fabric:       fab.Config,
 		Obs:          rec,
 		Scenario: repro.ScenarioConfig{
 			PerClassTrain: *perTrain,

@@ -28,9 +28,9 @@ import (
 	"os/signal"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/hpc"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/topo"
 )
@@ -50,9 +50,8 @@ func main() {
 		seed      = flag.Int64("seed", 0, "campaign root seed; 0 = scenario seed")
 		maxInputs = flag.Int("max-inputs", 0, "cap on the shared input pool; 0 = all test images")
 		jsonPath  = flag.String("json", "", "write the result as JSON to this file")
-		tracePath = flag.String("trace", "", "write a Chrome trace_event timeline of the campaign to this file")
-		obsPath   = flag.String("obs", "", "stream telemetry events to this file as JSONL")
 	)
+	tel := cliflags.AddTelemetry(flag.CommandLine, "topo")
 	flag.Parse()
 
 	level, err := repro.ParseDefense(*defName)
@@ -74,7 +73,7 @@ func main() {
 	fmt.Printf("reconstructing %d held-out architectures (training zoo %d) on %s inputs at defense %s...\n\n",
 		*holdout, *trainZoo, *dsName, level)
 
-	rec, obsFinish, err := obs.FileRecorder(*tracePath, *obsPath, "topo")
+	rec, obsFinish, err := tel.Recorder()
 	if err != nil {
 		log.Fatal(err)
 	}

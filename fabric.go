@@ -1,9 +1,9 @@
 package repro
 
 // The repro side of the distributed audit fabric (internal/fabric): the
-// campaign spec that crosses the process boundary, the worker-side
-// runner construction, and the coordinator-side collection helper every
-// stage shares.
+// campaign spec that crosses the process boundary and the worker-side
+// runner construction. Sessions themselves are built in session.go, by
+// the same functions on both sides of the boundary.
 //
 // The spec is deliberately tiny — dataset, seeds and budgets, never
 // data. A shardworker process rebuilds the entire campaign (synthetic
@@ -20,15 +20,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/archid"
-	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/hpc"
 	"repro/internal/march"
-	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/tensor"
-	"repro/internal/topo"
 )
 
 // FabricConfig configures the distributed audit fabric for campaigns
@@ -196,9 +189,9 @@ func parseEventNames(names []string) ([]march.Event, error) {
 }
 
 // NewWorkerRunner is the fabric.BuildRunner of cmd/shardworker: it
-// decodes a WorkerSpec and rebuilds that session's campaign state —
-// scenario, victims, pipeline — returning the plan executor the serve
-// loop answers shard frames with.
+// decodes a WorkerSpec, rebuilds the scenario, and builds the spec's
+// session through the same collector the coordinator used, returning the
+// plan executor the serve loop answers shard frames with.
 func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	var spec WorkerSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
@@ -206,14 +199,6 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	}
 	if spec.Proto != specProto {
 		return nil, fmt.Errorf("repro: worker spec proto %q, want %q — coordinator and shardworker binaries are out of sync", spec.Proto, specProto)
-	}
-	events, err := parseEventNames(spec.Events)
-	if err != nil {
-		return nil, err
-	}
-	level, err := ParseDefense(spec.Level)
-	if err != nil {
-		return nil, err
 	}
 	scfg, err := spec.Scenario.config()
 	if err != nil {
@@ -223,89 +208,19 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: rebuilding scenario: %w", err)
 	}
-	inputs := s.Test.Inputs()
-	if spec.MaxInputs > 0 && spec.MaxInputs < len(inputs) {
-		inputs = inputs[:spec.MaxInputs]
+	c, err := s.newCollector(spec, runOpts{workers: 1})
+	if err != nil {
+		return nil, err
 	}
-
-	switch spec.Stage {
-	case StageReport, StageAttack, StageMonitor:
-		ev, err := core.NewEvaluator(core.Config{
-			Events:       events,
-			RunsPerClass: spec.RunsPerClass,
-			Batch:        spec.Batch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p, err := pipeline.New(ev, pipeline.Config{
-			Workers:   1,
-			RootSeed:  spec.RootSeed,
-			ShardRuns: spec.ShardRuns,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pools, err := s.ClassPools(spec.Classes...)
-		if err != nil {
-			return nil, err
-		}
-		factory := s.FactoryFor(level)
-		if spec.Stage == StageMonitor && spec.Tenants >= 2 {
-			factory = s.monitorFactory(level, spec.Tenants, spec.Quantum)
-		}
-		return p.Executor(func(_ int, seed int64) (core.Target, error) {
-			return factory(seed)
-		}, pools)
-	case StageArchID:
-		zoo, err := s.ArchZoo()
-		if err != nil {
-			return nil, err
-		}
-		camp, err := archid.NewCampaign(archid.Config{
-			Zoo:            zoo,
-			Inputs:         inputs,
-			Level:          level,
-			ProfileRuns:    spec.ProfileRuns,
-			AttackRuns:     spec.AttackRuns,
-			Workers:        1,
-			Seed:           spec.Seed,
-			ShardRuns:      spec.ShardRuns,
-			DisableRuntime: spec.Scenario.DisableRuntime,
-			DisableNoise:   spec.Scenario.DisableNoise,
-			NoPad:          spec.NoPad,
-		})
-		if err != nil {
-			return nil, err
-		}
-		_, exec, err := camp.SessionExecutor(events, spec.Session)
-		return exec, err
-	case StageTopo:
-		camp, err := topo.NewCampaign(topo.Config{
-			InH:            s.Arch.InH,
-			InW:            s.Arch.InW,
-			InC:            s.Arch.InC,
-			Classes:        s.Arch.Classes,
-			Inputs:         inputs,
-			Level:          level,
-			TrainSize:      spec.TrainZoo,
-			HoldoutSize:    spec.Holdout,
-			Runs:           spec.Runs,
-			Quantum:        spec.Quantum,
-			Workers:        1,
-			Seed:           spec.Seed,
-			ShardRuns:      spec.ShardRuns,
-			DisableRuntime: spec.Scenario.DisableRuntime,
-			DisableNoise:   spec.Scenario.DisableNoise,
-		})
-		if err != nil {
-			return nil, err
-		}
-		_, exec, err := camp.SessionExecutor(events, spec.Session)
-		return exec, err
-	default:
-		return nil, fmt.Errorf("repro: unknown fabric stage %q", spec.Stage)
+	ss, err := c.session(spec)
+	if err != nil {
+		return nil, err
 	}
+	exec, err := ss.p.Executor(ss.factory, ss.pools)
+	if err != nil {
+		return nil, err
+	}
+	return exec, nil
 }
 
 // journalPath derives the session's journal file from the configured
@@ -315,56 +230,4 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 // rerun of the same session always finds its own.
 func (fc FabricConfig) journalPath(spec WorkerSpec, digest string) string {
 	return fmt.Sprintf("%s.%s.g%d.%s", fc.Journal, spec.Stage, spec.Session, digest[:12])
-}
-
-// collectFabric runs one collection session's shard plan on worker
-// processes and returns the merged labelled profiles — the fabric
-// counterpart of Pipeline.CollectProfilesByClass, shared by every stage.
-// The merge is keyed by each plan's (class, start) placement, so the
-// result is independent of process count, scheduling and arrival order.
-func collectFabric(ctx context.Context, p *pipeline.Pipeline, pools map[int][]*tensor.Tensor, spec WorkerSpec, procs int, fc FabricConfig) (map[int][]hpc.Profile, error) {
-	bin, err := fc.workerBin()
-	if err != nil {
-		return nil, err
-	}
-	spec.Proto = specProto
-	specBytes, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := p.WirePlans(pools)
-	if err != nil {
-		return nil, err
-	}
-	rec := p.Config().Obs
-	rec.Add(obs.CShardsPlanned, int64(len(plans)))
-	rec.SetPhase("collect")
-	stage := rec.Span("fabric", "collect")
-	defer stage.End()
-	var journal *fabric.Journal
-	if fc.Journal != "" {
-		digest := fabric.CampaignDigest(specBytes)
-		journal, err = fabric.OpenJournal(fc.journalPath(spec, digest), digest)
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-	pool, err := fabric.StartPool(ctx, fabric.PoolConfig{
-		Bin:   bin,
-		Env:   fc.Env,
-		Spec:  specBytes,
-		Procs: procs,
-		TCP:   fc.TCP,
-		Obs:   rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-	payloads, err := (&fabric.Coordinator{Dispatcher: pool, Journal: journal, Obs: rec}).Run(ctx, plans)
-	if err != nil {
-		return nil, err
-	}
-	return p.MergeEncoded(plans, payloads)
 }

@@ -359,3 +359,53 @@ func TestFabricNeedsWorkerBinary(t *testing.T) {
 		t.Fatalf("missing worker binary not reported: %v", err)
 	}
 }
+
+// TestWideEventSetByteInvariantAcrossProcesses runs every collecting
+// stage with a two-register-group event set (the paper's eight Figure
+// 2(b) events) on two shardworker processes: each register group is its
+// own fabric session, and the joined result must match the in-process
+// single-worker bytes.
+func TestWideEventSetByteInvariantAcrossProcesses(t *testing.T) {
+	s := attackScenario(t)
+	ctx := context.Background()
+	events := AllPaperEvents()
+	for _, tc := range []struct {
+		name string
+		run  func(procs int, fc FabricConfig) (any, error)
+	}{
+		{"report", func(procs int, fc FabricConfig) (any, error) {
+			return s.EvaluateCtx(ctx, EvalConfig{Classes: []int{1, 2}, Events: events, RunsPerClass: 8,
+				Workers: 1, Seed: 17, Processes: procs, Fabric: fc})
+		}},
+		{"report-grouped", func(procs int, fc FabricConfig) (any, error) {
+			return s.EvaluateGrouped(ctx, DefenseConstantTime, EvalConfig{Classes: []int{1, 2}, Events: events, RunsPerClass: 8,
+				Workers: 1, Seed: 17, Processes: procs, Fabric: fc})
+		}},
+		{"attack", func(procs int, fc FabricConfig) (any, error) {
+			return s.Attack(ctx, AttackConfig{Classes: []int{1, 2}, Events: events, ProfileRuns: 6, AttackRuns: 3,
+				Workers: 1, Seed: 17, Processes: procs, Fabric: fc})
+		}},
+		{"archid", func(procs int, fc FabricConfig) (any, error) {
+			return s.ArchID(ctx, ArchIDConfig{Events: events, ProfileRuns: 4, AttackRuns: 2, MaxInputs: 4,
+				Workers: 1, Seed: 17, Processes: procs, Fabric: fc})
+		}},
+		{"topo", func(procs int, fc FabricConfig) (any, error) {
+			return s.Topo(ctx, TopoConfig{Events: events, TrainZoo: 4, Holdout: 3, Runs: 3, MaxInputs: 4,
+				Workers: 1, Seed: 17, Processes: procs, Fabric: fc})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.run(0, FabricConfig{})
+			if err != nil {
+				t.Fatalf("in-process: %v", err)
+			}
+			got, err := tc.run(2, fabricCfg(t))
+			if err != nil {
+				t.Fatalf("processes=2: %v", err)
+			}
+			if g, w := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("processes=2 result differs from in-process bytes:\n--- processes=2 ---\n%s\n--- in-process ---\n%s", g, w)
+			}
+		})
+	}
+}

@@ -4,26 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/hpc"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
-
-// CollectProfiles fans the campaign's shard plan out over the worker pool
-// and returns the labelled per-run HPC profiles, byClass[class][run]. It is
-// the attack stage's counterpart of Collect: the same shard units, fresh
-// per-shard targets and derived seeds, merged by (class, run) offset — so
-// the observation for run r of class c is identical at any worker count.
-func (p *Pipeline) CollectProfiles(ctx context.Context, factory TargetFactory, perClass map[int][]*tensor.Tensor) (map[int][]hpc.Profile, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("pipeline: nil target factory")
-	}
-	return p.CollectProfilesByClass(ctx, func(_ int, seed int64) (core.Target, error) {
-		return factory(seed)
-	}, perClass)
-}
 
 // ClassTargetFactory builds a fresh, self-contained target for one shard
 // of the given class. It is the class-aware generalization of
@@ -34,11 +19,14 @@ func (p *Pipeline) CollectProfiles(ctx context.Context, factory TargetFactory, p
 // derive from seed alone.
 type ClassTargetFactory func(class int, seed int64) (core.Target, error)
 
-// CollectProfilesByClass is CollectProfiles with a class-aware factory:
-// shard workers deploy factory(shard.Class, shard.Seed), so each class's
-// observations can come from a different victim (a different model
-// architecture) while riding the exact same shard plan, derived seeds and
-// deterministic (class, run) merge.
+// CollectProfilesByClass fans the campaign's shard plan out over the
+// worker pool and returns the labelled per-run HPC profiles,
+// byClass[class][run] — the attack stages' counterpart of Collect: the
+// same shard units, fresh per-shard targets and derived seeds, merged by
+// (class, run) offset, so the observation for run r of class c is
+// identical at any worker count. Shard workers deploy
+// factory(shard.Class, shard.Seed), so each class's observations can come
+// from a different victim (a different model architecture).
 func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTargetFactory, perClass map[int][]*tensor.Tensor) (map[int][]hpc.Profile, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil target factory")
@@ -84,29 +72,4 @@ func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTarg
 		}
 	}
 	return byClass, nil
-}
-
-// Attack runs the end-to-end attack stage: sharded collection of
-// RunsPerClass labelled observations per class, a deterministic split into
-// the first profileRuns (profiling) and the rest (held-out attack runs),
-// then both attackers fitted and scored in deterministic (class, run)
-// order. Because the split is positional over the deterministic merge, the
-// confusion matrices are bit-for-bit identical at any worker count.
-func (p *Pipeline) Attack(ctx context.Context, name string, factory TargetFactory, perClass map[int][]*tensor.Tensor, profileRuns, k int) (*attack.Result, error) {
-	total := p.ev.Config().RunsPerClass
-	if profileRuns < 2 || profileRuns >= total {
-		return nil, fmt.Errorf("pipeline: profileRuns %d outside [2, %d); RunsPerClass must cover profiling plus held-out attack runs",
-			profileRuns, total)
-	}
-	byClass, err := p.CollectProfiles(ctx, factory, perClass)
-	if err != nil {
-		return nil, err
-	}
-	p.cfg.Obs.SetPhase("attack")
-	defer p.cfg.Obs.Span("pipeline", "attack").End()
-	profSet, atkSet, err := attack.Split(byClass, profileRuns)
-	if err != nil {
-		return nil, err
-	}
-	return attack.Evaluate(name, p.ev.Config().Events, profSet, atkSet, k)
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/march"
@@ -14,6 +15,21 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
+
+// runAttack is the attack stage over a pipeline collection: labelled
+// profiles, a positional profiling/attack split, then both attackers
+// fitted and scored.
+func runAttack(p *Pipeline, name string, factory TargetFactory, pools map[int][]*tensor.Tensor, profileRuns, k int) (*attack.Result, error) {
+	byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(factory), pools)
+	if err != nil {
+		return nil, err
+	}
+	profSet, atkSet, err := attack.Split(byClass, profileRuns)
+	if err != nil {
+		return nil, err
+	}
+	return attack.Evaluate(name, p.ev.Config().Events, profSet, atkSet, k)
+}
 
 // TestAttackDeterminismAcrossWorkerCounts is the attack stage's core
 // guarantee: workers=1 and workers=8 must produce byte-identical confusion
@@ -26,7 +42,7 @@ func TestAttackDeterminismAcrossWorkerCounts(t *testing.T) {
 
 	run := func(workers int) []byte {
 		p := newPipeline(t, evCfg, Config{Workers: workers, RootSeed: 7, ShardRuns: 5})
-		res, err := p.Attack(context.Background(), "attack-determinism", testFactory(t, net), pools, 12, 3)
+		res, err := runAttack(p, "attack-determinism", testFactory(t, net), pools, 12, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +74,7 @@ func TestAttackRepeatedRun(t *testing.T) {
 	pools := testPools(2, 3)
 	run := func() []byte {
 		p := newPipeline(t, core.Config{RunsPerClass: 10, WarmupRuns: 1}, Config{Workers: 4, RootSeed: 3, ShardRuns: 4})
-		res, err := p.Attack(context.Background(), "attack-repeat", testFactory(t, net), pools, 6, 3)
+		res, err := runAttack(p, "attack-repeat", testFactory(t, net), pools, 6, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +97,7 @@ func TestAttackRootSeedChangesObservations(t *testing.T) {
 	pools := testPools(2, 3)
 	collect := func(seed int64) map[int][]float64 {
 		p := newPipeline(t, core.Config{RunsPerClass: 8, WarmupRuns: 1}, Config{Workers: 2, RootSeed: seed})
-		byClass, err := p.CollectProfiles(context.Background(), testFactory(t, net), pools)
+		byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +120,13 @@ func TestAttackValidation(t *testing.T) {
 	net := testNet(t)
 	pools := testPools(2, 3)
 	p := newPipeline(t, core.Config{RunsPerClass: 10, WarmupRuns: 0}, Config{Workers: 2, RootSeed: 1})
-	if _, err := p.Attack(context.Background(), "bad", testFactory(t, net), pools, 1, 3); err == nil {
+	if _, err := runAttack(p, "bad", testFactory(t, net), pools, 1, 3); err == nil {
 		t.Fatal("profileRuns < 2 accepted")
 	}
-	if _, err := p.Attack(context.Background(), "bad", testFactory(t, net), pools, 10, 3); err == nil {
+	if _, err := runAttack(p, "bad", testFactory(t, net), pools, 10, 3); err == nil {
 		t.Fatal("profileRuns == RunsPerClass accepted (no held-out attack runs)")
 	}
-	if _, err := p.CollectProfiles(context.Background(), nil, pools); err == nil {
+	if _, err := p.CollectProfilesByClass(context.Background(), nil, pools); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 }
@@ -130,7 +146,7 @@ func TestCollectProfilesMatchesCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byClass, err := p.CollectProfiles(context.Background(), testFactory(t, net), pools)
+	byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 	if err != nil {
 		t.Fatal(err)
 	}

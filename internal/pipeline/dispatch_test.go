@@ -14,8 +14,8 @@ import (
 	"repro/internal/core"
 )
 
-// classAgnostic adapts a TargetFactory for the class-aware executor, the
-// same adaptation CollectProfiles applies.
+// classAgnostic adapts a TargetFactory for the class-aware collection
+// and executor paths: every class deploys the same victim.
 func classAgnostic(f TargetFactory) ClassTargetFactory {
 	return func(_ int, seed int64) (core.Target, error) { return f(seed) }
 }
@@ -26,7 +26,7 @@ func TestExecutorMatchesCollectProfiles(t *testing.T) {
 	evCfg := core.Config{RunsPerClass: 18, WarmupRuns: 1}
 	p := newPipeline(t, evCfg, Config{Workers: 2, RootSeed: 9, ShardRuns: 6})
 
-	want, err := p.CollectProfiles(context.Background(), testFactory(t, net), pools)
+	want, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestReportFromProfilesMatchesEvaluate(t *testing.T) {
 	}
 
 	q := newPipeline(t, evCfg, Config{Workers: 2, RootSeed: 11, ShardRuns: 4})
-	byClass, err := q.CollectProfiles(context.Background(), testFactory(t, net), pools)
+	byClass, err := q.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 	if err != nil {
 		t.Fatal(err)
 	}

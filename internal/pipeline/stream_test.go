@@ -115,7 +115,7 @@ func TestStreamMatchesBatchCollection(t *testing.T) {
 	}
 
 	p2 := newPipeline(t, evCfg, cfg)
-	byClass, err := p2.CollectProfiles(context.Background(), testFactory(t, net), pools)
+	byClass, err := p2.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 	if err != nil {
 		t.Fatal(err)
 	}

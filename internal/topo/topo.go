@@ -430,18 +430,24 @@ func bestKernel(h, w int, area float64) int {
 // class-aware factory; sessions of the same campaign observe the same
 // victims with disjoint observation seeds.
 func (c *Campaign) Collect(ctx context.Context, events []march.Event, session int) (map[int][]hpc.Profile, error) {
-	p, err := c.sessionPipeline(events, session)
+	p, factory, err := c.Session(events, session)
 	if err != nil {
 		return nil, err
 	}
-	return p.CollectProfilesByClass(ctx, c.factory(), c.Pools())
+	return p.CollectProfilesByClass(ctx, factory, c.Pools())
 }
 
-// sessionPipeline builds one collection session's pipeline: session-
-// derived root seed over the campaign's run budget.
-func (c *Campaign) sessionPipeline(events []march.Event, session int) (*pipeline.Pipeline, error) {
+// Session builds one collection session: its pipeline (session-derived
+// root seed over the campaign's run budget) and the class-aware factory
+// that deploys a shard's victim. The distributed fabric splits the two
+// across processes — the coordinator plans shards and merges payloads
+// with the pipeline, a shardworker process executes plans with the
+// factory — and both sides rebuild identical state from the campaign
+// configuration alone, which keeps fabric campaigns byte-identical to
+// in-process ones.
+func (c *Campaign) Session(events []march.Event, session int) (*pipeline.Pipeline, pipeline.ClassTargetFactory, error) {
 	if len(events) == 0 || len(events) > hpc.DefaultCounters {
-		return nil, fmt.Errorf("topo: a session counts 1..%d events, got %d (split wide sets into register groups)",
+		return nil, nil, fmt.Errorf("topo: a session counts 1..%d events, got %d (split wide sets into register groups)",
 			hpc.DefaultCounters, len(events))
 	}
 	ev, err := core.NewEvaluator(core.Config{
@@ -450,14 +456,18 @@ func (c *Campaign) sessionPipeline(events []march.Event, session int) (*pipeline
 		Obs:          c.cfg.Obs,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pipeline.New(ev, pipeline.Config{
+	p, err := pipeline.New(ev, pipeline.Config{
 		Workers:   c.cfg.Workers,
 		RootSeed:  core.DeriveSeed(c.cfg.Seed, session, seedDomainPipeline),
 		ShardRuns: c.cfg.ShardRuns,
 		Obs:       c.cfg.Obs,
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, c.factory(), nil
 }
 
 // Pools returns the per-victim input pools of a collection session:
@@ -468,25 +478,6 @@ func (c *Campaign) Pools() map[int][]*tensor.Tensor {
 		perClass[id] = c.cfg.Inputs
 	}
 	return perClass
-}
-
-// SessionExecutor builds one collection session's pipeline and plan
-// executor — the two halves the distributed fabric splits across
-// processes: the coordinator plans shards and merges payloads with the
-// pipeline, and a shardworker process executes plans with the executor.
-// Both sides rebuild identical state from the campaign configuration
-// alone, which is what keeps fabric campaigns byte-identical to
-// in-process ones.
-func (c *Campaign) SessionExecutor(events []march.Event, session int) (*pipeline.Pipeline, *pipeline.Executor, error) {
-	p, err := c.sessionPipeline(events, session)
-	if err != nil {
-		return nil, nil, err
-	}
-	exec, err := p.Executor(c.factory(), c.Pools())
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, exec, nil
 }
 
 // factory builds the class-aware target factory: shard workers deploy

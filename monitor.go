@@ -11,14 +11,11 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/defense"
-	"repro/internal/fabric"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/march/mem"
@@ -328,31 +325,26 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 	if cfg.MannWhitney {
 		method = core.MethodMannWhitney
 	}
-	ev, err := core.NewEvaluator(core.Config{
-		Events:       cfg.Events,
-		Alpha:        cfg.Alpha,
-		RunsPerClass: cfg.Budget,
-		Batch:        cfg.Batch,
-		Method:       method,
-		Obs:          cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pools, err := s.ClassPools(cfg.Classes...)
-	if err != nil {
-		return nil, err
+	events := cfg.Events
+	if len(events) == 0 {
+		events = []Event{EvCacheMisses, EvBranches}
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = s.Config.Seed
 	}
-	p, err := pipeline.New(ev, pipeline.Config{
-		Workers:   cfg.Workers,
-		RootSeed:  seed,
-		ShardRuns: cfg.ShardRuns,
-		Obs:       cfg.Obs,
+	spec := s.workerSpec(StageMonitor, s.Config.Defense, events)
+	spec.Classes, spec.RunsPerClass, spec.RootSeed, spec.ShardRuns, spec.Batch, spec.Tenants, spec.Quantum =
+		cfg.Classes, cfg.Budget, seed, cfg.ShardRuns, cfg.Batch, cfg.Tenants, cfg.Quantum
+	c, err := s.newCollector(spec, runOpts{
+		workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, alpha: cfg.Alpha, method: method,
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The monitor streams one session: its sequential looks need every
+	// event of a window at once, so the set must fit the register file.
+	ss, err := c.session(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -360,17 +352,9 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 	if cfg.Tenants >= 2 {
 		name += "+cotenant"
 	}
-	run := newMonitorRun(ev.Config().Events, cfg.Classes, cfg, ev.Config().Alpha)
-
-	var stopped bool
-	if cfg.Processes > 0 {
-		stopped, err = s.monitorFabric(ctx, p, pools, cfg, seed, ev.Config(), run.consume)
-	} else {
-		factory := s.monitorFactory(s.Config.Defense, cfg.Tenants, cfg.Quantum)
-		stopped, err = p.Stream(ctx, func(_ int, shardSeed int64) (core.Target, error) {
-			return factory(shardSeed)
-		}, pools, run.consume)
-	}
+	evCfg := ss.ev.Config()
+	run := newMonitorRun(evCfg.Events, cfg.Classes, cfg, evCfg.Alpha)
+	stopped, err := ss.stream(ctx, run.consume)
 	if err != nil {
 		return nil, err
 	}
@@ -380,11 +364,11 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 		if err != nil {
 			return nil, err
 		}
-		tests, err := p.Test(ctx, d)
+		tests, err := ss.p.Test(ctx, d)
 		if err != nil {
 			return nil, err
 		}
-		rep.Report = ev.BuildReport(name, d, tests)
+		rep.Report = ss.ev.BuildReport(name, d, tests)
 	}
 	return rep, nil
 }
@@ -416,9 +400,9 @@ func (t *tenantTarget) Classify(img *tensor.Tensor) (int, error) {
 // Engine exposes the shared core (core.Target).
 func (t *tenantTarget) Engine() *march.Engine { return t.victim.Engine() }
 
-// monitorFactory returns the monitor's target factory: FactoryFor's
-// deployment, co-located with a second classifier of the same network
-// when tenants ≥ 2. The co-tenant's allocations are bumped past the
+// monitorFactory returns the scenario stages' target factory:
+// FactoryFor's deployment, co-located with a second classifier of the
+// same network when tenants ≥ 2 (the monitor's co-residency scenario). The co-tenant's allocations are bumped past the
 // victim's activation scratch (which is not arena-registered — see
 // instrument.Classifier.ScratchTop) so the two footprints contend in the
 // cache hierarchy without silently aliasing.
@@ -462,106 +446,5 @@ func (s *Scenario) monitorFactory(level DefenseLevel, tenants int, quantum uint6
 			}
 		})
 		return tt, nil
-	}
-}
-
-// monitorFabric streams one monitor campaign's shard completions from
-// worker processes. Workers execute whole shards (reusing the
-// collection journal format, so an interrupted campaign resumes);
-// delivery re-slices each shard payload into Batch-sized windows, so
-// the consumer sees the exact window cadence of in-process streaming
-// and every monitor decision is process-count-invariant.
-func (s *Scenario) monitorFabric(ctx context.Context, p *pipeline.Pipeline, pools map[int][]*tensor.Tensor, cfg MonitorConfig, seed int64, evCfg core.Config, consume func(core.Window) error) (bool, error) {
-	bin, err := cfg.Fabric.workerBin()
-	if err != nil {
-		return false, err
-	}
-	batch := evCfg.Batch
-	spec := WorkerSpec{
-		Proto:        specProto,
-		Stage:        StageMonitor,
-		Scenario:     s.spec(),
-		Level:        s.Config.Defense.String(),
-		Events:       eventNames(evCfg.Events),
-		Classes:      cfg.Classes,
-		RunsPerClass: cfg.Budget,
-		RootSeed:     seed,
-		ShardRuns:    cfg.ShardRuns,
-		Batch:        cfg.Batch,
-		Tenants:      cfg.Tenants,
-		Quantum:      cfg.Quantum,
-	}
-	specBytes, err := json.Marshal(spec)
-	if err != nil {
-		return false, err
-	}
-	plans, err := p.WirePlans(pools)
-	if err != nil {
-		return false, err
-	}
-	rec := cfg.Obs
-	rec.Add(obs.CShardsPlanned, int64(len(plans)))
-	rec.SetPhase("stream")
-	stage := rec.Span("fabric", "stream")
-	defer stage.End()
-	// Reorder the plan slice into the pipeline's stream order so fabric
-	// delivery interleaves classes exactly like in-process streaming.
-	sort.SliceStable(plans, func(a, b int) bool {
-		if plans[a].Start != plans[b].Start {
-			return plans[a].Start < plans[b].Start
-		}
-		return plans[a].Class < plans[b].Class
-	})
-	var journal *fabric.Journal
-	if cfg.Fabric.Journal != "" {
-		digest := fabric.CampaignDigest(specBytes)
-		journal, err = fabric.OpenJournal(cfg.Fabric.journalPath(spec, digest), digest)
-		if err != nil {
-			return false, err
-		}
-		defer journal.Close()
-	}
-	pool, err := fabric.StartPool(ctx, fabric.PoolConfig{
-		Bin:   bin,
-		Env:   cfg.Fabric.Env,
-		Spec:  specBytes,
-		Procs: cfg.Processes,
-		TCP:   cfg.Fabric.TCP,
-		Obs:   rec,
-	})
-	if err != nil {
-		return false, err
-	}
-	defer pool.Close()
-	coord := &fabric.Coordinator{Dispatcher: pool, Journal: journal, Obs: rec}
-	err = coord.RunStream(ctx, plans, func(i int, payload []byte) error {
-		profs, err := pipeline.DecodeProfiles(payload)
-		if err != nil {
-			return err
-		}
-		pl := plans[i]
-		if len(profs) != pl.Count {
-			return fmt.Errorf("repro: monitor shard %d returned %d profiles, plan says %d", pl.Index, len(profs), pl.Count)
-		}
-		for off := 0; off < len(profs); off += batch {
-			n := batch
-			if rem := len(profs) - off; rem < n {
-				n = rem
-			}
-			if err := consume(core.Window{Shard: pl.Index, Class: pl.Class, Start: pl.Start + off, Profiles: profs[off : off+n]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	switch {
-	case errors.Is(err, pipeline.ErrStop):
-		return true, nil
-	case err == nil:
-		return false, nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return false, &pipeline.Cancelled{Stage: "fabric stream", Err: err}
-	default:
-		return false, err
 	}
 }

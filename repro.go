@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
+	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/nn"
@@ -112,6 +114,9 @@ func ParseClasses(s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("repro: bad class list %q: %w", s, err)
+		}
+		if slices.Contains(out, n) {
+			return nil, fmt.Errorf("repro: bad class list %q: category %d listed twice", s, n)
 		}
 		out = append(out, n)
 	}
@@ -302,7 +307,8 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 }
 
 // ClassPools groups the test images of the requested categories, the pools
-// the Evaluator cycles through.
+// the Evaluator cycles through. Every campaign stage builds its pools
+// here, so a repeated category label fails every stage the same way.
 func (s *Scenario) ClassPools(classes ...int) (map[int][]*tensor.Tensor, error) {
 	if len(classes) == 0 {
 		classes = PaperClasses()
@@ -310,6 +316,9 @@ func (s *Scenario) ClassPools(classes ...int) (map[int][]*tensor.Tensor, error) 
 	by := s.Test.ByClass()
 	pools := map[int][]*tensor.Tensor{}
 	for _, cls := range classes {
+		if _, dup := pools[cls]; dup {
+			return nil, fmt.Errorf("repro: category %d listed twice", cls)
+		}
 		idxs := by[cls]
 		if len(idxs) == 0 {
 			return nil, fmt.Errorf("repro: no test images for category %d", cls)
@@ -327,23 +336,22 @@ func PaperClasses() []int { return []int{1, 2, 3, 4} }
 
 // EvalConfig controls an evaluation campaign. The zero value reproduces
 // the paper's settings (cache-misses and branches, α = 0.05, four
-// categories, 300 monitored classifications per category) on the
-// sequential path.
+// categories, 300 monitored classifications per category).
 type EvalConfig struct {
 	Classes      []int
 	Events       []Event
 	RunsPerClass int
 	Alpha        float64
-	// Workers selects the concurrent sharded pipeline: ≥1 fans collection
-	// and testing out over that many workers (1 is the sequential
-	// reference execution of the same shard plan). 0 keeps the legacy
-	// single-engine sequential path on Scenario.Target.
+	// Workers fans the concurrent sharded pipeline's collection and
+	// testing out over that many workers; 0 → GOMAXPROCS. Workers=1 is
+	// the sequential reference execution of the same shard plan, and the
+	// report is byte-identical at any value.
 	Workers int
 	// Seed is the pipeline's root seed, from which every shard's RNG seed
-	// is derived; 0 uses the scenario seed. Ignored on the legacy path.
+	// is derived; 0 uses the scenario seed.
 	Seed int64
 	// ShardRuns bounds measured runs per shard in the pipeline; 0 uses
-	// pipeline.DefaultShardRuns. Ignored on the legacy path.
+	// pipeline.DefaultShardRuns.
 	ShardRuns int
 	// Processes distributes shard execution over that many shardworker OS
 	// processes through the distributed audit fabric (internal/fabric);
@@ -372,91 +380,27 @@ func (s *Scenario) Evaluate(cfg EvalConfig) (*Report, error) {
 	return s.EvaluateCtx(context.Background(), cfg)
 }
 
-// EvaluateCtx is Evaluate with cancellation. With cfg.Workers ≥ 1 the
-// campaign runs on the concurrent sharded pipeline (fresh per-shard
-// engines, deterministic per-shard seeds); with cfg.Processes ≥ 1 the
-// same shard plan is executed by shardworker OS processes through the
-// distributed audit fabric; with both zero it runs sequentially on the
-// scenario's deployed target.
+// EvaluateCtx is Evaluate with cancellation. The campaign runs on the
+// concurrent sharded pipeline (fresh per-shard engines, deterministic
+// per-shard seeds), in-process or — with cfg.Processes ≥ 1 — on
+// shardworker OS processes through the distributed audit fabric. Event
+// sets wider than the HPC register file run exactly as EvaluateGrouped
+// at the scenario's defense level; a set that fits one register group
+// uses the root seed itself (cfg.Seed, or the scenario seed) as its
+// pipeline root seed.
 func (s *Scenario) EvaluateCtx(ctx context.Context, cfg EvalConfig) (*Report, error) {
-	if len(cfg.Classes) == 0 {
-		cfg.Classes = PaperClasses()
+	if len(cfg.Events) > hpc.DefaultCounters {
+		return s.EvaluateGrouped(ctx, s.Config.Defense, cfg)
 	}
-	if cfg.RunsPerClass <= 0 {
-		cfg.RunsPerClass = 300
-	}
-	ev, err := core.NewEvaluator(core.Config{
-		Events:       cfg.Events,
-		Alpha:        cfg.Alpha,
-		RunsPerClass: cfg.RunsPerClass,
-		Batch:        cfg.Batch,
-		Obs:          cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pools, err := s.ClassPools(cfg.Classes...)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("%s/%s", s.Config.Dataset, s.Config.Defense)
-	if cfg.Workers == 0 && cfg.Processes == 0 {
-		d, err := ev.CollectCtx(ctx, s.Target, pools)
-		if err != nil {
-			return nil, err
-		}
-		tests, err := ev.Test(d)
-		if err != nil {
-			return nil, err
-		}
-		return ev.BuildReport(name, d, tests), nil
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = s.Config.Seed
-	}
-	p, err := pipeline.New(ev, pipeline.Config{
-		Workers:   cfg.Workers,
-		RootSeed:  seed,
-		ShardRuns: cfg.ShardRuns,
-		Obs:       cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Processes > 0 {
-		spec := WorkerSpec{
-			Stage:        StageReport,
-			Scenario:     s.spec(),
-			Level:        s.Config.Defense.String(),
-			Events:       eventNames(ev.Config().Events),
-			Classes:      cfg.Classes,
-			RunsPerClass: cfg.RunsPerClass,
-			RootSeed:     seed,
-			ShardRuns:    cfg.ShardRuns,
-			Batch:        cfg.Batch,
-		}
-		byClass, err := collectFabric(ctx, p, pools, spec, cfg.Processes, cfg.Fabric)
-		if err != nil {
-			return nil, err
-		}
-		return p.ReportFromProfiles(ctx, name, byClass)
-	}
-	return p.Evaluate(ctx, name, s.TargetFactory(), pools)
+	return s.evaluate(ctx, s.Config.Defense, cfg, func(root int64, _ int) int64 { return root })
 }
 
-// TargetFactory returns a pipeline factory that deploys the scenario's
-// trained network on a fresh simulated core per shard, at the scenario's
-// configured defense level. The factory only reads the shared network
-// weights; every stateful structure (engine, caches, predictor, noise and
-// jitter RNGs) is rebuilt per shard from the shard seed.
-func (s *Scenario) TargetFactory() pipeline.TargetFactory {
-	return s.FactoryFor(s.Config.Defense)
-}
-
-// FactoryFor is TargetFactory at an explicit defense level, letting sweeps
-// reuse one trained scenario across hardening strategies without
-// retraining.
+// FactoryFor returns a pipeline factory that deploys the scenario's
+// trained network at the given defense level on a fresh simulated core
+// per shard, letting sweeps reuse one trained scenario across hardening
+// strategies without retraining. The factory only reads the shared
+// network weights; every stateful structure (engine, caches, predictor,
+// noise and jitter RNGs) is rebuilt per shard from the shard seed.
 func (s *Scenario) FactoryFor(level DefenseLevel) pipeline.TargetFactory {
 	cfg := s.Config
 	net := s.Net

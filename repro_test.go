@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -247,5 +248,36 @@ func TestEvaluateDefenseQuietsAlarms(t *testing.T) {
 		len(leakyRep.AlarmsFor(EvCacheMisses)) > 0 {
 		t.Fatalf("defense did not reduce cache alarms: baseline %d, constant-time %d",
 			len(leakyRep.AlarmsFor(EvCacheMisses)), len(hardRep.AlarmsFor(EvCacheMisses)))
+	}
+}
+
+// TestDuplicateClassLabelsRejected: a repeated category label would pair
+// a class with itself and spend the monitor's alpha twice on one
+// hypothesis, so every stage rejects it up front (they all build their
+// pools through ClassPools).
+func TestDuplicateClassLabelsRejected(t *testing.T) {
+	s := smallScenario(t)
+	ctx := context.Background()
+	classes := []int{1, 1, 2}
+	for _, tc := range []struct {
+		stage string
+		run   func() error
+	}{
+		{"evaluate", func() error {
+			_, err := s.EvaluateCtx(ctx, EvalConfig{Classes: classes, RunsPerClass: 4})
+			return err
+		}},
+		{"attack", func() error {
+			_, err := s.Attack(ctx, AttackConfig{Classes: classes, ProfileRuns: 4, AttackRuns: 2})
+			return err
+		}},
+		{"monitor", func() error {
+			_, err := s.MonitorCtx(ctx, MonitorConfig{Classes: classes, Budget: 4, NoStop: true})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "category 1 listed twice") {
+			t.Errorf("%s: repeated class label not rejected: %v", tc.stage, err)
+		}
 	}
 }

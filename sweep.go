@@ -23,7 +23,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/march"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // SweepConfig describes the grid. Zero-value fields default to the paper's
@@ -359,9 +358,14 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 // into register-sized groups, each evaluated as its own pipeline campaign
 // (with a group-derived root seed), and the partial reports are merged —
 // exactly the multi-session discipline a real perf user must follow.
-// cfg.Workers == 0 uses GOMAXPROCS; the grouped path always runs on the
-// pipeline.
 func (s *Scenario) EvaluateGrouped(ctx context.Context, level DefenseLevel, cfg EvalConfig) (*core.Report, error) {
+	return s.evaluate(ctx, level, cfg, func(root int64, g int) int64 { return core.DeriveSeed(root, g, 1) })
+}
+
+// evaluate runs a report campaign at the given level, one session per
+// register group with root seed groupSeed(root, group), and merges the
+// per-group reports.
+func (s *Scenario) evaluate(ctx context.Context, level DefenseLevel, cfg EvalConfig, groupSeed func(root int64, g int) int64) (*core.Report, error) {
 	if len(cfg.Classes) == 0 {
 		cfg.Classes = PaperClasses()
 	}
@@ -372,74 +376,28 @@ func (s *Scenario) EvaluateGrouped(ctx context.Context, level DefenseLevel, cfg 
 	if len(events) == 0 {
 		events = []Event{EvCacheMisses, EvBranches}
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = s.Config.Seed
+	root := cfg.Seed
+	if root == 0 {
+		root = s.Config.Seed
 	}
-	factory := s.FactoryFor(level)
-	pools, err := s.ClassPools(cfg.Classes...)
+	spec := s.workerSpec(StageReport, level, events)
+	spec.Classes, spec.RunsPerClass, spec.ShardRuns, spec.Batch = cfg.Classes, cfg.RunsPerClass, cfg.ShardRuns, cfg.Batch
+	c, err := s.newCollector(spec, runOpts{
+		workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, alpha: cfg.Alpha,
+	})
 	if err != nil {
 		return nil, err
 	}
 	name := fmt.Sprintf("%s/%s", s.Config.Dataset, level)
-
 	var merged *core.Report
-	for g := 0; g*hpc.DefaultCounters < len(events); g++ {
-		lo := g * hpc.DefaultCounters
-		hi := lo + hpc.DefaultCounters
-		if hi > len(events) {
-			hi = len(events)
-		}
-		ev, err := core.NewEvaluator(core.Config{
-			Events:       events[lo:hi],
-			Alpha:        cfg.Alpha,
-			RunsPerClass: cfg.RunsPerClass,
-			Batch:        cfg.Batch,
-			Obs:          cfg.Obs,
-		})
+	err = c.eachSession(func(g int) int64 { return groupSeed(root, g) }, func(ss *session) error {
+		rep, err := ss.report(ctx, name)
 		if err != nil {
-			return nil, err
-		}
-		p, err := pipeline.New(ev, pipeline.Config{
-			Workers:   cfg.Workers,
-			RootSeed:  core.DeriveSeed(seed, g, 1),
-			ShardRuns: cfg.ShardRuns,
-			Obs:       cfg.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var rep *core.Report
-		if cfg.Processes > 0 {
-			spec := WorkerSpec{
-				Stage:        StageReport,
-				Scenario:     s.spec(),
-				Level:        level.String(),
-				Events:       eventNames(events[lo:hi]),
-				Session:      g,
-				Classes:      cfg.Classes,
-				RunsPerClass: cfg.RunsPerClass,
-				RootSeed:     core.DeriveSeed(seed, g, 1),
-				ShardRuns:    cfg.ShardRuns,
-				Batch:        cfg.Batch,
-			}
-			byClass, err := collectFabric(ctx, p, pools, spec, cfg.Processes, cfg.Fabric)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = p.ReportFromProfiles(ctx, name, byClass)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			rep, err = p.Evaluate(ctx, name, factory, pools)
-			if err != nil {
-				return nil, err
-			}
+			return err
 		}
 		if merged == nil {
 			merged = rep
-			continue
+			return nil
 		}
 		merged.Dists.Events = append(merged.Dists.Events, rep.Dists.Events...)
 		for e, byClass := range rep.Dists.Samples {
@@ -447,6 +405,10 @@ func (s *Scenario) EvaluateGrouped(ctx context.Context, level DefenseLevel, cfg 
 		}
 		merged.Tests = append(merged.Tests, rep.Tests...)
 		merged.Alarms = append(merged.Alarms, rep.Alarms...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged.Config.Events = append([]march.Event(nil), events...)
 	return merged, nil

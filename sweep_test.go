@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -208,6 +209,9 @@ func TestParseClasses(t *testing.T) {
 	if _, err := ParseClasses("1,x"); err == nil {
 		t.Fatal("bad class list accepted")
 	}
+	if _, err := ParseClasses("1,2,1"); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Fatalf("repeated class label not rejected: %v", err)
+	}
 }
 
 func TestParseDefense(t *testing.T) {
@@ -254,5 +258,30 @@ func TestEvaluateGroupedWideEventSet(t *testing.T) {
 		if got := len(rep.Dists.Get(e, 1)); got != 6 {
 			t.Fatalf("event %s has %d samples, want 6", e, got)
 		}
+	}
+}
+
+// TestEvaluateCtxWideEventSet: EvaluateCtx splits an event set wider than
+// the register file into register groups itself, producing exactly the
+// bytes EvaluateGrouped gives at the scenario's own defense level.
+func TestEvaluateCtxWideEventSet(t *testing.T) {
+	s := attackScenario(t)
+	cfg := EvalConfig{
+		Classes:      []int{1, 2},
+		Events:       AllPaperEvents(),
+		RunsPerClass: 6,
+		Workers:      2,
+		Seed:         3,
+	}
+	got, err := s.EvaluateCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.EvaluateGrouped(context.Background(), s.Config.Defense, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("EvaluateCtx differs from EvaluateGrouped:\n--- EvaluateCtx ---\n%s\n--- EvaluateGrouped ---\n%s", g, w)
 	}
 }

@@ -13,9 +13,7 @@ package repro
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/hpc"
 	"repro/internal/march"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -76,10 +74,6 @@ func (s *Scenario) Topo(ctx context.Context, cfg TopoConfig) (*TopoResult, error
 // and the per-run profiles are joined per (victim, run). Results are
 // bit-identical at any worker count.
 func (s *Scenario) TopoGrouped(ctx context.Context, level DefenseLevel, cfg TopoConfig) (*TopoResult, error) {
-	inputs := s.Test.Inputs()
-	if cfg.MaxInputs > 0 && cfg.MaxInputs < len(inputs) {
-		inputs = inputs[:cfg.MaxInputs]
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = s.Config.Seed
@@ -88,71 +82,16 @@ func (s *Scenario) TopoGrouped(ctx context.Context, level DefenseLevel, cfg Topo
 	if len(events) == 0 {
 		events = []Event{EvInstructions, march.EvL1DLoads}
 	}
-	camp, err := topo.NewCampaign(topo.Config{
-		Name:           fmt.Sprintf("%s-topo/%s", s.Config.Dataset, level),
-		InH:            s.Arch.InH,
-		InW:            s.Arch.InW,
-		InC:            s.Arch.InC,
-		Classes:        s.Arch.Classes,
-		Inputs:         inputs,
-		Level:          level,
-		TrainSize:      cfg.TrainZoo,
-		HoldoutSize:    cfg.Holdout,
-		Runs:           cfg.Runs,
-		Quantum:        cfg.Quantum,
-		Workers:        cfg.Workers,
-		Seed:           seed,
-		ShardRuns:      cfg.ShardRuns,
-		DisableRuntime: s.Config.DisableRuntime,
-		DisableNoise:   s.Config.DisableNoise,
-		Obs:            cfg.Obs,
-	})
+	spec := s.workerSpec(StageTopo, level, events)
+	spec.Seed, spec.MaxInputs, spec.TrainZoo, spec.Holdout, spec.Runs, spec.Quantum, spec.ShardRuns =
+		seed, cfg.MaxInputs, cfg.TrainZoo, cfg.Holdout, cfg.Runs, cfg.Quantum, cfg.ShardRuns
+	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
-
-	// One collection session per register-sized event group against the
-	// campaign's shared victims; profiles of the same (victim, run) are
-	// joined across sessions into one feature vector.
-	byVictim := map[int][]hpc.Profile{}
-	for g := 0; g*hpc.DefaultCounters < len(events); g++ {
-		lo := g * hpc.DefaultCounters
-		hi := lo + hpc.DefaultCounters
-		if hi > len(events) {
-			hi = len(events)
-		}
-		var part map[int][]hpc.Profile
-		if cfg.Processes > 0 {
-			p, _, err := camp.SessionExecutor(events[lo:hi], g)
-			if err != nil {
-				return nil, err
-			}
-			spec := WorkerSpec{
-				Stage:     StageTopo,
-				Scenario:  s.spec(),
-				Level:     level.String(),
-				Events:    eventNames(events[lo:hi]),
-				Session:   g,
-				Seed:      seed,
-				MaxInputs: cfg.MaxInputs,
-				TrainZoo:  cfg.TrainZoo,
-				Holdout:   cfg.Holdout,
-				Runs:      cfg.Runs,
-				Quantum:   cfg.Quantum,
-				ShardRuns: cfg.ShardRuns,
-			}
-			part, err = collectFabric(ctx, p, camp.Pools(), spec, cfg.Processes, cfg.Fabric)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			part, err = camp.Collect(ctx, events[lo:hi], g)
-			if err != nil {
-				return nil, err
-			}
-		}
-		joinProfiles(byVictim, part)
+	byVictim, err := c.profiles(ctx, nil)
+	if err != nil {
+		return nil, err
 	}
-	return camp.Score(events, byVictim)
+	return c.camp.(*topo.Campaign).Score(events, byVictim)
 }
