@@ -1,4 +1,5 @@
-# Developer/CI entry points. `make ci` is the gate: vet (with the
+# Developer/CI entry points. `make ci` is the gate: a gofmt check over
+# the tracked Go files, vet (with the
 # detlint analyzers wired in as a vettool), build, the determinism lint
 # sweep, the full test suite under the race detector, the allocation
 # gate for the simulation hot paths (run without -race, which would
@@ -19,7 +20,7 @@ BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
 BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
-.PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck ci golden
+.PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck ci golden
 
 all: build
 
@@ -42,6 +43,13 @@ vet:
 # than the vet protocol; same findings).
 lint:
 	$(GO) run ./cmd/detlint ./...
+
+# fmtcheck fails when any tracked Go file is not gofmt-clean. It lists
+# tracked files rather than walking the tree, so build outputs that hold
+# a Go module cache are never scanned.
+fmtcheck:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -71,18 +79,21 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAccess$$|BenchmarkClassifyMNIST$$' -benchtime=100x .
 
 # Multi-process determinism smoke for the distributed audit fabric: the
-# same campaign is run through the CLI at -processes 1 and -processes 2
-# and the raw distribution CSVs must be byte-identical. (The fabric's
-# full fault-injection suite runs under -race as part of `race`.)
+# same campaign is run through the CLI in-process (-processes 0) and at
+# -processes 1 and -processes 2, and the raw distribution CSVs must be
+# byte-identical — in-process and fabric campaigns share one report
+# tail. (The fabric's full fault-injection suite runs under -race as
+# part of `race`.)
 fabricsmoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	$(GO) build -o $$tmp/shardworker ./cmd/shardworker; \
-	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
-		-processes 1 -worker-bin $$tmp/shardworker -csv $$tmp/p1.csv >/dev/null; \
-	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
-		-processes 2 -worker-bin $$tmp/shardworker -csv $$tmp/p2.csv >/dev/null; \
+	for procs in 0 1 2; do \
+		$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
+			-processes $$procs -worker-bin $$tmp/shardworker -csv $$tmp/p$$procs.csv >/dev/null; \
+	done; \
+	cmp $$tmp/p0.csv $$tmp/p1.csv; \
 	cmp $$tmp/p1.csv $$tmp/p2.csv; \
-	echo "fabricsmoke: processes=1 and processes=2 distributions are byte-identical"
+	echo "fabricsmoke: processes=0, 1 and 2 distributions are byte-identical"
 
 # Batched-collection determinism smoke: the same campaign is run through
 # the CLI at -batch 1 and -batch 8 and the raw distribution CSVs must be
@@ -141,4 +152,4 @@ perfbenchcheck:
 golden:
 	$(GO) test -run 'TestGoldenReport|TestAttackGoldenReport|TestArchIDGoldenReport|TestTopoGoldenReport|TestGoldenMonitor' -update .
 
-ci: vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck bench
+ci: fmtcheck vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck bench

@@ -12,6 +12,8 @@
 //
 //	POST /campaigns             {"stage":"report","scenario":{"dataset":"mnist",...},...}
 //	                            → 202 {"id":1,"state":"queued"}
+//	                              (413 for a body over 1 MiB, 503 when
+//	                              1024 campaigns are already waiting)
 //	GET  /campaigns             → every campaign, submission order
 //	GET  /campaigns/1           → state + report once done
 //	GET  /campaigns/1/progress  → live telemetry: stage, shards done/total, elapsed

@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -103,18 +104,26 @@ type server struct {
 	done  chan struct{}
 }
 
+// queueSlots is how many submitted campaigns may wait behind the
+// running one; a POST beyond that is refused with 503 rather than
+// blocking the handler.
+const queueSlots = 1024
+
+// maxRequestBytes bounds a POST /campaigns body; larger bodies get 413.
+const maxRequestBytes = 1 << 20
+
 func newServer(run runFunc) *server {
-	return newServerWithClock(run, obs.SystemClock())
+	return newServerWithQueue(run, obs.SystemClock(), queueSlots)
 }
 
-func newServerWithClock(run runFunc, clock obs.Clock) *server {
+func newServerWithQueue(run runFunc, clock obs.Clock, slots int) *server {
 	s := &server{
 		run:       run,
 		clock:     clock,
 		metrics:   obs.New(obs.Config{Clock: clock, Label: "audit-server"}),
 		campaigns: map[int]*campaign{},
 		nextID:    1,
-		queue:     make(chan int, 1024),
+		queue:     make(chan int, slots),
 		done:      make(chan struct{}),
 	}
 	go s.worker()
@@ -172,9 +181,14 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req CampaignRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				httpError(w, http.StatusRequestEntityTooLarge, "campaign request exceeds %d bytes", maxRequestBytes)
+				return
+			}
 			httpError(w, http.StatusBadRequest, "decoding campaign request: %v", err)
 			return
 		}
@@ -184,6 +198,16 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		id := s.nextID
+		// Enqueue before registering, without blocking: a full queue is
+		// refused and leaves no entry behind. The worker cannot look the
+		// id up before the entry exists, since it takes s.mu first.
+		select {
+		case s.queue <- id:
+		default:
+			s.mu.Unlock()
+			httpError(w, http.StatusServiceUnavailable, "campaign queue is full (%d waiting); retry later", cap(s.queue))
+			return
+		}
 		s.nextID++
 		// Submitted is display-only operator telemetry read off the obs
 		// clock — the repo's one sanctioned wall-clock source; no campaign
@@ -192,7 +216,6 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		s.campaigns[id] = c
 		s.order = append(s.order, id)
 		s.mu.Unlock()
-		s.queue <- id
 		writeJSON(w, http.StatusAccepted, enqueuedJSON{ID: id, State: stateQueued})
 	case http.MethodGet:
 		s.mu.Lock()

@@ -373,3 +373,97 @@ func TestServerMonitorStage(t *testing.T) {
 		t.Fatalf("served report %s does not surface the detection trace count", c.Report)
 	}
 }
+
+func TestServerRejectsOversizedRequest(t *testing.T) {
+	_, ts := newTestServer(t, func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		t.Error("run called for an oversized request")
+		return nil, nil
+	})
+	body := `{"stage":"report","scenario":{"dataset":"` + strings.Repeat("x", maxRequestBytes) + `"}}`
+	resp := postCampaign(t, ts, body)
+	var e struct {
+		Error string `json:"error"`
+	}
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if e.Error == "" {
+		t.Fatal("no error message")
+	}
+	listResp, err := http.Get(ts.URL + "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []campaign
+	decodeBody(t, listResp, &list)
+	if len(list) != 0 {
+		t.Fatalf("oversized request registered %d campaigns", len(list))
+	}
+}
+
+// TestServerQueueFullReturns503: with every queue slot taken, a POST is
+// refused immediately with 503 instead of blocking, and leaves no
+// phantom entry in the campaign list; once the queue drains, the next
+// submission gets the next id.
+func TestServerQueueFullReturns503(t *testing.T) {
+	release := make(chan struct{})
+	s := newServerWithQueue(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		<-release
+		return json.RawMessage(`{}`), nil
+	}, obs.SystemClock(), 1)
+	ts := httptest.NewServer(s.handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	defer close(release)
+
+	ack := func(resp *http.Response) int {
+		t.Helper()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST status = %d, want 202", resp.StatusCode)
+		}
+		var a enqueuedJSON
+		decodeBody(t, resp, &a)
+		return a.ID
+	}
+	// Campaign 1 occupies the worker; campaign 2 fills the one slot.
+	waitState(t, ts, ack(postCampaign(t, ts, validBody)), stateRunning)
+	ack(postCampaign(t, ts, validBody))
+
+	resp := postCampaign(t, ts, validBody)
+	var e struct {
+		Error string `json:"error"`
+	}
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("full-queue POST status = %d, want 503", resp.StatusCode)
+	}
+	if e.Error == "" {
+		t.Fatal("no error message")
+	}
+	listResp, err := http.Get(ts.URL + "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []campaign
+	decodeBody(t, listResp, &list)
+	if len(list) != 2 || list[0].ID != 1 || list[1].ID != 2 {
+		t.Fatalf("campaign list after 503 = %+v, want ids 1 and 2 only", list)
+	}
+	refused, err := http.Get(ts.URL + "/campaigns/3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused.Body.Close()
+	if refused.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused campaign is addressable: status %d", refused.StatusCode)
+	}
+
+	release <- struct{}{} // campaign 1 finishes; campaign 2 takes the worker
+	waitState(t, ts, 2, stateRunning)
+	if id := ack(postCampaign(t, ts, validBody)); id != 3 {
+		t.Fatalf("next accepted id = %d, want 3", id)
+	}
+}

@@ -5,11 +5,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/hpc"
 	"repro/internal/instrument"
 )
 
 // collectWithBatch runs one 7-run shard at the given batch size on a
-// fresh target (identical seed) and returns both collection forms.
+// fresh target (identical seed) and returns its profiles both as
+// per-run vectors and transposed into distributions.
 func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
 	t.Helper()
 	const runs = 7
@@ -20,14 +22,7 @@ func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
 	}
 	pool := classImages(0, 3, 11)
 	sh := Shard{Index: 0, Class: 0, Pool: pool, Start: 0, Count: runs, Seed: 1}
-	d, err := ev.CollectShard(context.Background(), target, sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Profiles path on its own fresh target, same discipline.
-	target2 := buildTarget(t, instrument.Options{SparsitySkip: true, Runtime: instrument.DefaultRuntime()}, 5)
-	profs, err := ev.CollectShardProfiles(context.Background(), target2, sh)
+	profs, err := ev.CollectShardProfiles(context.Background(), target, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +33,14 @@ func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
 	for i, p := range profs {
 		vecs[i] = p.Vector(ev.Config().Events)
 	}
+	d, err := ev.Distributions(map[int][]hpc.Profile{sh.Class: profs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return d, vecs
 }
 
-// TestCollectShardBatchInvariance: the shard collectors must produce
+// TestCollectShardBatchInvariance: the shard collector must produce
 // bit-identical observations at every batch size, including a tail batch
 // (7 runs at batch 3 → 3+3+1) and a batch larger than the shard.
 func TestCollectShardBatchInvariance(t *testing.T) {
@@ -49,7 +48,7 @@ func TestCollectShardBatchInvariance(t *testing.T) {
 	for _, batch := range []int{3, 4, 16} {
 		d, v := collectWithBatch(t, batch)
 		if !reflect.DeepEqual(d.Samples, refD.Samples) {
-			t.Errorf("batch=%d: CollectShard samples diverge from batch=1:\n%v\nvs\n%v", batch, d.Samples, refD.Samples)
+			t.Errorf("batch=%d: distributions diverge from batch=1:\n%v\nvs\n%v", batch, d.Samples, refD.Samples)
 		}
 		if !reflect.DeepEqual(v, refV) {
 			t.Errorf("batch=%d: CollectShardProfiles diverge from batch=1", batch)

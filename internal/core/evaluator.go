@@ -261,15 +261,17 @@ func (ev *Evaluator) CollectCtx(ctx context.Context, target Target, perClass map
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*Distributions, len(shards))
-	for i, sh := range shards {
-		part, err := ev.CollectShard(ctx, target, sh)
+	// One shard per class (PlanShards with maxRuns 0), so each shard's
+	// profiles are its class's full run series.
+	byClass := make(map[int][]hpc.Profile, len(shards))
+	for _, sh := range shards {
+		profs, err := ev.CollectShardProfiles(ctx, target, sh)
 		if err != nil {
 			return nil, err
 		}
-		parts[i] = part
+		byClass[sh.Class] = profs
 	}
-	return ev.MergeShards(shards, parts)
+	return ev.Distributions(byClass)
 }
 
 // Test performs step 2 on collected distributions: Welch t-tests for every

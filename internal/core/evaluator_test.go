@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/march/cache"
@@ -355,5 +358,38 @@ func TestTVLAValidation(t *testing.T) {
 	ev, _ := NewEvaluator(Config{})
 	if _, err := ev.TVLA(nil, nil, nil, 10, 1); err == nil {
 		t.Fatal("nil args accepted")
+	}
+}
+
+// TestDistributionsValidation: the one profile→distribution
+// transposition must refuse incomplete observations instead of scoring
+// zeros — a short class, a missing run, or a run missing a campaign event.
+func TestDistributionsValidation(t *testing.T) {
+	ev, err := NewEvaluator(Config{RunsPerClass: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(v float64) hpc.Profile {
+		return hpc.Profile{march.EvCacheMisses: v, march.EvBranches: 2 * v}
+	}
+	d, err := ev.Distributions(map[int][]hpc.Profile{3: {full(1), full(2)}, 1: {full(3), full(4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Classes, []int{1, 3}) || !reflect.DeepEqual(d.Get(march.EvBranches, 3), []float64{2, 4}) {
+		t.Fatalf("transposition = %v %v", d.Classes, d.Samples)
+	}
+	cases := map[string]struct {
+		byClass map[int][]hpc.Profile
+		want    string
+	}{
+		"short class":   {map[int][]hpc.Profile{0: {full(1)}}, "class 0 has 1 profiles, want 2"},
+		"missing run":   {map[int][]hpc.Profile{0: {full(1), nil}}, "class 0 run 1 missing"},
+		"missing event": {map[int][]hpc.Profile{0: {full(1), {march.EvCacheMisses: 1}}}, "class 0 run 1 has no branches observation"},
+	}
+	for name, c := range cases {
+		if _, err := ev.Distributions(c.byClass); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, c.want)
+		}
 	}
 }

@@ -144,10 +144,9 @@ func (ev *Evaluator) prepareShard(ctx context.Context, target Target, sh Shard) 
 	return pmu, nil
 }
 
-// shardBatch is the per-shard measured-batch scaffolding shared by
-// CollectShard and CollectShardProfiles: the image window of the current
-// batch plus the per-input classify trampoline handed to
-// hpc.MeasureBatchInto.
+// shardBatch is the per-shard measured-batch scaffolding of
+// CollectShardEmit: the image window of the current batch plus the
+// per-input classify trampoline handed to hpc.MeasureBatchInto.
 type shardBatch struct {
 	target Target
 	imgs   []*tensor.Tensor
@@ -178,8 +177,9 @@ func (b *shardBatch) load(sh Shard, run int) int {
 }
 
 // CollectShardProfiles executes one shard on target and returns the raw
-// per-run HPC profiles in run order — the labelled observations the attack
-// stage fits and scores on. It cold-resets the simulated core (so
+// per-run HPC profiles in run order — a shard's one measurement product,
+// which the attack stages score directly and the hypothesis-test stage
+// transposes through Distributions. It cold-resets the simulated core (so
 // cache/predictor state from other shards cannot bleed in), runs the
 // configured warm-up on the shard's own pool, then measures Count
 // classifications starting at run index Start. Run index r always maps to
@@ -206,54 +206,19 @@ func (ev *Evaluator) CollectShardProfiles(ctx context.Context, target Target, sh
 	return profs, nil
 }
 
-// CollectShard executes one shard on target (see CollectShardProfiles for
-// the collection discipline) and writes the observations directly into
-// per-event distributions — the shape the hypothesis-test stage consumes.
-// Unlike CollectShardProfiles it retains no per-run profiles: the shard's
-// worker reuses Config.Batch preallocated Profiles and the preallocated
-// sample buffers, so the measure loop performs no allocations at any
-// batch size.
-func (ev *Evaluator) CollectShard(ctx context.Context, target Target, sh Shard) (*Distributions, error) {
-	d := &Distributions{
-		Events:  append([]march.Event(nil), ev.cfg.Events...),
-		Classes: []int{sh.Class},
-		Samples: map[march.Event]map[int][]float64{},
-	}
-	for _, e := range ev.cfg.Events {
-		d.Samples[e] = map[int][]float64{sh.Class: make([]float64, sh.Count)}
-	}
-	err := ev.CollectShardEmit(ctx, target, sh, func(w Window) error {
-		for i, p := range w.Profiles {
-			for _, e := range ev.cfg.Events {
-				d.Samples[e][sh.Class][w.Start+i-sh.Start] = p.Get(e)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// MergeShards combines per-shard distributions into campaign-wide ones.
-// parts[i] must be the result of collecting shards[i]; samples are placed
-// at their (class, start) offsets, so the merged distributions are
-// independent of the order the shards were executed in.
-func (ev *Evaluator) MergeShards(shards []Shard, parts []*Distributions) (*Distributions, error) {
-	if len(shards) != len(parts) {
-		return nil, fmt.Errorf("core: %d shards but %d partial distributions", len(shards), len(parts))
-	}
-	classSet := map[int]bool{}
-	for _, sh := range shards {
-		classSet[sh.Class] = true
-	}
-	classes := make([]int, 0, len(classSet))
-	for cls := range classSet {
+// Distributions transposes labelled per-run profiles, byClass[class][run],
+// into the per-event distributions the hypothesis-test stage consumes:
+// d.Samples[e][class][run] = byClass[class][run][e]. It is the one place
+// observations become distributions — in-process, fabric and streamed
+// campaigns all collect profiles and score them through it. Every class
+// must carry exactly RunsPerClass profiles, and every profile must hold
+// every configured event: a missing counter is an error, never a zero.
+func (ev *Evaluator) Distributions(byClass map[int][]hpc.Profile) (*Distributions, error) {
+	classes := make([]int, 0, len(byClass))
+	for cls := range byClass {
 		classes = append(classes, cls)
 	}
 	sort.Ints(classes)
-
 	d := &Distributions{
 		Events:  append([]march.Event(nil), ev.cfg.Events...),
 		Classes: classes,
@@ -265,21 +230,22 @@ func (ev *Evaluator) MergeShards(shards []Shard, parts []*Distributions) (*Distr
 			d.Samples[e][cls] = make([]float64, ev.cfg.RunsPerClass)
 		}
 	}
-	for i, sh := range shards {
-		part := parts[i]
-		if part == nil {
-			return nil, fmt.Errorf("core: missing distributions for shard %d", sh.Index)
+	for _, cls := range classes {
+		profs := byClass[cls]
+		if len(profs) != ev.cfg.RunsPerClass {
+			return nil, fmt.Errorf("core: class %d has %d profiles, want %d", cls, len(profs), ev.cfg.RunsPerClass)
 		}
-		if sh.Start+sh.Count > ev.cfg.RunsPerClass {
-			return nil, fmt.Errorf("core: shard %d runs [%d,%d) exceed %d runs per class",
-				sh.Index, sh.Start, sh.Start+sh.Count, ev.cfg.RunsPerClass)
-		}
-		for _, e := range ev.cfg.Events {
-			src := part.Get(e, sh.Class)
-			if len(src) != sh.Count {
-				return nil, fmt.Errorf("core: shard %d has %d samples of %s, want %d", sh.Index, len(src), e, sh.Count)
+		for r, prof := range profs {
+			if prof == nil {
+				return nil, fmt.Errorf("core: class %d run %d missing", cls, r)
 			}
-			copy(d.Samples[e][sh.Class][sh.Start:sh.Start+sh.Count], src)
+			for _, e := range ev.cfg.Events {
+				v, ok := prof[e]
+				if !ok {
+					return nil, fmt.Errorf("core: class %d run %d has no %s observation", cls, r, e)
+				}
+				d.Samples[e][cls][r] = v
+			}
 		}
 	}
 	return d, nil

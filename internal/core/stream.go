@@ -1,12 +1,12 @@
 package core
 
-// The emitting collection seam: CollectShardEmit is the primitive both
-// batch collectors (CollectShard, CollectShardProfiles) are built on,
-// and the one the streaming pipeline taps directly. It yields each
-// measured batch as a profile *window* the moment the batch's counters
-// are recovered, instead of only filling sample buffers — which is what
-// lets an online consumer score observations (and stop a campaign)
-// mid-shard with bounded memory.
+// The emitting collection seam: CollectShardEmit is the primitive the
+// batch collector (CollectShardProfiles) is built on, and the one the
+// streaming pipeline taps directly. It yields each measured batch as a
+// profile *window* the moment the batch's counters are recovered,
+// instead of only at shard end — which is what lets an online consumer
+// score observations (and stop a campaign) mid-shard with bounded
+// memory.
 
 import (
 	"context"
@@ -75,10 +75,11 @@ func (ev *Evaluator) CollectShardEmit(ctx context.Context, target Target, sh Sha
 // emitWindows is the measured emission loop of CollectShardEmit: one
 // replay session per batch, per-run profiles recovered as
 // counter-snapshot deltas into the reused scratch, one emit per window.
+// It is the per-window emission hot path: it reuses the preallocated
+// scratch profiles and image window, so nothing on the steady-state path
+// may allocate (the stream allocgate pins it).
 //
-//detlint:allocpath — the per-window emission hot path reuses the
-// preallocated scratch profiles and image window; nothing on the
-// steady-state path may allocate (the stream allocgate pins it).
+//detlint:allocpath
 func (ev *Evaluator) emitWindows(ctx context.Context, pmu *hpc.PMU, b *shardBatch, sh Shard, scratch []hpc.Profile, emit func(Window) error) error {
 	batch := len(scratch)
 	for run := sh.Start; run < sh.Start+sh.Count; run += batch {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCollectShardEmitMatchesBatchCollectors: the emitting seam must
-// reproduce the batch collectors' observations exactly — same values,
+// reproduce the batch collector's observations exactly — same values,
 // same run order — and emit windows at exactly the measured-batch
 // cadence (Config.Batch runs per window, shorter tail).
 func TestCollectShardEmitMatchesBatchCollectors(t *testing.T) {

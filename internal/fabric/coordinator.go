@@ -25,7 +25,7 @@ func CampaignDigest(spec []byte) string {
 // Coordinator runs shard plans through a dispatcher with journaled
 // resumption.
 type Coordinator struct {
-	// Dispatcher executes the plans (pipeline.InProcess or *ProcPool).
+	// Dispatcher executes the plans (a *ProcPool in production).
 	Dispatcher pipeline.Dispatcher
 	// Journal, when non-nil, is consulted before dispatching (journaled
 	// shards are served from it without re-execution) and appended to

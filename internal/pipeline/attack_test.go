@@ -131,40 +131,6 @@ func TestAttackValidation(t *testing.T) {
 	}
 }
 
-// TestCollectProfilesMatchesCollect: the labelled profiles the attack
-// stage consumes must carry exactly the same observations as the
-// distributions the hypothesis-test stage consumes — one collection
-// discipline, two views.
-func TestCollectProfilesMatchesCollect(t *testing.T) {
-	net := testNet(t)
-	pools := testPools(2, 3)
-	evCfg := core.Config{RunsPerClass: 8, WarmupRuns: 1}
-	cfg := Config{Workers: 2, RootSeed: 9, ShardRuns: 4}
-
-	p := newPipeline(t, evCfg, cfg)
-	d, err := p.Collect(context.Background(), testFactory(t, net), pools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range d.Events {
-		for _, cls := range d.Classes {
-			xs := d.Get(e, cls)
-			if len(byClass[cls]) != len(xs) {
-				t.Fatalf("class %d: %d profiles vs %d samples", cls, len(byClass[cls]), len(xs))
-			}
-			for r, v := range xs {
-				if got := byClass[cls][r].Get(e); got != v {
-					t.Fatalf("%s class %d run %d: profile %v vs distribution %v", e, cls, r, got, v)
-				}
-			}
-		}
-	}
-}
-
 // TestCollectProfilesByClass deploys a *different* victim per class — the
 // architecture-fingerprinting shape, where the class label selects the
 // model — and checks that every class's observations come from its own

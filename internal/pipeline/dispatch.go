@@ -2,11 +2,11 @@ package pipeline
 
 // The Dispatcher seam of the distributed audit fabric: a coordinator
 // hands wire plans to a Dispatcher and gets back canonical result
-// payloads, without caring whether the shard ran on a goroutine in this
-// process (InProcess, below) or on a shardworker subprocess
-// (internal/fabric.ProcPool). Both implementations execute the exact
-// same Executor logic, so swapping one for the other cannot change a
-// single observed byte.
+// payloads, without caring where the shard ran. The shipped Dispatcher
+// is internal/fabric.ProcPool, whose shardworker subprocesses execute
+// plans through an Executor — the same CollectShardProfiles call an
+// in-process CollectProfilesByClass makes — so moving a shard across a
+// process boundary cannot change a single observed byte.
 
 import (
 	"context"
@@ -85,38 +85,3 @@ func (e *Executor) Execute(ctx context.Context, plan Plan) ([]hpc.Profile, error
 	}
 	return e.ev.CollectShardProfiles(ctx, target, plan.Shard(pool))
 }
-
-// ExecuteEncoded is Execute followed by the canonical wire encoding —
-// what both the in-process dispatcher and the worker protocol send.
-func (e *Executor) ExecuteEncoded(ctx context.Context, plan Plan) ([]byte, error) {
-	profs, err := e.Execute(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeProfiles(profs)
-}
-
-// inProcess is the Dispatcher that executes plans on the calling
-// process. It still round-trips every result through the wire encoding,
-// so the in-process and subprocess fabrics exercise identical bytes.
-type inProcess struct {
-	exec  *Executor
-	procs int
-}
-
-// InProcess wraps an executor as a Dispatcher with the given concurrency
-// capacity (0 → 1). It is the processes=0 reference implementation of
-// the fabric and the test double for the subprocess pool.
-func InProcess(exec *Executor, procs int) Dispatcher {
-	if procs <= 0 {
-		procs = 1
-	}
-	return &inProcess{exec: exec, procs: procs}
-}
-
-func (d *inProcess) Dispatch(ctx context.Context, plan Plan) ([]byte, error) {
-	return d.exec.ExecuteEncoded(ctx, plan)
-}
-
-func (d *inProcess) Procs() int   { return d.procs }
-func (d *inProcess) Close() error { return nil }

@@ -1,24 +1,19 @@
 package pipeline
 
 // The dispatcher seam's own guarantee: executing the wire plans through
-// Executor/InProcess and merging the encoded payloads must reproduce the
-// in-process collection and reports exactly — every byte that will later
-// cross a process boundary is pinned here first.
+// an Executor and merging the encoded payloads must reproduce the
+// in-process collection exactly — every byte that will later cross a
+// process boundary is pinned here first.
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hpc"
 )
-
-// classAgnostic adapts a TargetFactory for the class-aware collection
-// and executor paths: every class deploys the same victim.
-func classAgnostic(f TargetFactory) ClassTargetFactory {
-	return func(_ int, seed int64) (core.Target, error) { return f(seed) }
-}
 
 func TestExecutorMatchesCollectProfiles(t *testing.T) {
 	net := testNet(t)
@@ -46,10 +41,7 @@ func TestExecutorMatchesCollectProfiles(t *testing.T) {
 	// the plan, never by completion order.
 	payloads := make([][]byte, len(plans))
 	for i := len(plans) - 1; i >= 0; i-- {
-		payloads[i], err = exec.ExecuteEncoded(context.Background(), plans[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		payloads[i] = executeEncoded(t, exec, plans[i])
 	}
 	got, err := p.MergeEncoded(plans, payloads)
 	if err != nil {
@@ -60,37 +52,27 @@ func TestExecutorMatchesCollectProfiles(t *testing.T) {
 	}
 }
 
-func TestReportFromProfilesMatchesEvaluate(t *testing.T) {
-	net := testNet(t)
-	pools := testPools(2, 3)
-	evCfg := core.Config{RunsPerClass: 12, WarmupRuns: 1, HolmCorrection: true}
-
-	p := newPipeline(t, evCfg, Config{Workers: 2, RootSeed: 11, ShardRuns: 4})
-	want, err := p.Evaluate(context.Background(), "fabric", testFactory(t, net), pools)
+// TestReportFromProfilesRejectsMissingEvent: a worker payload that
+// lacks one of the campaign's events must fail the report, naming the
+// class, run and event, instead of scoring the absent counter as zero.
+func TestReportFromProfilesRejectsMissingEvent(t *testing.T) {
+	p := newPipeline(t, core.Config{RunsPerClass: 1}, Config{Workers: 1})
+	full, err := DecodeProfiles([]byte(`[{"branches":2,"cache-misses":1}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	q := newPipeline(t, evCfg, Config{Workers: 2, RootSeed: 11, ShardRuns: 4})
-	byClass, err := q.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
+	short, err := DecodeProfiles([]byte(`[{"cache-misses":1}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.ReportFromProfiles(context.Background(), "fabric", byClass)
-	if err != nil {
-		t.Fatal(err)
+	_, err = p.ReportFromProfiles(context.Background(), "short", map[int][]hpc.Profile{0: full, 1: short})
+	if err == nil {
+		t.Fatal("profile missing the branches event was scored")
 	}
-
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("profile-transposed report differs from direct evaluation:\n%s\n%s", gotJSON, wantJSON)
+	for _, want := range []string{"class 1", "run 0", "branches"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %q", err, want)
+		}
 	}
 }
 
@@ -115,7 +97,25 @@ func TestExecutorValidatesPlans(t *testing.T) {
 	}
 }
 
-func TestInProcessDispatcher(t *testing.T) {
+// executeEncoded runs one plan and returns its canonical wire payload —
+// what a shardworker sends back for it.
+func executeEncoded(t *testing.T, exec *Executor, plan Plan) []byte {
+	t.Helper()
+	profs, err := exec.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeProfiles(profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestExecutorPlanIsPure: duplicate delivery of the same plan must
+// reproduce identical bytes — shard execution is a pure function of the
+// plan, which is what lets the fabric re-dispatch a lost shard.
+func TestExecutorPlanIsPure(t *testing.T) {
 	net := testNet(t)
 	pools := testPools(2, 3)
 	p := newPipeline(t, core.Config{RunsPerClass: 8, WarmupRuns: 1}, Config{Workers: 1, RootSeed: 5, ShardRuns: 4})
@@ -123,26 +123,13 @@ func TestInProcessDispatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := InProcess(exec, 0)
-	if d.Procs() != 1 {
-		t.Fatalf("Procs() = %d, want clamped 1", d.Procs())
-	}
 	plans, err := p.WirePlans(pools)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := d.Dispatch(context.Background(), plans[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate delivery of the same plan must reproduce identical bytes:
-	// shard execution is a pure function of the plan.
-	b, err := d.Dispatch(context.Background(), plans[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("duplicate dispatch of one plan produced different bytes")
+	a := executeEncoded(t, exec, plans[0])
+	if b := executeEncoded(t, exec, plans[0]); string(a) != string(b) {
+		t.Fatal("duplicate execution of one plan produced different bytes")
 	}
 	profs, err := DecodeProfiles(a)
 	if err != nil {
@@ -150,8 +137,5 @@ func TestInProcessDispatcher(t *testing.T) {
 	}
 	if len(profs) != plans[0].Count {
 		t.Fatalf("payload has %d profiles, want %d", len(profs), plans[0].Count)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,7 +6,9 @@
 //
 // # Architecture
 //
-//	shards ── collect (N workers, one engine per shard) ── merge ── test (batched) ── report
+//	shards ── collect (N workers, one engine per shard, per-run profiles)
+//	       ── merge (placed by (class, run))
+//	       ── core.Evaluator.Distributions ── test (batched) ── report
 //
 // The campaign is split into deterministic shard units (core.PlanShards):
 // contiguous run ranges of a single category. Each shard is executed on a
@@ -15,12 +17,17 @@
 // engine is ever visible to two goroutines. Because every shard's noise
 // and jitter streams are seeded from (rootSeed, class, start) alone,
 // scheduling cannot influence observations: workers=1 and workers=N
-// produce the same Distributions, the same PairTests and the same Report.
+// produce the same profiles, the same PairTests and the same Report.
 //
-// After the merge, the pairwise hypothesis-test stage batches the
-// event×pair work items (core.TestJobs) across the same worker pool;
-// results are written back by job index and finalized in deterministic
-// order.
+// A shard produces exactly one thing: its per-run HPC profiles
+// (core.Evaluator.CollectShardProfiles). Shards run in-process
+// (CollectProfilesByClass) or on worker processes (WirePlans,
+// MergeEncoded); either way the profiles land at their (class, run)
+// offsets through one placement routine, and ReportFromProfiles turns
+// them into distributions in the one place that does so. The pairwise
+// hypothesis-test stage then batches the event×pair work items
+// (core.TestJobs) across the same worker pool; results are written back
+// by job index and finalized in deterministic order.
 package pipeline
 
 import (
@@ -30,6 +37,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hpc"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -40,6 +48,12 @@ import (
 // noise, runtime jitter, defense dummy traffic) so that a shard's
 // observations depend only on its seed, never on which worker runs it.
 type TargetFactory func(seed int64) (core.Target, error)
+
+// classAgnostic adapts a TargetFactory to the class-aware form the
+// collection paths take: every class deploys the same victim.
+func classAgnostic(f TargetFactory) ClassTargetFactory {
+	return func(_ int, seed int64) (core.Target, error) { return f(seed) }
+}
 
 // DefaultShardRuns is the default maximum number of measured runs per
 // shard. It balances scheduling granularity (more shards → better load
@@ -102,19 +116,34 @@ func New(ev *core.Evaluator, cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // planShards is the single planning call every stage goes through —
-// Collect, CollectProfilesByClass, Stream and WirePlans all shard one
+// CollectProfilesByClass, Stream and WirePlans all shard one
 // campaign identically because they cannot plan any other way.
 func (p *Pipeline) planShards(perClass map[int][]*tensor.Tensor) ([]core.Shard, error) {
 	return p.ev.PlanShards(perClass, p.cfg.RootSeed, p.cfg.ShardRuns)
 }
 
-// Collect fans the campaign's shard plan out over the worker pool and
-// merges the per-shard distributions. Each worker drains shards from a
-// shared queue, building a fresh target per shard via factory; the merge
-// places samples by (class, run) offset, so the result is independent of
+// ClassTargetFactory builds a fresh, self-contained target for one shard
+// of the given class. It is the class-aware generalization of
+// TargetFactory for campaigns where the class label selects *which victim
+// is deployed* rather than which input it classifies — the architecture-
+// fingerprinting scenario, where class c is model architecture c. The
+// same contract applies: every source of randomness in the target must
+// derive from seed alone.
+type ClassTargetFactory func(class int, seed int64) (core.Target, error)
+
+// CollectProfilesByClass fans the campaign's shard plan out over the
+// worker pool and returns the labelled per-run HPC profiles,
+// byClass[class][run] — the one collection product every stage consumes:
+// the attack stages fit and score on it directly, and ReportFromProfiles
+// transposes it into distributions. Each worker drains shards from a
+// shared queue, building a fresh target per shard via
+// factory(shard.Class, shard.Seed), so each class's observations can come
+// from a different victim (a different model architecture). The merge
+// places profiles by (class, run) offset, so the observation for run r
+// of class c is identical at any worker count and independent of
 // completion order. The first error (or ctx cancellation) stops all
 // workers and is returned.
-func (p *Pipeline) Collect(ctx context.Context, factory TargetFactory, perClass map[int][]*tensor.Tensor) (*core.Distributions, error) {
+func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTargetFactory, perClass map[int][]*tensor.Tensor) (map[int][]hpc.Profile, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil target factory")
 	}
@@ -129,17 +158,16 @@ func (p *Pipeline) Collect(ctx context.Context, factory TargetFactory, perClass 
 	rec.Add(obs.CShardsPlanned, int64(len(shards)))
 	rec.SetPhase("collect")
 	collect := rec.Span("pipeline", "collect")
-	parts := make([]*core.Distributions, len(shards))
+	parts := make([][]hpc.Profile, len(shards))
 	err = p.forEach(ctx, len(shards), func(ctx context.Context, w, i int) error {
 		sh := shards[i]
 		sp := rec.ShardSpan(w, sh.Index, sh.Class)
-		target, err := factory(sh.Seed)
+		defer sp.End()
+		target, err := factory(sh.Class, sh.Seed)
 		if err != nil {
-			sp.End()
 			return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
 		}
-		part, err := p.ev.CollectShard(ctx, target, sh)
-		sp.End()
+		part, err := p.ev.CollectShardProfiles(ctx, target, sh)
 		if err != nil {
 			return err
 		}
@@ -152,10 +180,14 @@ func (p *Pipeline) Collect(ctx context.Context, factory TargetFactory, perClass 
 		return nil, err
 	}
 	rec.SetPhase("merge")
-	merge := rec.Span("pipeline", "merge")
-	d, err := p.ev.MergeShards(shards, parts)
-	merge.End()
-	return d, err
+	defer rec.Span("pipeline", "merge").End()
+	byClass := map[int][]hpc.Profile{}
+	for i, sh := range shards {
+		if err := p.placeProfiles(byClass, PlanOf(sh), parts[i]); err != nil {
+			return nil, err
+		}
+	}
+	return byClass, nil
 }
 
 // Test batches the pairwise hypothesis tests of collected distributions
@@ -205,10 +237,30 @@ func (p *Pipeline) Test(ctx context.Context, d *core.Distributions) ([]core.Pair
 	return p.ev.FinalizeTests(tests), nil
 }
 
-// Evaluate runs the full campaign — sharded collection, merge, batched
-// pairwise tests — and assembles the report.
+// Evaluate runs the full campaign — sharded profile collection, merge,
+// transposition into distributions, batched pairwise tests — and
+// assembles the report: CollectProfilesByClass followed by
+// ReportFromProfiles, the same tail a fabric campaign's merged profiles
+// take.
 func (p *Pipeline) Evaluate(ctx context.Context, name string, factory TargetFactory, perClass map[int][]*tensor.Tensor) (*core.Report, error) {
-	d, err := p.Collect(ctx, factory, perClass)
+	if factory == nil {
+		return nil, fmt.Errorf("pipeline: nil target factory")
+	}
+	byClass, err := p.CollectProfilesByClass(ctx, classAgnostic(factory), perClass)
+	if err != nil {
+		return nil, err
+	}
+	return p.ReportFromProfiles(ctx, name, byClass)
+}
+
+// ReportFromProfiles scores labelled per-run profiles, byClass[class][run]:
+// core.Evaluator.Distributions transposes them, the batched test stage
+// runs every pair, and the report is assembled. It is the report tail of
+// every campaign — in-process (Evaluate), fabric-collected or streamed to
+// exhaustion — so all three produce byte-identical reports by
+// construction.
+func (p *Pipeline) ReportFromProfiles(ctx context.Context, name string, byClass map[int][]hpc.Profile) (*core.Report, error) {
+	d, err := p.ev.Distributions(byClass)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +269,7 @@ func (p *Pipeline) Evaluate(ctx context.Context, name string, factory TargetFact
 		return nil, err
 	}
 	p.cfg.Obs.SetPhase("report")
-	sp := p.cfg.Obs.Span("pipeline", "report")
-	defer sp.End()
+	defer p.cfg.Obs.Span("pipeline", "report").End()
 	return p.ev.BuildReport(name, d, tests), nil
 }
 

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/march/cache"
@@ -99,7 +101,7 @@ func TestNewValidation(t *testing.T) {
 	if p.Config().Workers <= 0 || p.Config().ShardRuns != DefaultShardRuns || p.Config().RootSeed != 1 {
 		t.Fatalf("defaults = %+v", p.Config())
 	}
-	if _, err := p.Collect(context.Background(), nil, testPools(2, 3)); err == nil {
+	if _, err := p.Evaluate(context.Background(), "nil", nil, testPools(2, 3)); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 }
@@ -187,27 +189,15 @@ func TestRootSeedChangesObservations(t *testing.T) {
 	net := testNet(t)
 	pools := testPools(2, 3)
 	evCfg := core.Config{RunsPerClass: 8, WarmupRuns: 1}
-	collect := func(seed int64) *core.Distributions {
+	collect := func(seed int64) map[int][]hpc.Profile {
 		p := newPipeline(t, evCfg, Config{Workers: 2, RootSeed: seed})
-		d, err := p.Collect(context.Background(), testFactory(t, net), pools)
+		byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return byClass
 	}
-	a, b := collect(1), collect(2)
-	same := true
-	for _, e := range a.Events {
-		for _, cls := range a.Classes {
-			sa, sb := a.Get(e, cls), b.Get(e, cls)
-			for i := range sa {
-				if sa[i] != sb[i] {
-					same = false
-				}
-			}
-		}
-	}
-	if same {
+	if reflect.DeepEqual(collect(1), collect(2)) {
 		t.Fatal("root seed had no effect on observations")
 	}
 }
@@ -219,7 +209,11 @@ func TestConcurrentCollect(t *testing.T) {
 	net := testNet(t)
 	pools := testPools(4, 3)
 	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1}, Config{Workers: 8, RootSeed: 11, ShardRuns: 3})
-	d, err := p.Collect(context.Background(), testFactory(t, net), pools)
+	byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.ev.Distributions(byClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestCancellation(t *testing.T) {
 		built.Add(1)
 		return testFactory(t, net)(seed)
 	}
-	if _, err := p.Collect(pre, counting, pools); !errors.Is(err, context.Canceled) {
+	if _, err := p.CollectProfilesByClass(pre, classAgnostic(counting), pools); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled collect returned %v, want context.Canceled", err)
 	}
 	if built.Load() != 0 {
@@ -278,7 +272,7 @@ func TestCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := p.Collect(ctx, factory, pools)
+	_, err := p.CollectProfilesByClass(ctx, classAgnostic(factory), pools)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled collect returned %v, want context.Canceled", err)
 	}
@@ -303,7 +297,7 @@ func TestFactoryErrorPropagates(t *testing.T) {
 		}
 		return testFactory(t, net)(seed)
 	}
-	if _, err := p.Collect(context.Background(), factory, pools); !errors.Is(err, boom) {
+	if _, err := p.Evaluate(context.Background(), "boom", factory, pools); !errors.Is(err, boom) {
 		t.Fatalf("collect returned %v, want wrapped factory error", err)
 	}
 }
@@ -321,7 +315,11 @@ func TestPipelineTestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.Collect(context.Background(), testFactory(t, net), pools)
+	byClass, err := p.CollectProfilesByClass(context.Background(), classAgnostic(testFactory(t, net)), pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ev.Distributions(byClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +351,10 @@ func BenchmarkCollect(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			p := newPipeline(b, core.Config{RunsPerClass: 200, WarmupRuns: 2}, Config{Workers: workers, RootSeed: 7})
-			factory := testFactory(b, net)
+			factory := classAgnostic(testFactory(b, net))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Collect(context.Background(), factory, pools); err != nil {
+				if _, err := p.CollectProfilesByClass(context.Background(), factory, pools); err != nil {
 					b.Fatal(err)
 				}
 			}

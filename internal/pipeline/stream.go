@@ -3,9 +3,10 @@ package pipeline
 // The Stream stage: ordered, bounded-memory delivery of profile windows
 // to an incremental consumer. Collection still fans out over the worker
 // pool — same shard plan, same fresh per-shard targets, same derived
-// seeds as Collect — but instead of buffering whole campaigns, each
-// shard's measured batches flow through a small per-shard channel ring
-// and are handed to the consumer in one deterministic global order:
+// seeds as CollectProfilesByClass — but instead of buffering whole
+// campaigns, each shard's measured batches flow through a small
+// per-shard channel ring and are handed to the consumer in one
+// deterministic global order:
 //
 //	shards ── produce (N workers, emit per measured batch)
 //	              │ per-shard ring, streamDepth windows
@@ -89,11 +90,11 @@ type shardStream struct {
 // buffer, copies the window's observations into it (the core scratch
 // must not escape the producer), and sends the copy. Cancellation is
 // honored on both the buffer wait and the send, so a stopped campaign
-// never deadlocks a producer.
+// never deadlocks a producer. It is the per-window emission hot path:
+// it recycles the streamDepth preallocated buffers, so nothing on the
+// steady-state path may allocate (BenchmarkStreamEmit pins 0 allocs/op).
 //
-//detlint:allocpath — the per-window emission hot path recycles the
-// streamDepth preallocated buffers; nothing on the steady-state path
-// may allocate (BenchmarkStreamEmit pins 0 allocs/op).
+//detlint:allocpath
 func (ss *shardStream) emit(ctx context.Context, events []march.Event, w core.Window) error {
 	var buf []hpc.Profile
 	select {
@@ -167,7 +168,8 @@ func streamOrder(shards []core.Shard) []int {
 // campaign early (Stream returns stopped=true, nil) or any other error
 // to abort it. The windows passed to consume alias recycled buffers;
 // the consumer must copy anything it keeps. An external cancellation
-// surfaces as *Cancelled.
+// surfaces as *Cancelled: once the caller's context is done, no further
+// window is handed to consume.
 func (p *Pipeline) Stream(ctx context.Context, factory ClassTargetFactory, perClass map[int][]*tensor.Tensor, consume func(core.Window) error) (stopped bool, err error) {
 	if factory == nil {
 		return false, fmt.Errorf("pipeline: nil target factory")
@@ -214,7 +216,7 @@ func (p *Pipeline) Stream(ctx context.Context, factory ClassTargetFactory, perCl
 		collectErr <- err
 	}()
 
-	var consumeErr error
+	var consumeErr, cancelErr error
 merge:
 	for _, idx := range order {
 		ss := streams[idx]
@@ -238,6 +240,14 @@ merge:
 			if !ok {
 				continue merge
 			}
+			// A cancelled caller gets no further windows, even ones
+			// already buffered by producers that finished first: the
+			// campaign was aborted, not completed.
+			if err := ctx.Err(); err != nil {
+				cancelErr = err
+				cancel()
+				break merge
+			}
 			if cerr := consume(w); cerr != nil {
 				if errors.Is(cerr, ErrStop) {
 					stopped = true
@@ -257,6 +267,8 @@ merge:
 		return false, consumeErr
 	case stopped:
 		return true, nil
+	case cancelErr != nil:
+		return false, wrapCancel("stream collection", cancelErr)
 	case cErr != nil:
 		return false, wrapCancel("stream collection", cErr)
 	default:

@@ -10,13 +10,6 @@ import (
 	"repro/internal/core"
 )
 
-// classFactory adapts the test TargetFactory to the class-aware form
-// Stream takes.
-func classFactory(tb testing.TB, f TargetFactory) ClassTargetFactory {
-	tb.Helper()
-	return func(_ int, seed int64) (core.Target, error) { return f(seed) }
-}
-
 // streamKey flattens one consumed window into a comparable record.
 type streamKey struct {
 	Shard, Class, Start int
@@ -31,7 +24,7 @@ func collectStream(t *testing.T, workers int) []streamKey {
 	pools := testPools(3, 3)
 	events := p.ev.Config().Events
 	var seq []streamKey
-	stopped, err := p.Stream(context.Background(), classFactory(t, testFactory(t, testNet(t))), pools, func(w core.Window) error {
+	stopped, err := p.Stream(context.Background(), classAgnostic(testFactory(t, testNet(t))), pools, func(w core.Window) error {
 		k := streamKey{Shard: w.Shard, Class: w.Class, Start: w.Start}
 		for _, prof := range w.Profiles {
 			k.Obs = append(k.Obs, prof.Vector(events)...)
@@ -101,7 +94,7 @@ func TestStreamMatchesBatchCollection(t *testing.T) {
 	p := newPipeline(t, evCfg, cfg)
 	events := p.ev.Config().Events
 	streamed := map[int][][]float64{}
-	_, err := p.Stream(context.Background(), classFactory(t, testFactory(t, net)), pools, func(w core.Window) error {
+	_, err := p.Stream(context.Background(), classAgnostic(testFactory(t, net)), pools, func(w core.Window) error {
 		if streamed[w.Class] == nil {
 			streamed[w.Class] = make([][]float64, p.ev.Config().RunsPerClass)
 		}
@@ -137,7 +130,7 @@ func TestStreamMatchesBatchCollection(t *testing.T) {
 func TestStreamEarlyStop(t *testing.T) {
 	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: 2}, Config{Workers: 4, ShardRuns: 4})
 	consumed := 0
-	stopped, err := p.Stream(context.Background(), classFactory(t, testFactory(t, testNet(t))), testPools(3, 3), func(core.Window) error {
+	stopped, err := p.Stream(context.Background(), classAgnostic(testFactory(t, testNet(t))), testPools(3, 3), func(core.Window) error {
 		consumed++
 		if consumed == 3 {
 			return ErrStop
@@ -160,7 +153,7 @@ func TestStreamEarlyStop(t *testing.T) {
 func TestStreamConsumerErrorAborts(t *testing.T) {
 	p := newPipeline(t, core.Config{RunsPerClass: 8, WarmupRuns: 1, Batch: 2}, Config{Workers: 2, ShardRuns: 4})
 	boom := fmt.Errorf("scoring failed")
-	stopped, err := p.Stream(context.Background(), classFactory(t, testFactory(t, testNet(t))), testPools(2, 3), func(core.Window) error {
+	stopped, err := p.Stream(context.Background(), classAgnostic(testFactory(t, testNet(t))), testPools(2, 3), func(core.Window) error {
 		return boom
 	})
 	if stopped {
@@ -179,7 +172,7 @@ func TestStreamCancellationTyped(t *testing.T) {
 	p := newPipeline(t, core.Config{RunsPerClass: 20, WarmupRuns: 1, Batch: 2}, Config{Workers: 2, ShardRuns: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	consumed := 0
-	_, err := p.Stream(ctx, classFactory(t, testFactory(t, testNet(t))), testPools(2, 3), func(core.Window) error {
+	_, err := p.Stream(ctx, classAgnostic(testFactory(t, testNet(t))), testPools(2, 3), func(core.Window) error {
 		consumed++
 		if consumed == 2 {
 			cancel()

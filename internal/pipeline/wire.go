@@ -15,12 +15,10 @@ package pipeline
 //     on bytes and a result digest is well-defined.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hpc"
@@ -103,9 +101,9 @@ func PayloadDigest(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WirePlans plans the campaign's shards (exactly as Collect and
-// CollectProfilesByClass do — all paths share planShards) and returns
-// their wire form, in plan order.
+// WirePlans plans the campaign's shards (exactly as
+// CollectProfilesByClass and Stream do — all paths share planShards) and
+// returns their wire form, in plan order.
 func (p *Pipeline) WirePlans(perClass map[int][]*tensor.Tensor) ([]Plan, error) {
 	shards, err := p.planShards(perClass)
 	if err != nil {
@@ -162,49 +160,4 @@ func (p *Pipeline) MergeEncoded(plans []Plan, payloads [][]byte) (map[int][]hpc.
 		}
 	}
 	return byClass, nil
-}
-
-// ReportFromProfiles transposes labelled per-run profiles into per-event
-// distributions and runs the batched test stage — the report-building
-// tail of Evaluate for campaigns whose collection ran on the distributed
-// fabric. The transposition is sample-exact (d.Samples[e][class][run] =
-// profile[run][e], the same values CollectShard writes directly), so a
-// fabric campaign's report is byte-identical to the in-process one.
-func (p *Pipeline) ReportFromProfiles(ctx context.Context, name string, byClass map[int][]hpc.Profile) (*core.Report, error) {
-	cfg := p.ev.Config()
-	classes := make([]int, 0, len(byClass))
-	for cls := range byClass {
-		classes = append(classes, cls)
-	}
-	sort.Ints(classes)
-	d := &core.Distributions{
-		Events:  append([]march.Event(nil), cfg.Events...),
-		Classes: classes,
-		Samples: map[march.Event]map[int][]float64{},
-	}
-	for _, e := range cfg.Events {
-		d.Samples[e] = map[int][]float64{}
-		for _, cls := range classes {
-			d.Samples[e][cls] = make([]float64, cfg.RunsPerClass)
-		}
-	}
-	for _, cls := range classes {
-		profs := byClass[cls]
-		if len(profs) != cfg.RunsPerClass {
-			return nil, fmt.Errorf("pipeline: class %d has %d profiles, want %d", cls, len(profs), cfg.RunsPerClass)
-		}
-		for r, prof := range profs {
-			if prof == nil {
-				return nil, fmt.Errorf("pipeline: class %d run %d missing", cls, r)
-			}
-			for _, e := range cfg.Events {
-				d.Samples[e][cls][r] = prof.Get(e)
-			}
-		}
-	}
-	tests, err := p.Test(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	return p.ev.BuildReport(name, d, tests), nil
 }

@@ -166,3 +166,34 @@ func TestPayloadDigestStable(t *testing.T) {
 		t.Fatalf("digest length %d, want 64 hex chars", len(a))
 	}
 }
+
+// FuzzDecodeProfiles: a worker payload is untrusted bytes off a pipe or
+// socket. Any input must either fail to decode or decode to profiles
+// whose canonical re-encoding is a fixed point: decoding and
+// re-encoding it reproduces the same bytes and the same profiles.
+func FuzzDecodeProfiles(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		profs, err := DecodeProfiles(payload)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeProfiles(profs)
+		if err != nil {
+			t.Fatalf("decoded profiles do not re-encode: %v", err)
+		}
+		again, err := DecodeProfiles(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, profs) {
+			t.Fatalf("canonical round trip changed the profiles:\n%v\n%v", profs, again)
+		}
+		re, err := EncodeProfiles(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n%s", enc, re)
+		}
+	})
+}

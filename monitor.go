@@ -12,10 +12,12 @@ package repro
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/defense"
+	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/march/mem"
@@ -177,21 +179,21 @@ func (sp *seqPair) test() (float64, float64, error) {
 	return r.T, r.P, err
 }
 
-// monitorRun is the stream consumer: it accumulates the raw samples (for
-// the exhaustion report) and drives one seqPair per (event, class-pair).
+// monitorRun is the stream consumer: it keeps a copy of every consumed
+// profile at its (class, run) offset (for the exhaustion report) and
+// drives one seqPair per (event, class-pair).
 // Consumption happens on one goroutine in the pipeline's deterministic
 // stream order, so every decision — including the detection trace count —
 // is a pure function of the campaign configuration.
 type monitorRun struct {
 	events     []Event
-	classes    []int // sorted
 	budget     int
 	minSamples int
 	noStop     bool
 
-	// samples[event][class] accumulates observations in run order —
-	// exactly the series core.MergeShards produces.
-	samples map[Event]map[int][]float64
+	// profiles[class][run] holds the consumed observations — the
+	// labelled profiles a batch collection of the same budget produces.
+	profiles map[int][]hpc.Profile
 	// pairs[event] lists hypotheses in deterministic (A, B) order.
 	pairs map[Event][]*seqPair
 
@@ -204,19 +206,17 @@ func newMonitorRun(events []Event, classes []int, cfg MonitorConfig, alpha float
 	sort.Ints(sorted)
 	m := &monitorRun{
 		events:     events,
-		classes:    sorted,
 		budget:     cfg.Budget,
 		minSamples: cfg.MinSamples,
 		noStop:     cfg.NoStop,
-		samples:    map[Event]map[int][]float64{},
+		profiles:   map[int][]hpc.Profile{},
 		pairs:      map[Event][]*seqPair{},
+	}
+	for _, cls := range sorted {
+		m.profiles[cls] = make([]hpc.Profile, cfg.Budget)
 	}
 	boundary := stats.SpendingBoundary{Alpha: alpha}
 	for _, e := range events {
-		m.samples[e] = map[int][]float64{}
-		for _, cls := range sorted {
-			m.samples[e][cls] = make([]float64, 0, cfg.Budget)
-		}
 		for i := 0; i < len(sorted); i++ {
 			for j := i + 1; j < len(sorted); j++ {
 				sp := &seqPair{classA: sorted[i], classB: sorted[j], spender: stats.AlphaSpender{Boundary: boundary}}
@@ -237,11 +237,11 @@ func newMonitorRun(events []Event, classes []int, cfg MonitorConfig, alpha float
 // crossing (unless NoStop).
 func (m *monitorRun) consume(w core.Window) error {
 	cls := w.Class
-	for _, p := range w.Profiles {
+	for i, p := range w.Profiles {
 		m.total++
+		m.profiles[cls][w.Start+i] = maps.Clone(p)
 		for _, e := range m.events {
 			v := p.Get(e)
-			m.samples[e][cls] = append(m.samples[e][cls], v)
 			for _, sp := range m.pairs[e] {
 				if sp.classA == cls || sp.classB == cls {
 					sp.add(cls, v)
@@ -282,27 +282,6 @@ func (m *monitorRun) consume(w core.Window) error {
 		}
 	}
 	return nil
-}
-
-// distributions assembles the accumulated samples into the batch
-// Distributions the exhaustion report is scored from.
-func (m *monitorRun) distributions() (*core.Distributions, error) {
-	d := &core.Distributions{
-		Events:  append([]march.Event(nil), m.events...),
-		Classes: append([]int(nil), m.classes...),
-		Samples: map[march.Event]map[int][]float64{},
-	}
-	for _, e := range m.events {
-		d.Samples[e] = map[int][]float64{}
-		for _, cls := range m.classes {
-			s := m.samples[e][cls]
-			if len(s) != m.budget {
-				return nil, fmt.Errorf("repro: monitor exhausted with %d/%d traces for event %v class %d", len(s), m.budget, e, cls)
-			}
-			d.Samples[e][cls] = s
-		}
-	}
-	return d, nil
 }
 
 // Monitor runs a streaming leakage-monitor campaign against the
@@ -360,15 +339,9 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 	}
 	rep := &MonitorReport{Name: name, Stopped: stopped, Detection: run.detection, TracesSeen: run.total}
 	if !stopped {
-		d, err := run.distributions()
-		if err != nil {
+		if rep.Report, err = ss.p.ReportFromProfiles(ctx, name, run.profiles); err != nil {
 			return nil, err
 		}
-		tests, err := ss.p.Test(ctx, d)
-		if err != nil {
-			return nil, err
-		}
-		rep.Report = ss.ev.BuildReport(name, d, tests)
 	}
 	return rep, nil
 }

@@ -280,20 +280,6 @@ func (ss *session) profiles(ctx context.Context) (map[int][]hpc.Profile, error) 
 	return ss.p.MergeEncoded(plans, payloads)
 }
 
-// report runs a report session to its batch report: in-process on the
-// pipeline's distribution path, or scored from the fabric's merged
-// profiles — byte-identical either way.
-func (ss *session) report(ctx context.Context, name string) (*core.Report, error) {
-	if ss.c.x.procs == 0 {
-		return ss.p.Evaluate(ctx, name, ss.c.target, ss.pools)
-	}
-	byClass, err := ss.profiles(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ss.p.ReportFromProfiles(ctx, name, byClass)
-}
-
 // stream runs the session's shard plan as a window stream into consume
 // and reports whether consume stopped it early. Over the fabric, workers
 // execute whole shards (reusing the collection journal, so an

@@ -391,7 +391,11 @@ func (s *Scenario) evaluate(ctx context.Context, level DefenseLevel, cfg EvalCon
 	name := fmt.Sprintf("%s/%s", s.Config.Dataset, level)
 	var merged *core.Report
 	err = c.eachSession(func(g int) int64 { return groupSeed(root, g) }, func(ss *session) error {
-		rep, err := ss.report(ctx, name)
+		byClass, err := ss.profiles(ctx)
+		if err != nil {
+			return err
+		}
+		rep, err := ss.p.ReportFromProfiles(ctx, name, byClass)
 		if err != nil {
 			return err
 		}
