@@ -14,11 +14,11 @@
 
 GO ?= go
 
-# PR number stamped into the benchmark trajectory snapshot.
-BENCH_PR ?= 9
+# PR number stamped into the benchmark trajectory snapshot; bench-json
+# refuses to run without it, so no earlier snapshot is overwritten.
 BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
-BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
+BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
 .PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck ci golden
 
@@ -63,16 +63,17 @@ bench:
 # Snapshot the key benches into the perf trajectory file for this PR.
 # Commit the result so the trajectory BENCH_*.json series stays populated.
 bench-json:
+	@test -n "$(BENCH_PR)" || { echo "bench-json: set BENCH_PR=<n> (the PR number to stamp)"; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_KEY)' -benchmem -benchtime=2s . \
 		| $(GO) run ./cmd/benchjson -pr $(BENCH_PR) > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 
 # Allocation gate: the hot paths (Hierarchy.Access, Engine.Load on a
-# cached line, PMU.MeasureOnceInto steady state, the stream stage's
-# window emission, and the nil-Recorder telemetry hooks) must stay at
-# 0 allocs/op.
+# cached line, PMU.MeasureOnceInto steady state, the core's per-run
+# measured emission loop, the stream stage's window emission, and the
+# nil-Recorder telemetry hooks) must stay at 0 allocs/op.
 allocgate:
-	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/pipeline ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/pipeline ./internal/obs
 
 # Fast hot-path smoke: catches order-of-magnitude regressions in seconds.
 benchsmoke:
@@ -95,18 +96,19 @@ fabricsmoke:
 	cmp $$tmp/p1.csv $$tmp/p2.csv; \
 	echo "fabricsmoke: processes=0, 1 and 2 distributions are byte-identical"
 
-# Batched-collection determinism smoke: the same campaign is run through
-# the CLI at -batch 1 and -batch 8 and the raw distribution CSVs must be
-# byte-identical — per-input counter attribution inside a batched replay
-# session is exact, so batch size may change wall-clock only.
+# Window-size determinism smoke: the same monitor campaign is run to
+# exhaustion through the CLI at -batch 1 and -batch 8 and the raw
+# distribution CSVs must be byte-identical — every run is measured in
+# its own counter interval, so the window size moves only the monitor's
+# look cadence, never an observation.
 batchsmoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
-	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
-		-batch 1 -csv $$tmp/b1.csv >/dev/null; \
-	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
-		-batch 8 -csv $$tmp/b8.csv >/dev/null; \
+	$(GO) run ./cmd/monitor -dataset mnist -classes 1,2 -budget 30 -workers 2 -seed 17 \
+		-no-stop -batch 1 -csv $$tmp/b1.csv >/dev/null; \
+	$(GO) run ./cmd/monitor -dataset mnist -classes 1,2 -budget 30 -workers 2 -seed 17 \
+		-no-stop -batch 8 -csv $$tmp/b8.csv >/dev/null; \
 	cmp $$tmp/b1.csv $$tmp/b8.csv; \
-	echo "batchsmoke: batch=1 and batch=8 distributions are byte-identical"
+	echo "batchsmoke: batch=1 and batch=8 monitor distributions are byte-identical"
 
 # Streaming-monitor determinism smoke: the same campaign is run through
 # cmd/monitor to exhaustion (-no-stop) and through cmd/evaluate, and the

@@ -57,10 +57,6 @@ type AttackConfig struct {
 	Processes int
 	// Fabric configures the fabric when Processes ≥ 1.
 	Fabric FabricConfig
-	// Batch groups a shard's measured runs into batched replay sessions
-	// of this size (core.Config.Batch). Attribution is exact, so results
-	// are byte-identical at any batch size. Default 1.
-	Batch int
 	// Obs, when non-nil, records campaign telemetry. Observational
 	// output only: results are byte-identical with or without it.
 	Obs *obs.Recorder
@@ -111,7 +107,7 @@ func (s *Scenario) AttackGrouped(ctx context.Context, level DefenseLevel, cfg At
 		root = s.Config.Seed
 	}
 	spec := s.workerSpec(StageAttack, level, cfg.Events)
-	spec.Classes, spec.RunsPerClass, spec.ShardRuns, spec.Batch = cfg.Classes, cfg.ProfileRuns+cfg.AttackRuns, cfg.ShardRuns, cfg.Batch
+	spec.Classes, spec.RunsPerClass, spec.ShardRuns = cfg.Classes, cfg.ProfileRuns+cfg.AttackRuns, cfg.ShardRuns
 	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs})
 	if err != nil {
 		return nil, err

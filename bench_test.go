@@ -476,21 +476,13 @@ func BenchmarkAttackStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name           string
-		workers, batch int
-	}{
-		{"workers=1", 1, 1},
-		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0), 1},
-		{"workers=1/batch=8", 1, 8},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := s.Attack(context.Background(), AttackConfig{
 					ProfileRuns: 40,
 					AttackRuns:  20,
-					Workers:     c.workers,
-					Batch:       c.batch,
+					Workers:     workers,
 					Seed:        17,
 				})
 				if err != nil {
@@ -575,41 +567,6 @@ func BenchmarkClassifyMNIST(b *testing.B) {
 // BenchmarkClassifyCIFAR measures one instrumented CIFAR classification.
 func BenchmarkClassifyCIFAR(b *testing.B) {
 	benchClassify(b, DatasetCIFAR)
-}
-
-// BenchmarkClassifyBatch measures batched instrumented classification
-// through Hardened.ClassifyBatchInto at several batch sizes; ns/op is
-// per input, so any per-session overhead shows up as the batch=1 gap.
-func BenchmarkClassifyBatch(b *testing.B) {
-	s, err := DefaultScenario(DatasetMNIST)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pools, err := s.ClassPools(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	imgs := pools[1]
-	target, ok := s.Target.(core.BatchTarget)
-	if !ok {
-		b.Fatalf("scenario target %T does not support batched classification", s.Target)
-	}
-	for _, batch := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			window := make([]*tensor.Tensor, batch)
-			preds := make([]int, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				for j := range window {
-					window[j] = imgs[(i+j)%len(imgs)]
-				}
-				if err := target.ClassifyBatchInto(preds, window); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func benchClassify(b *testing.B, d Dataset) {

@@ -43,7 +43,6 @@ func main() {
 		classes     = flag.String("classes", "1,2,3,4", "comma-separated category labels")
 		workers     = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
 		seed        = flag.Int64("seed", 0, "campaign root seed; 0 = scenario seed")
-		batch       = flag.Int("batch", 1, "inputs classified per batched replay session; attribution is exact, so results match -batch 1 byte-for-byte")
 		jsonPath    = flag.String("json", "", "write the result as JSON to this file")
 	)
 	tel := cliflags.AddTelemetry(flag.CommandLine, "attack")
@@ -95,7 +94,6 @@ func main() {
 		K:           *k,
 		Workers:     *workers,
 		Seed:        *seed,
-		Batch:       *batch,
 		Obs:         rec,
 	})
 	if err != nil {

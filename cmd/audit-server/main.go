@@ -32,7 +32,6 @@ import (
 	"net/http"
 
 	"repro"
-	"repro/internal/hpc"
 	"repro/internal/obs"
 )
 
@@ -80,15 +79,9 @@ func runCampaign(ctx context.Context, req CampaignRequest, processes int, fc rep
 	if err != nil {
 		return nil, err
 	}
-	var events []repro.Event
-	if len(req.Events) > 0 {
-		for _, name := range req.Events {
-			evs, err := hpc.ParseEventSpec(name)
-			if err != nil {
-				return nil, err
-			}
-			events = append(events, evs...)
-		}
+	events, err := parseEvents(req.Events)
+	if err != nil {
+		return nil, err
 	}
 
 	var result any

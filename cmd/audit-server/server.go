@@ -10,12 +10,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro"
+	"repro/internal/hpc"
 	"repro/internal/obs"
 )
 
@@ -308,6 +310,8 @@ func snapshot(c *campaign) *campaign {
 	return &cp
 }
 
+// validateRequest rejects a request the worker could only fail on, so a
+// bad campaign is refused with 400 before it takes a queue slot or an id.
 func validateRequest(req CampaignRequest) error {
 	switch req.Stage {
 	case repro.StageReport, repro.StageAttack, repro.StageArchID, repro.StageTopo, repro.StageMonitor:
@@ -317,7 +321,31 @@ func validateRequest(req CampaignRequest) error {
 	if req.Scenario.Dataset == "" {
 		return fmt.Errorf("campaign needs a scenario dataset")
 	}
-	return nil
+	if _, err := repro.ParseDefense(req.Scenario.Defense); err != nil {
+		return err
+	}
+	_, err := parseEvents(req.Events)
+	return err
+}
+
+// parseEvents expands the request's event entries — each a named set or
+// a perf-style comma list — into one event list, rejecting an event the
+// expansion lists twice. No entries yields nil (the stage default).
+func parseEvents(names []string) ([]repro.Event, error) {
+	var events []repro.Event
+	for _, name := range names {
+		evs, err := hpc.ParseEventSpec(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range evs {
+			if slices.Contains(events, e) {
+				return nil, fmt.Errorf("event %s listed twice", e)
+			}
+			events = append(events, e)
+		}
+	}
+	return events, nil
 }
 
 // enqueuedJSON acknowledges POST /campaigns. A named struct (not a bare

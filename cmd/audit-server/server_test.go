@@ -185,6 +185,69 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnrunnableCampaigns: a request naming an unknown
+// defense, an unknown event or an event twice is refused with 400 at
+// submission — it never reaches the worker, never takes a queue slot and
+// never uses up a campaign id.
+func TestServerRejectsUnrunnableCampaigns(t *testing.T) {
+	var mu sync.Mutex
+	var ran []CampaignRequest
+	_, ts := newTestServer(t, func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		mu.Lock()
+		ran = append(ran, req)
+		mu.Unlock()
+		return json.RawMessage(`{}`), nil
+	})
+	cases := []struct {
+		name, body, want string
+	}{
+		{"unknown defense", `{"stage":"report","scenario":{"dataset":"mnist","defense":"bogus"}}`, "unknown defense"},
+		{"missing defense", `{"stage":"report","scenario":{"dataset":"mnist"}}`, "unknown defense"},
+		{"unknown event", `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"events":["nope"]}`, "nope"},
+		{"unknown event in list", `{"stage":"attack","scenario":{"dataset":"mnist","defense":"baseline"},"events":["branches,nope"]}`, "nope"},
+		{"event across entries", `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"events":["base","cache-misses"]}`, "listed twice"},
+		{"event within a list", `{"stage":"monitor","scenario":{"dataset":"mnist","defense":"baseline"},"events":["branches,branches"]}`, "listed twice"},
+	}
+	for _, tc := range cases {
+		resp := postCampaign(t, ts, tc.body)
+		var e errorJSON
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: error %q, want it to mention %q", tc.name, e.Error, tc.want)
+		}
+	}
+
+	// The rejected requests used up no id: the next valid submission is
+	// campaign 1 and is the only campaign listed or run.
+	resp := postCampaign(t, ts, `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"events":["base","instructions"]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid request status %d, want 202", resp.StatusCode)
+	}
+	var ack enqueuedJSON
+	decodeBody(t, resp, &ack)
+	if ack.ID != 1 {
+		t.Fatalf("first accepted id = %d, want 1", ack.ID)
+	}
+	waitState(t, ts, ack.ID, stateDone)
+	listResp, err := http.Get(ts.URL + "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []campaign
+	decodeBody(t, listResp, &list)
+	if len(list) != 1 || list[0].ID != 1 {
+		t.Fatalf("campaign list = %+v, want campaign 1 only", list)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 {
+		t.Fatalf("worker ran %d campaigns, want 1", len(ran))
+	}
+}
+
 func TestServerListsCampaignsAndHandles404(t *testing.T) {
 	_, ts := newTestServer(t, func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
 		return json.RawMessage(`{}`), nil

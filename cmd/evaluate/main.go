@@ -46,7 +46,6 @@ func main() {
 		events  = flag.String("events", "base", "event set (base, fig2b, extended) or comma-separated event list")
 		workers = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
 		seed    = flag.Int64("seed", 0, "pipeline root seed for per-shard RNG derivation; 0 = scenario seed")
-		batch   = flag.Int("batch", 1, "inputs classified per batched replay session; attribution is exact, so any batch size reproduces -batch 1 byte-for-byte")
 	)
 	fab := cliflags.AddFabric(flag.CommandLine)
 	tel := cliflags.AddTelemetry(flag.CommandLine, "evaluate")
@@ -90,7 +89,7 @@ func main() {
 	}
 	rep, err := s.Evaluate(repro.EvalConfig{
 		Classes: cls, Events: evs, RunsPerClass: *runs, Alpha: *alpha,
-		Workers: *workers, Seed: *seed, Batch: *batch,
+		Workers: *workers, Seed: *seed,
 		Processes: fab.Processes, Fabric: fab.Config,
 		Obs: rec,
 	})

@@ -47,7 +47,7 @@ func main() {
 		events  = flag.String("events", "base", "event set (base, fig2b, extended) or comma-separated event list")
 		workers = flag.Int("workers", 1, "pipeline workers; -1 = GOMAXPROCS (the window stream is worker-count-invariant)")
 		seed    = flag.Int64("seed", 0, "pipeline root seed; 0 = scenario seed")
-		batch   = flag.Int("batch", 1, "runs per batched replay session; windows — and monitor looks — arrive at this cadence")
+		batch   = flag.Int("batch", 1, "window size: measured runs per emitted window, and so the look cadence (observations are identical at any value)")
 
 		mannWhitney = flag.Bool("mann-whitney", false, "monitor with the sequential rank-sum test instead of Welch's t-test")
 		minSamples  = flag.Int("min-samples", 8, "per-side sample floor before a hypothesis takes its first look")

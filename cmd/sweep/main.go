@@ -48,7 +48,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "pipeline workers per cell; 0 = GOMAXPROCS")
 		cellParallel = flag.Int("cell-parallel", 2, "grid cells evaluated concurrently")
 		seed         = flag.Int64("seed", 1, "sweep root seed")
-		batch        = flag.Int("batch", 1, "inputs classified per batched replay session; cell results are byte-identical at any batch size")
 		attackStage  = flag.Bool("attack", false, "run the end-to-end attack stage per cell (template_acc/knn_acc columns)")
 		attackRuns   = flag.Int("attack-runs", 0, "held-out attack observations per class (0 = half the cell's budget, min 10)")
 		archidStage  = flag.Bool("archid", false, "run the architecture-fingerprinting stage per cell (archid_template_acc/archid_knn_acc columns)")
@@ -82,7 +81,6 @@ func main() {
 		Classes:      cls,
 		Alpha:        *alpha,
 		Workers:      *workers,
-		Batch:        *batch,
 		CellParallel: *cellParallel,
 		Seed:         *seed,
 		Attack:       *attackStage,

@@ -132,11 +132,10 @@ type WorkerSpec struct {
 	// Session is the register-group index within a wide-event campaign.
 	Session int `json:"session"`
 
-	// Report/attack sessions: input classes, run budget and the session's
-	// already-derived pipeline root seed. Batch is the measured-batch size
-	// (core.Config.Batch) — attribution is exact at any value, but it is
-	// part of the spec so the campaign digest records how the session was
-	// executed.
+	// Scenario sessions: input classes, run budget and the session's
+	// already-derived pipeline root seed. Batch is the monitor stage's
+	// window size (core.Config.Batch), the cadence stream delivery
+	// re-slices shard payloads by; it never changes an observation.
 	Classes      []int `json:"classes,omitempty"`
 	RunsPerClass int   `json:"runs_per_class,omitempty"`
 	RootSeed     int64 `json:"root_seed,omitempty"`

@@ -9,7 +9,7 @@ import (
 	"repro/internal/instrument"
 )
 
-// collectWithBatch runs one 7-run shard at the given batch size on a
+// collectWithBatch runs one 7-run shard at the given window size on a
 // fresh target (identical seed) and returns its profiles both as
 // per-run vectors and transposed into distributions.
 func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
@@ -41,8 +41,9 @@ func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
 }
 
 // TestCollectShardBatchInvariance: the shard collector must produce
-// bit-identical observations at every batch size, including a tail batch
-// (7 runs at batch 3 → 3+3+1) and a batch larger than the shard.
+// bit-identical observations at every window size (Config.Batch),
+// including a tail window (7 runs at 3 → 3+3+1) and a window larger
+// than the shard.
 func TestCollectShardBatchInvariance(t *testing.T) {
 	refD, refV := collectWithBatch(t, 1)
 	for _, batch := range []int{3, 4, 16} {

@@ -35,18 +35,6 @@ type Target interface {
 	Engine() *march.Engine
 }
 
-// BatchTarget is a Target that can classify several inputs back-to-back
-// in one replay session. Batched collection (Config.Batch > 1) uses it
-// when available; the contract is that a batch replays the exact access
-// sequence of the equivalent sequential Classify calls, so per-run
-// counter attribution stays exact.
-type BatchTarget interface {
-	Target
-	// ClassifyBatchInto classifies imgs[i] into preds[i]; the slices must
-	// have equal length.
-	ClassifyBatchInto(preds []int, imgs []*tensor.Tensor) error
-}
-
 // Method selects the hypothesis test the Evaluator applies.
 type Method int
 
@@ -90,12 +78,10 @@ type Config struct {
 	// Registers bounds simultaneously-counted events (PMU constraint);
 	// default hpc.DefaultCounters.
 	Registers int
-	// Batch groups a shard's measured runs into batches of this size: one
-	// replay session classifies Batch inputs back-to-back and the per-run
-	// profiles are recovered as counter-snapshot deltas
-	// (hpc.MeasureBatchInto). Per-run attribution is exact — every batch
-	// size produces bit-identical observations — so Batch trades nothing
-	// but wall-clock. Default 1 (unbatched).
+	// Batch is the number of measured runs per emitted Window — the
+	// window size, and therefore the look cadence of a streaming monitor.
+	// Every run is measured in its own interval, so Batch never changes
+	// an observation. Default 1.
 	Batch int
 	// HolmCorrection additionally reports family-wise-corrected decisions
 	// across all pairs of one event (an extension beyond the paper).

@@ -115,24 +115,6 @@ func (ev *Evaluator) prepareShard(ctx context.Context, target Target, sh Shard) 
 	// Fresh micro-architectural state per shard, then the standard
 	// measure-after-warm-up discipline on this shard's own class.
 	target.Engine().ColdReset()
-	if bt, ok := target.(BatchTarget); ok && ev.cfg.Batch > 1 && ev.cfg.WarmupRuns > 0 {
-		// Batched sessions warm up through the batched entry point: one
-		// validated replay session covering all warm-up runs. The batched
-		// classifier replays the exact sequential access sequence, so the
-		// post-warm-up state is bit-identical to the loop below.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		imgs := make([]*tensor.Tensor, ev.cfg.WarmupRuns)
-		preds := make([]int, ev.cfg.WarmupRuns)
-		for i := range imgs {
-			imgs[i] = sh.Pool[i%len(sh.Pool)]
-		}
-		if err := bt.ClassifyBatchInto(preds, imgs); err != nil {
-			return nil, fmt.Errorf("core: warm-up classification: %w", err)
-		}
-		return pmu, nil
-	}
 	for i := 0; i < ev.cfg.WarmupRuns; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -144,36 +126,18 @@ func (ev *Evaluator) prepareShard(ctx context.Context, target Target, sh Shard) 
 	return pmu, nil
 }
 
-// shardBatch is the per-shard measured-batch scaffolding of
-// CollectShardEmit: the image window of the current batch plus the
-// per-input classify trampoline handed to hpc.MeasureBatchInto.
-type shardBatch struct {
+// shardRun is the per-shard measurement scaffolding of
+// CollectShardEmit: the image of the run being measured plus the
+// classify trampoline handed to hpc.MeasureOnceInto.
+type shardRun struct {
 	target Target
-	imgs   []*tensor.Tensor
+	img    *tensor.Tensor
 	err    error
 }
 
-// work classifies batch member i, retaining the first failure. Remaining
-// members of a failed batch are skipped — the collector aborts on the
-// retained error before reading any of the batch's profiles.
-func (b *shardBatch) work(i int) {
-	if b.err != nil {
-		return
-	}
-	_, b.err = b.target.Classify(b.imgs[i])
-}
-
-// load fills the image window for the batch starting at run (global run
-// index), returning the batch length.
-func (b *shardBatch) load(sh Shard, run int) int {
-	n := sh.Start + sh.Count - run
-	if n > len(b.imgs) {
-		n = len(b.imgs)
-	}
-	for i := 0; i < n; i++ {
-		b.imgs[i] = sh.Pool[(run+i)%len(sh.Pool)]
-	}
-	return n
+// classify classifies the current run's image, retaining the failure.
+func (r *shardRun) classify() {
+	_, r.err = r.target.Classify(r.img)
 }
 
 // CollectShardProfiles executes one shard on target and returns the raw
@@ -184,10 +148,9 @@ func (b *shardBatch) load(sh Shard, run int) int {
 // configured warm-up on the shard's own pool, then measures Count
 // classifications starting at run index Start. Run index r always maps to
 // Pool[r%len(Pool)], so the image sequence is independent of the sharding
-// granularity. Runs are measured in batches of Config.Batch — one replay
-// session per batch, per-run profiles recovered as counter-snapshot
-// deltas — which changes wall-clock only: every batch size yields
-// bit-identical profiles. The context is checked between batches.
+// granularity. Every run is measured in its own counter interval, so the
+// window size (Config.Batch) never changes a profile. The context is
+// checked between windows.
 func (ev *Evaluator) CollectShardProfiles(ctx context.Context, target Target, sh Shard) ([]hpc.Profile, error) {
 	profs := make([]hpc.Profile, 0, sh.Count)
 	err := ev.CollectShardEmit(ctx, target, sh, func(w Window) error {

@@ -1,12 +1,12 @@
 package core
 
 // The emitting collection seam: CollectShardEmit is the primitive the
-// batch collector (CollectShardProfiles) is built on, and the one the
-// streaming pipeline taps directly. It yields each measured batch as a
-// profile *window* the moment the batch's counters are recovered,
-// instead of only at shard end — which is what lets an online consumer
-// score observations (and stop a campaign) mid-shard with bounded
-// memory.
+// whole-shard collector (CollectShardProfiles) is built on, and the one
+// the streaming pipeline taps directly. It yields every Config.Batch
+// measured runs as a profile *window* the moment the last of them is
+// read, instead of only at shard end — which is what lets an online
+// consumer score observations (and stop a campaign) mid-shard with
+// bounded memory.
 
 import (
 	"context"
@@ -14,16 +14,14 @@ import (
 
 	"repro/internal/hpc"
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
-// Window is one measured batch of a single shard's observations, in run
+// Window is a run of consecutive observations of a single shard, in run
 // order: Profiles[i] is the profile of global run index Start+i of
 // class Class. Windows of one shard are emitted in ascending Start
-// order; window boundaries are the shard's measured batches
-// (Config.Batch runs each, shorter on the shard's tail), so the window
-// sequence depends only on the shard plan and the batch size — never on
-// who executes the shard.
+// order and hold Config.Batch runs each (shorter on the shard's tail),
+// so the window sequence depends only on the shard plan and the window
+// size — never on who executes the shard.
 type Window struct {
 	// Shard is the emitting shard's plan index.
 	Shard int
@@ -39,12 +37,12 @@ type Window struct {
 
 // CollectShardEmit executes one shard on target with the standard
 // collection discipline (cold reset, warm-up on the shard's own pool,
-// batched measurement — see CollectShardProfiles) and calls emit once
-// per measured batch, in run order. The emitted Window aliases
+// one counter interval per run — see CollectShardProfiles) and calls
+// emit once per window, in run order. The emitted Window aliases
 // per-shard scratch; emit must copy what it keeps. A non-nil error from
 // emit aborts the shard and is returned verbatim, so a consumer can
 // stop a campaign mid-shard with a sentinel. The context is checked
-// between batches.
+// between windows.
 func (ev *Evaluator) CollectShardEmit(ctx context.Context, target Target, sh Shard, emit func(Window) error) error {
 	pmu, err := ev.prepareShard(ctx, target, sh)
 	if err != nil {
@@ -63,35 +61,36 @@ func (ev *Evaluator) CollectShardEmit(ctx context.Context, target Target, sh Sha
 			rec.FlushHot(hot)
 		}()
 	}
-	batch := ev.cfg.Batch
-	scratch := make([]hpc.Profile, batch)
+	scratch := make([]hpc.Profile, ev.cfg.Batch)
 	for i := range scratch {
 		scratch[i] = make(hpc.Profile, len(ev.cfg.Events))
 	}
-	b := shardBatch{target: target, imgs: make([]*tensor.Tensor, batch)}
-	return ev.emitWindows(ctx, pmu, &b, sh, scratch, emit)
+	return ev.emitWindows(ctx, pmu, &shardRun{target: target}, sh, scratch, emit)
 }
 
-// emitWindows is the measured emission loop of CollectShardEmit: one
-// replay session per batch, per-run profiles recovered as
-// counter-snapshot deltas into the reused scratch, one emit per window.
-// It is the per-window emission hot path: it reuses the preallocated
-// scratch profiles and image window, so nothing on the steady-state path
-// may allocate (the stream allocgate pins it).
+// emitWindows is the measured emission loop of CollectShardEmit: each
+// run is measured in its own counter interval into its window slot of
+// the reused scratch, and every full window (or the shard's tail) is
+// emitted. It is the per-window emission hot path: it reuses the
+// preallocated scratch profiles, so nothing on the steady-state path
+// may allocate (the core allocgate pins it).
 //
 //detlint:allocpath
-func (ev *Evaluator) emitWindows(ctx context.Context, pmu *hpc.PMU, b *shardBatch, sh Shard, scratch []hpc.Profile, emit func(Window) error) error {
-	batch := len(scratch)
-	for run := sh.Start; run < sh.Start+sh.Count; run += batch {
+func (ev *Evaluator) emitWindows(ctx context.Context, pmu *hpc.PMU, r *shardRun, sh Shard, scratch []hpc.Profile, emit func(Window) error) error {
+	end := sh.Start + sh.Count
+	for run := sh.Start; run < end; run += len(scratch) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := b.load(sh, run)
-		if err := pmu.MeasureBatchInto(scratch[:n], b.work); err != nil {
-			return err
-		}
-		if b.err != nil {
-			return fmt.Errorf("core: classification failed: %w", b.err)
+		n := min(len(scratch), end-run)
+		for i := 0; i < n; i++ {
+			r.img = sh.Pool[(run+i)%len(sh.Pool)]
+			if err := pmu.MeasureOnceInto(scratch[i], r.classify); err != nil {
+				return err
+			}
+			if r.err != nil {
+				return fmt.Errorf("core: classification failed: %w", r.err)
+			}
 		}
 		if err := emit(Window{Shard: sh.Index, Class: sh.Class, Start: run, Profiles: scratch[:n]}); err != nil {
 			return err

@@ -11,7 +11,7 @@ import (
 
 // TestCollectShardEmitMatchesBatchCollectors: the emitting seam must
 // reproduce the batch collector's observations exactly — same values,
-// same run order — and emit windows at exactly the measured-batch
+// same run order — and emit windows at exactly the window-size
 // cadence (Config.Batch runs per window, shorter tail).
 func TestCollectShardEmitMatchesBatchCollectors(t *testing.T) {
 	const runs = 7

@@ -1,10 +1,12 @@
 package defense
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
@@ -31,16 +33,17 @@ func batchInvarianceImages(n int, seed int64) []*tensor.Tensor {
 	return imgs
 }
 
-// TestBatchInvarianceAcrossZooAndLevels is the batched-execution
-// byte-invariance property: for every architecture in the default zoo at
-// every defense level, measuring N inputs as one batch of N, as N batches
-// of 1, or as N sequential MeasureOnceInto intervals must produce
-// bit-identical per-input profiles — including the defenses whose
-// per-input actions are RNG-driven (noise injection) or applied after
-// every inference (padded envelope). A fresh engine/target per variant
-// keeps the noise, jitter and defense RNG streams aligned; any
-// batch-order divergence in the replay or the measurement would surface
-// as a float mismatch here.
+// TestBatchInvarianceAcrossZooAndLevels is the window-size invariance
+// property on hardened targets: for every architecture in the default
+// zoo at every defense level, collecting a shard through the core
+// evaluator at window sizes (core.Config.Batch) 1, 3 and 4 must produce
+// per-run profiles bit-identical to N sequential MeasureOnceInto
+// intervals over Classify on a fresh target — including the defenses
+// whose per-input actions are RNG-driven (noise injection) or applied
+// after every inference (padded envelope). A fresh engine/target per
+// variant keeps the noise, jitter and defense RNG streams aligned, so
+// the comparison also pins every zoo architecture × level to classify
+// deterministically.
 func TestBatchInvarianceAcrossZooAndLevels(t *testing.T) {
 	zoo, err := nn.DefaultZoo(12, 12, 1, 4)
 	if err != nil {
@@ -80,33 +83,31 @@ func TestBatchInvarianceAcrossZooAndLevels(t *testing.T) {
 		}
 		return h
 	}
-	newPMU := func(t *testing.T, h *Hardened) *hpc.PMU {
-		t.Helper()
-		pmu, err := hpc.NewPMU(h.Engine(), hpc.DefaultCounters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pmu.Program(batchInvarianceEvents...); err != nil {
-			t.Fatal(err)
-		}
-		return pmu
-	}
+	shard := core.Shard{Pool: imgs, Count: len(imgs), Seed: 1}
 
 	levels := []Level{Baseline, DenseExecution, ConstantTime, NoiseInjection, PaddedEnvelope}
 	for _, s := range specs {
 		for _, level := range levels {
 			s, level := s, level
 			t.Run(s.Name+"/"+level.String(), func(t *testing.T) {
-				// Reference: N sequential single-run measure intervals.
+				// Reference: N sequential single-run measure intervals on a
+				// cold core, the discipline the evaluator applies without
+				// warm-up.
 				seqT := newTarget(t, nets[s.ID], s.ID, level)
-				seqPMU := newPMU(t, seqT)
+				seqPMU, err := hpc.NewPMU(seqT.Engine(), hpc.DefaultCounters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := seqPMU.Program(batchInvarianceEvents...); err != nil {
+					t.Fatal(err)
+				}
+				seqT.Engine().ColdReset()
 				seqProfs := make([]hpc.Profile, len(imgs))
-				seqPreds := make([]int, len(imgs))
 				for i, img := range imgs {
 					img := img
 					seqProfs[i] = make(hpc.Profile, len(batchInvarianceEvents))
 					var classifyErr error
-					work := func() { seqPreds[i], classifyErr = seqT.Classify(img) }
+					work := func() { _, classifyErr = seqT.Classify(img) }
 					if err := seqPMU.MeasureOnceInto(seqProfs[i], work); err != nil {
 						t.Fatal(err)
 					}
@@ -115,72 +116,33 @@ func TestBatchInvarianceAcrossZooAndLevels(t *testing.T) {
 					}
 				}
 
-				// One batch of N.
-				batT := newTarget(t, nets[s.ID], s.ID, level)
-				batPMU := newPMU(t, batT)
-				batProfs := make([]hpc.Profile, len(imgs))
-				for i := range batProfs {
-					batProfs[i] = make(hpc.Profile, len(batchInvarianceEvents))
-				}
-				batPreds := make([]int, len(imgs))
-				var batErr error
-				if err := batPMU.MeasureBatchInto(batProfs, func(i int) {
-					if batErr == nil {
-						batPreds[i], batErr = batT.Classify(imgs[i])
-					}
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if batErr != nil {
-					t.Fatal(batErr)
-				}
-
-				// N batches of 1.
-				oneT := newTarget(t, nets[s.ID], s.ID, level)
-				onePMU := newPMU(t, oneT)
-				oneProfs := make([]hpc.Profile, len(imgs))
-				onePreds := make([]int, len(imgs))
-				for i := range imgs {
-					i := i
-					oneProfs[i] = make(hpc.Profile, len(batchInvarianceEvents))
-					var oneErr error
-					if err := onePMU.MeasureBatchInto(oneProfs[i:i+1], func(int) {
-						onePreds[i], oneErr = oneT.Classify(imgs[i])
-					}); err != nil {
+				for _, window := range []int{1, 3, 4} {
+					ev, err := core.NewEvaluator(core.Config{
+						Events:       batchInvarianceEvents,
+						RunsPerClass: len(imgs),
+						WarmupRuns:   -1,
+						Batch:        window,
+					})
+					if err != nil {
 						t.Fatal(err)
 					}
-					if oneErr != nil {
-						t.Fatal(oneErr)
+					colT := newTarget(t, nets[s.ID], s.ID, level)
+					profs, err := ev.CollectShardProfiles(context.Background(), colT, shard)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-
-				if !reflect.DeepEqual(batPreds, seqPreds) || !reflect.DeepEqual(onePreds, seqPreds) {
-					t.Fatalf("predictions diverge: sequential %v, batch=4 %v, batch=1 %v", seqPreds, batPreds, onePreds)
-				}
-				for i := range imgs {
-					for _, e := range batchInvarianceEvents {
-						if batProfs[i][e] != seqProfs[i][e] {
-							t.Errorf("input %d %s: batch=4 %v, sequential %v", i, e, batProfs[i][e], seqProfs[i][e])
-						}
-						if oneProfs[i][e] != seqProfs[i][e] {
-							t.Errorf("input %d %s: batch=1 %v, sequential %v", i, e, oneProfs[i][e], seqProfs[i][e])
+					for i := range imgs {
+						for _, e := range batchInvarianceEvents {
+							if profs[i][e] != seqProfs[i][e] {
+								t.Errorf("window=%d input %d %s: collected %v, sequential %v", window, i, e, profs[i][e], seqProfs[i][e])
+							}
 						}
 					}
-				}
-
-				// Hardened.ClassifyBatch itself: same predictions, and the
-				// final counter state (pads, noise sweeps and jitter
-				// included) matches the sequential target's bit-for-bit.
-				apiT := newTarget(t, nets[s.ID], s.ID, level)
-				apiPreds, err := apiT.ClassifyBatch(imgs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(apiPreds, seqPreds) {
-					t.Fatalf("ClassifyBatch predictions %v, sequential %v", apiPreds, seqPreds)
-				}
-				if got, want := apiT.Engine().Counts(), seqT.Engine().Counts(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ClassifyBatch final counts diverge from sequential:\nbatch      %+v\nsequential %+v", got, want)
+					// The final counter state (pads, noise sweeps and jitter
+					// included) matches the sequential target's bit-for-bit.
+					if got, want := colT.Engine().Counts(), seqT.Engine().Counts(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("window=%d final counts diverge from sequential:\ncollected  %+v\nsequential %+v", window, got, want)
+					}
 				}
 			})
 		}

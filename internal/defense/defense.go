@@ -181,42 +181,6 @@ func (h *Hardened) Classify(img *tensor.Tensor) (int, error) {
 	return cls, nil
 }
 
-// ClassifyBatchInto classifies len(imgs) inputs back-to-back in one
-// hardened replay session, writing the predicted class of imgs[i] into
-// preds[i]. The whole batch is validated up front (see
-// instrument.Classifier.ValidateBatch); per-input defense actions — noise
-// injection's RNG-driven loads, the padded envelope's extension — then
-// interleave with the inferences exactly as in sequential Classify calls,
-// so the access sequence and every defense RNG stream are bit-identical
-// to the unbatched path.
-//
-//detlint:allocpath
-func (h *Hardened) ClassifyBatchInto(preds []int, imgs []*tensor.Tensor) error {
-	if len(preds) != len(imgs) {
-		return fmt.Errorf("defense: %d prediction slots for %d batch inputs", len(preds), len(imgs))
-	}
-	if err := h.inner.ValidateBatch(imgs); err != nil {
-		return err
-	}
-	for i, img := range imgs {
-		cls, err := h.Classify(img)
-		if err != nil {
-			return fmt.Errorf("defense: batch input %d: %w", i, err)
-		}
-		preds[i] = cls
-	}
-	return nil
-}
-
-// ClassifyBatch is ClassifyBatchInto allocating the prediction slice.
-func (h *Hardened) ClassifyBatch(imgs []*tensor.Tensor) ([]int, error) {
-	preds := make([]int, len(imgs))
-	if err := h.ClassifyBatchInto(preds, imgs); err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
 // injectNoise touches a random number of random lines in the scratch
 // buffer, decoupling total cache traffic from the input.
 func (h *Hardened) injectNoise() {

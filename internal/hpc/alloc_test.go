@@ -44,39 +44,6 @@ func TestMeasureOnceIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestMeasureBatchIntoZeroAllocSteadyState(t *testing.T) {
-	if raceinfo.Enabled {
-		t.Skip("allocation counts are perturbed under -race")
-	}
-	eng, err := march.NewEngine(march.Config{Noise: march.DefaultNoise(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pmu, err := NewPMU(eng, DefaultCounters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pmu.Program(march.EvCacheMisses, march.EvBranches); err != nil {
-		t.Fatal(err)
-	}
-	profs := make([]Profile, 4)
-	for i := range profs {
-		profs[i] = make(Profile, 2)
-	}
-	work := func(i int) { eng.Ops(uint64(50 * (i + 1))) }
-	// First call populates every profile's map keys.
-	if err := pmu.MeasureBatchInto(profs, work); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if err := pmu.MeasureBatchInto(profs, work); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("MeasureBatchInto steady state allocates %v/op, want 0", allocs)
-	}
-}
-
 func TestMeasureIntoMatchesMeasure(t *testing.T) {
 	// The Into form must observe exactly what Measure observes (same
 	// scaling, same noise stream consumption).

@@ -263,42 +263,6 @@ func (p *PMU) MeasureOnceInto(prof Profile, workload func()) error {
 	return nil
 }
 
-// MeasureBatchInto measures len(profs) back-to-back workload invocations
-// in one replay session, writing workload(i)'s profile into profs[i].
-// The counters are snapshotted once per input boundary — input i's ending
-// snapshot is input i+1's starting snapshot, exactly the values two
-// adjacent MeasureOnceInto calls would read, since nothing touches the
-// engine between one interval's end and the next's start. Stale-scrub and
-// the noise model run per input in run order, so the noise stream is
-// consumed identically to the sequential path: batch=1 and batch=N
-// produce bit-identical per-run profiles. Like MeasureOnceInto it is a
-// single-interval measure and requires all programmed events to fit one
-// register group.
-//
-//detlint:allocpath
-func (p *PMU) MeasureBatchInto(profs []Profile, workload func(i int)) error {
-	if len(p.events) == 0 {
-		return fmt.Errorf("hpc: Measure before Program")
-	}
-	if len(p.groups) > 1 {
-		return fmt.Errorf("hpc: %d events exceed %d registers; use Measure with ≥%d slices",
-			len(p.events), p.registers, len(p.groups))
-	}
-	start := p.engine.Counts()
-	for i := range profs {
-		workload(i)
-		end := p.engine.Counts()
-		delta := end.Sub(start)
-		for _, e := range p.events {
-			profs[i][e] = float64(delta.Get(e))
-		}
-		p.scrubStale(profs[i])
-		p.applyNoise(profs[i])
-		start = end
-	}
-	return nil
-}
-
 // FormatIndian renders n with Indian digit grouping (last three digits,
 // then groups of two), the format visible in the paper's Figure 2(b):
 // 2,26,77,01,129.

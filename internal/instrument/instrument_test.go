@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/march"
@@ -105,6 +106,20 @@ func TestClassifyRejectsWrongShape(t *testing.T) {
 	c, _ := buildClassifier(t, Options{SparsitySkip: true})
 	if _, err := c.Classify(tensor.New(5, 5, 1)); err == nil {
 		t.Fatal("wrong input shape accepted")
+	}
+}
+
+func TestClassifyRejectedInputsLeaveEngineUntouched(t *testing.T) {
+	c, _ := buildClassifier(t, Options{SparsitySkip: true})
+	before := c.Engine().Counts()
+	for _, img := range []*tensor.Tensor{tensor.New(5, 5, 1), tensor.New(28, 28, 1)} {
+		if _, err := c.Classify(img); err == nil || !strings.Contains(err.Error(), "input volume") {
+			t.Fatalf("input of shape %v: error = %v", img.Shape, err)
+		}
+	}
+	// Validation happens before any simulated access.
+	if after := c.Engine().Counts(); after != before {
+		t.Fatalf("rejected inputs perturbed counters:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +31,41 @@ func TestAttributionMatchesPlainClassify(t *testing.T) {
 	}
 	if layers[len(layers)-1].Kind != "runtime" || layers[len(layers)-1].Index != -1 {
 		t.Fatal("runtime pseudo-layer missing or misplaced")
+	}
+}
+
+// TestClassifyWarmStateAttribution: attribution observes, never
+// perturbs. Warming two identical classifiers on the same inputs — one
+// through Classify, one through ClassifyWithAttribution — must leave
+// byte-identical micro-architectural state: a subsequent attributed
+// probe sees the same prediction and the same per-layer counter deltas.
+func TestClassifyWarmStateAttribution(t *testing.T) {
+	opts := Options{SparsitySkip: true, Runtime: DefaultRuntime(), Seed: 21}
+	plain, _ := buildClassifier(t, opts)
+	attributed, _ := buildClassifier(t, opts)
+	for k := int64(0); k < 4; k++ {
+		img := randImage(5 + k)
+		if _, err := plain.Classify(img); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := attributed.ClassifyWithAttribution(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := randImage(17)
+	wantCls, wantLayers, err := attributed.ClassifyWithAttribution(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCls, gotLayers, err := plain.ClassifyWithAttribution(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCls != wantCls {
+		t.Fatalf("probe prediction after Classify warm-up %d, after attributed warm-up %d", gotCls, wantCls)
+	}
+	if !reflect.DeepEqual(gotLayers, wantLayers) {
+		t.Fatalf("per-layer attribution diverges with warm-up path:\nClassify   %+v\nattributed %+v", gotLayers, wantLayers)
 	}
 }
 

@@ -1,7 +1,7 @@
 package pipeline
 
 // Allocation gate for the stream seam: window emission runs once per
-// measured batch for the whole campaign, and in steady state — the
+// window for the whole campaign, and in steady state — the
 // streamDepth buffers allocated in the producer prologue circulating
 // through the free ring — it must not allocate.
 

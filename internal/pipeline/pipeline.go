@@ -74,10 +74,6 @@ type Config struct {
 	// Changing it changes the shard plan and therefore the observations;
 	// keep it fixed when comparing runs.
 	ShardRuns int
-	// TestBatch is the number of pair-test jobs per batch in the test
-	// stage; 0 sizes batches automatically from the job count and worker
-	// count.
-	TestBatch int
 	// Obs receives stage and shard spans plus progress counters. It is
 	// observational output only: a nil recorder (the default) and an
 	// armed one execute the identical shard plan and produce
@@ -199,15 +195,9 @@ func (p *Pipeline) Test(ctx context.Context, d *core.Distributions) ([]core.Pair
 	if err != nil {
 		return nil, err
 	}
-	batch := p.cfg.TestBatch
-	if batch <= 0 {
-		// Aim for a few batches per worker so a slow batch cannot serialize
-		// the stage, without paying per-job scheduling costs.
-		batch = (len(jobs) + 4*p.cfg.Workers - 1) / (4 * p.cfg.Workers)
-		if batch < 1 {
-			batch = 1
-		}
-	}
+	// Aim for a few batches per worker so a slow batch cannot serialize
+	// the stage, without paying per-job scheduling costs.
+	batch := max(1, (len(jobs)+4*p.cfg.Workers-1)/(4*p.cfg.Workers))
 	batches := (len(jobs) + batch - 1) / batch
 	tests := make([]core.PairTest, len(jobs))
 	p.cfg.Obs.SetPhase("test")

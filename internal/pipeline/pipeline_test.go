@@ -311,7 +311,7 @@ func TestPipelineTestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(ev, Config{Workers: 4, RootSeed: 9, TestBatch: 1})
+	p, err := New(ev, Config{Workers: 4, RootSeed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@ package pipeline
 // to an incremental consumer. Collection still fans out over the worker
 // pool — same shard plan, same fresh per-shard targets, same derived
 // seeds as CollectProfilesByClass — but instead of buffering whole
-// campaigns, each shard's measured batches flow through a small
-// per-shard channel ring and are handed to the consumer in one
-// deterministic global order:
+// campaigns, each shard's windows flow through a small per-shard
+// channel ring and are handed to the consumer in one deterministic
+// global order:
 //
-//	shards ── produce (N workers, emit per measured batch)
+//	shards ── produce (N workers, emit per window)
 //	              │ per-shard ring, streamDepth windows
 //	              ▼
 //	         merge (caller goroutine, stream order) ── consume
@@ -16,11 +16,11 @@ package pipeline
 // The stream order sorts shards by (start, class) — classes interleave
 // every ShardRuns runs, so a sequential tester sees both sides of every
 // class pair grow together instead of one class's full budget first.
-// Window boundaries are the measured batches (Config.Batch runs), so
-// the consumed window sequence depends only on the plan and the batch
-// size: workers=1 and workers=N deliver bit-identical streams. Memory
-// is bounded by workers × streamDepth × Batch profiles, independent of
-// the trace budget.
+// Windows hold core.Config.Batch runs each, so the consumed window
+// sequence depends only on the plan and the window size: workers=1 and
+// workers=N deliver bit-identical streams. Memory is bounded by
+// workers × streamDepth × Batch profiles, independent of the trace
+// budget.
 //
 // The consumer may end the campaign early by returning ErrStop — that
 // cancels the in-flight producers and Stream reports stopped=true — and
@@ -73,9 +73,9 @@ func wrapCancel(stage string, err error) error {
 }
 
 // streamDepth is the number of windows buffered per shard stream: the
-// producer may run at most this many measured batches ahead of the
-// merger. 2 keeps producers busy while the merger consumes without
-// growing memory with the budget.
+// producer may run at most this many windows ahead of the merger. 2
+// keeps producers busy while the merger consumes without growing memory
+// with the budget.
 const streamDepth = 2
 
 // shardStream is one shard's window ring: produced windows flow through
@@ -86,7 +86,7 @@ type shardStream struct {
 	free chan []hpc.Profile
 }
 
-// emit hands one measured batch to the merger: it takes a recycled
+// emit hands one window to the merger: it takes a recycled
 // buffer, copies the window's observations into it (the core scratch
 // must not escape the producer), and sends the copy. Cancellation is
 // honored on both the buffer wait and the send, so a stopped campaign
@@ -163,7 +163,7 @@ func streamOrder(shards []core.Shard) []int {
 
 // Stream runs the campaign's collection as an ordered window stream:
 // shards execute concurrently over the worker pool while consume is
-// called — on the caller's goroutine — once per measured batch, in the
+// called — on the caller's goroutine — once per window, in the
 // deterministic stream order. consume may return ErrStop to end the
 // campaign early (Stream returns stopped=true, nil) or any other error
 // to abort it. The windows passed to consume alias recycled buffers;

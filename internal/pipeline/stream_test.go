@@ -44,7 +44,7 @@ func collectStream(t *testing.T, workers int) []streamKey {
 // TestStreamDeterministicOrderAcrossWorkers: the consumed window
 // sequence — identity, order and observations — must be bit-identical
 // at any worker count, and must follow the (start, class) stream order
-// with windows at the measured-batch cadence.
+// with windows at the window-size cadence.
 func TestStreamDeterministicOrderAcrossWorkers(t *testing.T) {
 	ref := collectStream(t, 1)
 

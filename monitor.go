@@ -50,8 +50,10 @@ type MonitorConfig struct {
 	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
 	// default.
 	ShardRuns int
-	// Batch groups a shard's runs into batched replay sessions; windows —
-	// and therefore monitor looks — arrive at this cadence. Default 1.
+	// Batch is the window size (core.Config.Batch): a shard emits a
+	// window every Batch measured runs, and the monitor looks at this
+	// cadence. Observations are identical at any value; only when the
+	// monitor looks changes. Default 1.
 	Batch int
 	// MannWhitney monitors with the sequential rank-sum test (and scores
 	// the exhaustion report with the batch Mann-Whitney) instead of
@@ -358,9 +360,8 @@ type tenantTarget struct {
 	coErr error
 }
 
-// Classify deliberately does NOT gain a batch path: tenantTarget must
-// not satisfy core.BatchTarget, so the evaluator measures tenant shards
-// run by run and the ring drains inside every measured interval.
+// Classify drains the ring after the victim's inference, so every
+// measured interval covers the co-tenant's slice of that run.
 func (t *tenantTarget) Classify(img *tensor.Tensor) (int, error) {
 	pred, err := t.victim.Classify(img)
 	t.ring.Drain()

@@ -121,7 +121,9 @@ func TestMonitorExhaustionByteInvariantAcrossProcesses(t *testing.T) {
 // TestMonitorEarlyStopDeterministicAcrossParallelism: the detection — the
 // leaking event, the distinguished pair, the p-value and above all the
 // trace count at the stop — must be identical at every worker count and
-// when streamed from worker processes.
+// when streamed from worker processes, at the default one-run windows
+// and at a window size of 4 (where the fabric re-slices whole-shard
+// payloads into 4-run windows and the monitor looks every fourth run).
 func TestMonitorEarlyStopDeterministicAcrossParallelism(t *testing.T) {
 	s := monitorScenario(t)
 	run := func(cfg MonitorConfig) *MonitorReport {
@@ -135,20 +137,28 @@ func TestMonitorEarlyStopDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return rep
 	}
-	ref := run(goldenMonitorConfig())
-	want := mustJSON(t, ref)
-	for _, workers := range []int{2, 8} {
+	for _, tc := range []struct {
+		batch   int
+		workers []int
+	}{
+		{batch: 0, workers: []int{2, 8}},
+		{batch: 4, workers: []int{2}},
+	} {
 		cfg := goldenMonitorConfig()
-		cfg.Workers = workers
-		if got := mustJSON(t, run(cfg)); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d detection differs:\n%s\nvs workers=1\n%s", workers, got, want)
+		cfg.Batch = tc.batch
+		want := mustJSON(t, run(cfg))
+		for _, workers := range tc.workers {
+			cfg := cfg
+			cfg.Workers = workers
+			if got := mustJSON(t, run(cfg)); !bytes.Equal(got, want) {
+				t.Fatalf("batch=%d workers=%d detection differs:\n%s\nvs workers=1\n%s", tc.batch, workers, got, want)
+			}
 		}
-	}
-	cfg := goldenMonitorConfig()
-	cfg.Processes = 2
-	cfg.Fabric = fabricCfg(t)
-	if got := mustJSON(t, run(cfg)); !bytes.Equal(got, want) {
-		t.Fatalf("processes=2 detection differs:\n%s\nvs in-process\n%s", got, want)
+		cfg.Processes = 2
+		cfg.Fabric = fabricCfg(t)
+		if got := mustJSON(t, run(cfg)); !bytes.Equal(got, want) {
+			t.Fatalf("batch=%d processes=2 detection differs:\n%s\nvs in-process\n%s", tc.batch, got, want)
+		}
 	}
 }
 

@@ -363,11 +363,6 @@ type EvalConfig struct {
 	// Fabric configures the fabric (worker binary, completion journal,
 	// transport) when Processes ≥ 1.
 	Fabric FabricConfig
-	// Batch groups a shard's measured runs into batched replay sessions
-	// of this size (core.Config.Batch). Per-run counter attribution is
-	// exact, so any batch size reproduces the batch=1 report
-	// byte-for-byte; it only changes wall-clock. Default 1.
-	Batch int
 	// Obs, when non-nil, records spans, counters and (with Processes ≥ 1)
 	// worker-side telemetry for the campaign. Telemetry is observational
 	// output only: the report is byte-for-byte identical with or without

@@ -46,10 +46,6 @@ type SweepConfig struct {
 	Processes int
 	// Fabric configures the fabric when Processes ≥ 1.
 	Fabric FabricConfig
-	// Batch groups each cell's measured runs into batched replay sessions
-	// of this size (core.Config.Batch); cell results are byte-identical
-	// at any value. Default 1.
-	Batch int
 	// CellParallel bounds how many grid cells evaluate concurrently;
 	// 0 → 2. Cell results are independent of this.
 	CellParallel int
@@ -261,7 +257,6 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 				Workers:      cfg.Workers,
 				Processes:    cfg.Processes,
 				Fabric:       cfg.Fabric,
-				Batch:        cfg.Batch,
 				Seed:         core.DeriveSeed(cfg.Seed, cl.index, 0),
 				Obs:          cfg.Obs,
 			})
@@ -280,7 +275,6 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 					Workers:     cfg.Workers,
 					Processes:   cfg.Processes,
 					Fabric:      cfg.Fabric,
-					Batch:       cfg.Batch,
 					// Domain 3 keeps attack-stage observations disjoint from
 					// the cell's evaluation campaign (domain 0 above).
 					Seed: core.DeriveSeed(cfg.Seed, cl.index, 3),
@@ -381,7 +375,7 @@ func (s *Scenario) evaluate(ctx context.Context, level DefenseLevel, cfg EvalCon
 		root = s.Config.Seed
 	}
 	spec := s.workerSpec(StageReport, level, events)
-	spec.Classes, spec.RunsPerClass, spec.ShardRuns, spec.Batch = cfg.Classes, cfg.RunsPerClass, cfg.ShardRuns, cfg.Batch
+	spec.Classes, spec.RunsPerClass, spec.ShardRuns = cfg.Classes, cfg.RunsPerClass, cfg.ShardRuns
 	c, err := s.newCollector(spec, runOpts{
 		workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, alpha: cfg.Alpha,
 	})
