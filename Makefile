@@ -69,11 +69,11 @@ bench-json:
 	@echo "wrote $(BENCH_JSON)"
 
 # Allocation gate: the hot paths (Hierarchy.Access, Engine.Load on a
-# cached line, PMU.MeasureOnceInto steady state, the core's per-run
-# measured emission loop, the stream stage's window emission, and the
-# nil-Recorder telemetry hooks) must stay at 0 allocs/op.
+# cached line, PMU.MeasureOnceInto steady state, the core's measured-run
+# loop into a shard's preallocated profiles, and the nil-Recorder
+# telemetry hooks) must stay at 0 allocs/op.
 allocgate:
-	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/pipeline ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs
 
 # Fast hot-path smoke: catches order-of-magnitude regressions in seconds.
 benchsmoke:

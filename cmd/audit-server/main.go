@@ -2,6 +2,8 @@
 // front-end: clients POST campaign requests, the server queues and runs
 // them one at a time (each campaign may itself fan out over shardworker
 // processes), and the finished JSON reports are served back by id.
+// The process count is the server's -processes flag: a request cannot
+// set it.
 //
 // Usage:
 //
@@ -32,28 +34,23 @@ import (
 	"net/http"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/obs"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("audit-server: ")
-	var (
-		addr      = flag.String("addr", ":8347", "HTTP listen address")
-		processes = flag.Int("processes", 0, "shardworker processes per campaign; 0 = in-process collection")
-		workerBin = flag.String("worker-bin", "", "shardworker binary (default $REPRO_SHARDWORKER)")
-		journal   = flag.String("journal", "", "base path for shard-completion journals; empty disables resume")
-		fabricTCP = flag.Bool("fabric-tcp", false, "dispatch shards over loopback TCP instead of pipes")
-	)
+	addr := flag.String("addr", ":8347", "HTTP listen address")
+	fab := cliflags.AddFabric(flag.CommandLine)
 	flag.Parse()
 
-	fc := repro.FabricConfig{WorkerBin: *workerBin, Journal: *journal, TCP: *fabricTCP}
 	s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
-		return runCampaign(ctx, req, *processes, fc, rec)
+		return runCampaign(ctx, req, fab.Processes, fab.Config, rec)
 	})
 	defer s.Close()
 
-	log.Printf("listening on %s (processes=%d)", *addr, *processes)
+	log.Printf("listening on %s (processes=%d)", *addr, fab.Processes)
 	log.Fatal(http.ListenAndServe(*addr, s.handler()))
 }
 

@@ -48,9 +48,6 @@ type CampaignRequest struct {
 	Tenants int `json:"tenants,omitempty"`
 	// NoStop disables the monitor stage's early stopping.
 	NoStop bool `json:"no_stop,omitempty"`
-	// Processes distributes collection over shardworker processes; 0
-	// runs in-process. Reports are byte-identical either way.
-	Processes int `json:"processes,omitempty"`
 }
 
 // campaignState is a queued campaign's lifecycle phase.

@@ -169,6 +169,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown field", `{"stage":"report","bogus":1}`},
 		{"unknown stage", `{"stage":"exfiltrate","scenario":{"dataset":"mnist"}}`},
 		{"missing dataset", `{"stage":"report","scenario":{}}`},
+		// The process count is the server's -processes flag; a request
+		// cannot set it.
+		{"per-request processes", `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"processes":4}`},
 	}
 	for _, tc := range cases {
 		resp := postCampaign(t, ts, tc.body)

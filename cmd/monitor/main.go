@@ -1,7 +1,7 @@
 // Command monitor runs the streaming leakage monitor against one
 // dataset: instead of collecting the full trace budget and scoring it
 // afterwards (the evaluate command), it consumes profile windows as the
-// pipeline emits them, drives sequential hypothesis tests under an
+// pipeline delivers them, drives sequential hypothesis tests under an
 // alpha-spending boundary, and stops the campaign at the first
 // detection — printing how many monitored classifications the verdict
 // cost. A campaign that runs to exhaustion prints the ordinary batch
@@ -10,7 +10,7 @@
 // Usage:
 //
 //	monitor -dataset mnist [-budget 300] [-classes 1,2,3,4] [-defense baseline]
-//	        [-alpha 0.05] [-events base] [-workers 1] [-seed 0] [-batch 1]
+//	        [-alpha 0.05] [-events base] [-workers N] [-seed 0] [-batch 1]
 //	        [-mann-whitney] [-min-samples 8] [-no-stop] [-tenants 0] [-quantum 5000]
 //	        [-json] [-csv out.csv]
 //	        [-processes N] [-worker-bin PATH] [-journal BASE] [-fabric-tcp]
@@ -45,9 +45,9 @@ func main() {
 		defName = flag.String("defense", "baseline", "defense level: baseline, dense-execution, constant-time, noise-injection, padded-envelope")
 		alpha   = flag.Float64("alpha", 0.05, "overall significance level the spending boundary distributes")
 		events  = flag.String("events", "base", "event set (base, fig2b, extended) or comma-separated event list")
-		workers = flag.Int("workers", 1, "pipeline workers; -1 = GOMAXPROCS (the window stream is worker-count-invariant)")
+		workers = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS (the window stream is worker-count-invariant)")
 		seed    = flag.Int64("seed", 0, "pipeline root seed; 0 = scenario seed")
-		batch   = flag.Int("batch", 1, "window size: measured runs per emitted window, and so the look cadence (observations are identical at any value)")
+		batch   = flag.Int("batch", 1, "window size: measured runs per window, and so the look cadence (observations are identical at any value)")
 
 		mannWhitney = flag.Bool("mann-whitney", false, "monitor with the sequential rank-sum test instead of Welch's t-test")
 		minSamples  = flag.Int("min-samples", 8, "per-side sample floor before a hypothesis takes its first look")
@@ -75,8 +75,8 @@ func main() {
 		log.Fatal(err)
 	}
 	nw := *workers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0) // the pipeline default, for the banner
 	}
 
 	s, err := repro.NewScenario(repro.ScenarioConfig{Dataset: repro.Dataset(*dsName), Defense: level})
@@ -96,7 +96,7 @@ func main() {
 
 	rep, err := s.MonitorCtx(context.Background(), repro.MonitorConfig{
 		Classes: cls, Events: evs, Budget: *budget, Alpha: *alpha,
-		Workers: nw, Seed: *seed, Batch: *batch,
+		Workers: *workers, Seed: *seed, Batch: *batch,
 		MannWhitney: *mannWhitney, MinSamples: *minSamples, NoStop: *noStop,
 		Tenants: *tenants, Quantum: *quantum,
 		Processes: fab.Processes, Fabric: fab.Config,

@@ -134,8 +134,9 @@ type WorkerSpec struct {
 
 	// Scenario sessions: input classes, run budget and the session's
 	// already-derived pipeline root seed. Batch is the monitor stage's
-	// window size (core.Config.Batch), the cadence stream delivery
-	// re-slices shard payloads by; it never changes an observation.
+	// window size (core.Config.Batch), the number of runs per window a
+	// stream cuts each delivered shard into; it never changes an
+	// observation.
 	Classes      []int `json:"classes,omitempty"`
 	RunsPerClass int   `json:"runs_per_class,omitempty"`
 	RootSeed     int64 `json:"root_seed,omitempty"`

@@ -1,8 +1,8 @@
 package core
 
-// Allocation gate for the measured emission loop: emitWindows runs once
-// per window for the whole campaign and measures every run into its
-// window's reused scratch slot, so in steady state it must not allocate.
+// Allocation gate for the measured loop: measureRuns runs once per
+// measured classification for the whole campaign and measures every run
+// into its shard's preallocated profile, so it must not allocate.
 
 import (
 	"context"
@@ -26,7 +26,7 @@ func (o *opsTarget) Classify(*tensor.Tensor) (int, error) {
 
 func (o *opsTarget) Engine() *march.Engine { return o.eng }
 
-func TestEmitWindowsZeroAllocSteadyState(t *testing.T) {
+func TestMeasureRunsZeroAllocSteadyState(t *testing.T) {
 	if raceinfo.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
@@ -36,7 +36,7 @@ func TestEmitWindowsZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(Config{RunsPerClass: 10, Batch: 4})
+	ev, err := NewEvaluator(Config{RunsPerClass: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,17 +47,16 @@ func TestEmitWindowsZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]hpc.Profile, ev.Config().Batch)
-	for i := range scratch {
-		scratch[i] = make(hpc.Profile, len(ev.Config().Events))
+	profs := make([]hpc.Profile, sh.Count)
+	for i := range profs {
+		profs[i] = make(hpc.Profile, len(ev.Config().Events))
 	}
 	r := &shardRun{target: target}
-	emit := func(Window) error { return nil }
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := ev.emitWindows(ctx, pmu, r, sh, scratch, emit); err != nil {
+		if err := ev.measureRuns(ctx, pmu, r, sh, profs); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("emitWindows steady state allocates %v/op, want 0", allocs)
+		t.Fatalf("measureRuns steady state allocates %v/op, want 0", allocs)
 	}
 }

@@ -78,19 +78,19 @@ type Config struct {
 	// Registers bounds simultaneously-counted events (PMU constraint);
 	// default hpc.DefaultCounters.
 	Registers int
-	// Batch is the number of measured runs per emitted Window — the
-	// window size, and therefore the look cadence of a streaming monitor.
-	// Every run is measured in its own interval, so Batch never changes
-	// an observation. Default 1.
+	// Batch is the window size: the number of measured runs per Window
+	// that pipeline.Stream cuts from a delivered shard, and therefore the
+	// look cadence of a streaming monitor. Collection never reads it, so
+	// it never changes an observation. Default 1.
 	Batch int
 	// HolmCorrection additionally reports family-wise-corrected decisions
 	// across all pairs of one event (an extension beyond the paper).
 	HolmCorrection bool
-	// Obs receives collection telemetry (windows emitted, profiles
-	// collected, engine load/store tallies). Telemetry is observational
-	// output only — it never influences collection — and the field is
-	// excluded from JSON so Report.Config round-trips unchanged whether
-	// or not a recorder was attached.
+	// Obs receives collection telemetry (profiles collected, engine
+	// load/store tallies). Telemetry is observational output only — it
+	// never influences collection — and the field is excluded from JSON
+	// so Report.Config round-trips unchanged whether or not a recorder
+	// was attached.
 	Obs *obs.Recorder `json:"-"`
 }
 

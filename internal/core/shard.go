@@ -127,7 +127,7 @@ func (ev *Evaluator) prepareShard(ctx context.Context, target Target, sh Shard) 
 }
 
 // shardRun is the per-shard measurement scaffolding of
-// CollectShardEmit: the image of the run being measured plus the
+// CollectShardProfiles: the image of the run being measured plus the
 // classify trampoline handed to hpc.MeasureOnceInto.
 type shardRun struct {
 	target Target
@@ -142,31 +142,67 @@ func (r *shardRun) classify() {
 
 // CollectShardProfiles executes one shard on target and returns the raw
 // per-run HPC profiles in run order — a shard's one measurement product,
-// which the attack stages score directly and the hypothesis-test stage
-// transposes through Distributions. It cold-resets the simulated core (so
-// cache/predictor state from other shards cannot bleed in), runs the
-// configured warm-up on the shard's own pool, then measures Count
-// classifications starting at run index Start. Run index r always maps to
-// Pool[r%len(Pool)], so the image sequence is independent of the sharding
-// granularity. Every run is measured in its own counter interval, so the
-// window size (Config.Batch) never changes a profile. The context is
-// checked between windows.
+// which the attack stages score directly, the hypothesis-test stage
+// transposes through Distributions and a stream cuts into windows. It
+// cold-resets the simulated core (so cache/predictor state from other
+// shards cannot bleed in), runs the configured warm-up on the shard's own
+// pool, then measures Count classifications starting at run index Start.
+// Run index r always maps to Pool[r%len(Pool)], so the image sequence is
+// independent of the sharding granularity. Every run is measured in its
+// own counter interval, directly into its own profile. The context is
+// checked between runs.
 func (ev *Evaluator) CollectShardProfiles(ctx context.Context, target Target, sh Shard) ([]hpc.Profile, error) {
-	profs := make([]hpc.Profile, 0, sh.Count)
-	err := ev.CollectShardEmit(ctx, target, sh, func(w Window) error {
-		for _, p := range w.Profiles {
-			cp := make(hpc.Profile, len(ev.cfg.Events))
-			for _, e := range ev.cfg.Events {
-				cp[e] = p.Get(e)
-			}
-			profs = append(profs, cp)
-		}
-		return nil
-	})
+	pmu, err := ev.prepareShard(ctx, target, sh)
 	if err != nil {
 		return nil, err
 	}
+	if rec := ev.cfg.Obs; rec != nil {
+		// Per-shard engine tally, flushed into the recorder when the
+		// shard finishes. Attached after warm-up so only measured
+		// operations count; detached before return so a pooled engine
+		// never tallies into a stale shard.
+		hot := &obs.HotCounters{}
+		eng := target.Engine()
+		eng.SetHotCounters(hot)
+		defer func() {
+			eng.SetHotCounters(nil)
+			rec.FlushHot(hot)
+		}()
+	}
+	profs := make([]hpc.Profile, sh.Count)
+	for i := range profs {
+		profs[i] = make(hpc.Profile, len(ev.cfg.Events))
+	}
+	if err := ev.measureRuns(ctx, pmu, &shardRun{target: target}, sh, profs); err != nil {
+		return nil, err
+	}
 	return profs, nil
+}
+
+// measureRuns is the measured loop of CollectShardProfiles: run
+// sh.Start+i is measured in its own counter interval into profs[i]. It
+// runs once per measured classification for the whole campaign, into
+// profiles allocated before it starts, so nothing on it may allocate
+// (the core allocgate pins it).
+//
+//detlint:allocpath
+func (ev *Evaluator) measureRuns(ctx context.Context, pmu *hpc.PMU, r *shardRun, sh Shard, profs []hpc.Profile) error {
+	for i, prof := range profs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.img = sh.Pool[(sh.Start+i)%len(sh.Pool)]
+		if err := pmu.MeasureOnceInto(prof, r.classify); err != nil {
+			return err
+		}
+		if r.err != nil {
+			return fmt.Errorf("core: classification failed: %w", r.err)
+		}
+		// Nil-safe telemetry tally: an atomic add, no allocation, no
+		// effect on the observations.
+		ev.cfg.Obs.Add(obs.CProfilesCollected, 1)
+	}
+	return nil
 }
 
 // Distributions transposes labelled per-run profiles, byClass[class][run],

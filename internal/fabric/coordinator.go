@@ -39,86 +39,18 @@ type Coordinator struct {
 
 // Run executes every plan and returns the result payloads in plan order:
 // payloads[i] belongs to plans[i], regardless of which worker finished
-// first. On the first failure it cancels all outstanding dispatches,
-// waits for them to drain, and returns that error; shards journaled
-// before the failure remain journaled, so a rerun resumes rather than
-// restarts.
+// first. It collects RunStream's deliveries, so it shares its pool,
+// journal and failure handling: on the first failure the outstanding
+// dispatches are cancelled and drained and that error is returned, and
+// shards journaled before the failure remain journaled, so a rerun
+// resumes rather than restarts.
 func (c *Coordinator) Run(ctx context.Context, plans []pipeline.Plan) ([][]byte, error) {
 	payloads := make([][]byte, len(plans))
-	var pending []int
-	for i, pl := range plans {
-		if c.Journal != nil {
-			if p, ok := c.Journal.Payload(pl.Index); ok {
-				payloads[i] = p
-				c.Obs.Add(obs.CJournalSkips, 1)
-				c.Obs.Add(obs.CShardsDone, 1)
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return payloads, nil
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	procs := c.Dispatcher.Procs()
-	if procs < 1 {
-		procs = 1
-	}
-	if procs > len(pending) {
-		procs = len(pending)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	jobs := make(chan int)
-	for k := 0; k < procs; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				payload, err := c.Dispatcher.Dispatch(runCtx, plans[i])
-				if err != nil {
-					fail(fmt.Errorf("fabric: shard %d: %w", plans[i].Index, err))
-					return
-				}
-				if c.Journal != nil {
-					if err := c.Journal.Append(plans[i].Index, payload); err != nil {
-						fail(err)
-						return
-					}
-					c.Obs.Add(obs.CJournalAppends, 1)
-				}
-				payloads[i] = payload
-				c.Obs.Add(obs.CShardsDone, 1)
-			}
-		}()
-	}
-feed:
-	for _, i := range pending {
-		select {
-		case jobs <- i:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	err := c.RunStream(ctx, plans, func(i int, payload []byte) error {
+		payloads[i] = payload
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return payloads, nil

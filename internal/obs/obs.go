@@ -18,11 +18,11 @@
 //     exporters and HTTP endpoints, never back into collection, merging
 //     or testing.
 //
-// Granularity: stages (plan → collect → merge → test, fabric dispatch,
-// monitor stream) are spans; per-shard execution is a span per shard
-// with the worker index as the trace TID, so shard-level parallelism
-// across goroutines and OS processes is visible in one timeline; hot
-// paths (engine loads/stores, window emission) are counters only — a
+// Granularity: stages (plan → collect → test, fabric dispatch, monitor
+// stream) are spans; per-shard execution is a span per shard with the
+// worker index as the trace TID, so shard-level parallelism across
+// goroutines and OS processes is visible in one timeline; hot paths
+// (engine loads/stores, measured profiles, cut windows) are counters only — a
 // counter add is one atomic instruction, cheap enough for paths the
 // allocgate pins at 0 allocs/op.
 package obs

@@ -6,9 +6,11 @@
 //
 // # Architecture
 //
-//	shards ── collect (N workers, one engine per shard, per-run profiles)
-//	       ── merge (placed by (class, run))
-//	       ── core.Evaluator.Distributions ── test (batched) ── report
+//	shards ── collect (N workers, one engine per shard, whole shards)
+//	       ── deliver (caller goroutine, fixed shard order)
+//	       ├─ place by (class, run) ── core.Evaluator.Distributions
+//	       │     ── test (batched) ── report
+//	       └─ cut into windows (Stream) ── incremental consumer
 //
 // The campaign is split into deterministic shard units (core.PlanShards):
 // contiguous run ranges of a single category. Each shard is executed on a
@@ -20,14 +22,18 @@
 // produce the same profiles, the same PairTests and the same Report.
 //
 // A shard produces exactly one thing: its per-run HPC profiles
-// (core.Evaluator.CollectShardProfiles). Shards run in-process
-// (CollectProfilesByClass) or on worker processes (WirePlans,
-// MergeEncoded); either way the profiles land at their (class, run)
-// offsets through one placement routine, and ReportFromProfiles turns
-// them into distributions in the one place that does so. The pairwise
-// hypothesis-test stage then batches the event×pair work items
-// (core.TestJobs) across the same worker pool; results are written back
-// by job index and finalized in deterministic order.
+// (core.Evaluator.CollectShardProfiles). In-process, one shard executor
+// (runShards) runs every collection: it hands whole shards to the
+// caller's goroutine in a fixed order — plan order for
+// CollectProfilesByClass, (start, class) order for Stream. Shards may
+// also run on worker processes (WirePlans, MergeEncoded, StreamFrom).
+// Either way the profiles land at their (class, run) offsets through one
+// placement routine or are cut into windows by one cutter, and
+// ReportFromProfiles turns them into distributions in the one place that
+// does so. The pairwise hypothesis-test stage then batches the
+// event×pair work items (core.TestJobs) across the same worker pool;
+// results are written back by job index and finalized in deterministic
+// order.
 package pipeline
 
 import (
@@ -131,14 +137,13 @@ type ClassTargetFactory func(class int, seed int64) (core.Target, error)
 // worker pool and returns the labelled per-run HPC profiles,
 // byClass[class][run] — the one collection product every stage consumes:
 // the attack stages fit and score on it directly, and ReportFromProfiles
-// transposes it into distributions. Each worker drains shards from a
-// shared queue, building a fresh target per shard via
-// factory(shard.Class, shard.Seed), so each class's observations can come
-// from a different victim (a different model architecture). The merge
-// places profiles by (class, run) offset, so the observation for run r
-// of class c is identical at any worker count and independent of
-// completion order. The first error (or ctx cancellation) stops all
-// workers and is returned.
+// transposes it into distributions. Each shard runs on a fresh target
+// built via factory(shard.Class, shard.Seed), so each class's
+// observations can come from a different victim (a different model
+// architecture). Shards are delivered in plan order and placed at their
+// (class, run) offsets, so the observation for run r of class c is
+// identical at any worker count and independent of completion order. The
+// first error (or ctx cancellation) stops all workers and is returned.
 func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTargetFactory, perClass map[int][]*tensor.Tensor) (map[int][]hpc.Profile, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil target factory")
@@ -153,37 +158,84 @@ func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTarg
 	}
 	rec.Add(obs.CShardsPlanned, int64(len(shards)))
 	rec.SetPhase("collect")
-	collect := rec.Span("pipeline", "collect")
-	parts := make([][]hpc.Profile, len(shards))
-	err = p.forEach(ctx, len(shards), func(ctx context.Context, w, i int) error {
-		sh := shards[i]
-		sp := rec.ShardSpan(w, sh.Index, sh.Class)
-		defer sp.End()
-		target, err := factory(sh.Class, sh.Seed)
-		if err != nil {
-			return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
-		}
-		part, err := p.ev.CollectShardProfiles(ctx, target, sh)
-		if err != nil {
-			return err
-		}
-		parts[i] = part
-		rec.Add(obs.CShardsDone, 1)
-		return nil
+	defer rec.Span("pipeline", "collect").End()
+	byClass := map[int][]hpc.Profile{}
+	err = p.runShards(ctx, factory, shards, func(sh core.Shard, profs []hpc.Profile) error {
+		return p.placeProfiles(byClass, PlanOf(sh), profs)
 	})
-	collect.End()
 	if err != nil {
 		return nil, err
 	}
-	rec.SetPhase("merge")
-	defer rec.Span("pipeline", "merge").End()
-	byClass := map[int][]hpc.Profile{}
-	for i, sh := range shards {
-		if err := p.placeProfiles(byClass, PlanOf(sh), parts[i]); err != nil {
-			return nil, err
+	return byClass, nil
+}
+
+// runShards is the package's one shard executor. It runs shards over the
+// worker pool, handed out in slice order, and calls deliver on the
+// caller's goroutine with each finished shard's profiles, strictly in
+// slice order: shards[k] is delivered once it and every shard before it
+// have finished. Each shard has a 1-slot ready channel, so no worker
+// ever waits on the deliverer. A non-nil error from deliver cancels the
+// outstanding shards and is returned verbatim. Otherwise the first
+// collection error is returned, or the context's error once the caller
+// is cancelled; a cancelled caller gets no further deliveries.
+func (p *Pipeline) runShards(ctx context.Context, factory ClassTargetFactory, shards []core.Shard, deliver func(core.Shard, []hpc.Profile) error) error {
+	ready := make([]chan []hpc.Profile, len(shards))
+	for k := range ready {
+		ready[k] = make(chan []hpc.Profile, 1)
+	}
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	collectErr := make(chan error, 1)
+	go func() {
+		err := p.forEach(runCtx, len(shards), func(ctx context.Context, w, k int) error {
+			sh := shards[k]
+			sp := p.cfg.Obs.ShardSpan(w, sh.Index, sh.Class)
+			defer sp.End()
+			target, err := factory(sh.Class, sh.Seed)
+			if err != nil {
+				return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
+			}
+			profs, err := p.ev.CollectShardProfiles(ctx, target, sh)
+			if err != nil {
+				return err
+			}
+			p.cfg.Obs.Add(obs.CShardsDone, 1)
+			ready[k] <- profs // cap 1: never blocks
+			return nil
+		})
+		cancel() // wake the deliverer if collection stopped short
+		collectErr <- err
+	}()
+
+	var err error
+	for k, sh := range shards {
+		var profs []hpc.Profile
+		select {
+		case profs = <-ready[k]:
+		case <-runCtx.Done():
+			// The context closes on failure or once every shard has
+			// finished; finished shards are already buffered, so a
+			// non-blocking take loses nothing.
+			select {
+			case profs = <-ready[k]:
+			default:
+			}
+		}
+		if profs == nil {
+			break // collection stopped short; its error says why
+		}
+		if err = ctx.Err(); err == nil {
+			err = deliver(sh, profs)
+		}
+		if err != nil {
+			cancel()
+			break
 		}
 	}
-	return byClass, nil
+	if cErr := <-collectErr; err == nil {
+		err = cErr
+	}
+	return err
 }
 
 // Test batches the pairwise hypothesis tests of collected distributions

@@ -1,41 +1,46 @@
 package pipeline
 
-// The Stream stage: ordered, bounded-memory delivery of profile windows
-// to an incremental consumer. Collection still fans out over the worker
-// pool — same shard plan, same fresh per-shard targets, same derived
-// seeds as CollectProfilesByClass — but instead of buffering whole
-// campaigns, each shard's windows flow through a small per-shard
-// channel ring and are handed to the consumer in one deterministic
-// global order:
+// The Stream stage: ordered delivery of profile windows to an
+// incremental consumer. Collection runs on the package's one shard
+// executor — same shard plan, same fresh per-shard targets, same
+// derived seeds as CollectProfilesByClass — and only the delivery order
+// differs: whole shards reach the caller's goroutine in stream order,
+// and each is cut into windows there:
 //
-//	shards ── produce (N workers, emit per window)
-//	              │ per-shard ring, streamDepth windows
+//	shards ── collect (N workers, whole shards, fed in stream order)
+//	              │ one 1-slot ready channel per shard
 //	              ▼
-//	         merge (caller goroutine, stream order) ── consume
+//	         deliver (caller goroutine, stream order)
+//	              │ cutWindows: Batch runs per window, shorter tail
+//	              ▼
+//	         consume
 //
 // The stream order sorts shards by (start, class) — classes interleave
 // every ShardRuns runs, so a sequential tester sees both sides of every
 // class pair grow together instead of one class's full budget first.
 // Windows hold core.Config.Batch runs each, so the consumed window
 // sequence depends only on the plan and the window size: workers=1 and
-// workers=N deliver bit-identical streams. Memory is bounded by
-// workers × streamDepth × Batch profiles, independent of the trace
-// budget.
+// workers=N deliver bit-identical streams, and a fabric stream
+// (StreamFrom) cuts its decoded payloads with the same function. A
+// consumer sees a shard's windows only once the whole shard has
+// finished, so an early stop may come up to one shard per worker later
+// in wall time than the windows alone would need; what it sees does not
+// change.
 //
 // The consumer may end the campaign early by returning ErrStop — that
-// cancels the in-flight producers and Stream reports stopped=true — and
+// cancels the in-flight shards and Stream reports stopped=true — and
 // an external context cancellation surfaces as the typed Cancelled
 // error, so callers can tell an aborted campaign from a completed one.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hpc"
-	"repro/internal/march"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -63,102 +68,54 @@ func (c *Cancelled) Error() string { return fmt.Sprintf("pipeline: %s cancelled:
 // Unwrap exposes the underlying context error to errors.Is/As.
 func (c *Cancelled) Unwrap() error { return c.Err }
 
-// wrapCancel converts a context error into the typed Cancelled error
-// and passes every other error through.
-func wrapCancel(stage string, err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &Cancelled{Stage: stage, Err: err}
-	}
-	return err
-}
-
-// streamDepth is the number of windows buffered per shard stream: the
-// producer may run at most this many windows ahead of the merger. 2
-// keeps producers busy while the merger consumes without growing memory
-// with the budget.
-const streamDepth = 2
-
-// shardStream is one shard's window ring: produced windows flow through
-// win, consumed window buffers return through free for reuse. Both
-// channels hold streamDepth entries, so neither side can run away.
-type shardStream struct {
-	win  chan core.Window
-	free chan []hpc.Profile
-}
-
-// emit hands one window to the merger: it takes a recycled
-// buffer, copies the window's observations into it (the core scratch
-// must not escape the producer), and sends the copy. Cancellation is
-// honored on both the buffer wait and the send, so a stopped campaign
-// never deadlocks a producer. It is the per-window emission hot path:
-// it recycles the streamDepth preallocated buffers, so nothing on the
-// steady-state path may allocate (BenchmarkStreamEmit pins 0 allocs/op).
-//
-//detlint:allocpath
-func (ss *shardStream) emit(ctx context.Context, events []march.Event, w core.Window) error {
-	var buf []hpc.Profile
-	select {
-	case buf = <-ss.free:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	for i, p := range w.Profiles {
-		dst := buf[i]
-		for _, e := range events {
-			dst[e] = p.Get(e)
-		}
-	}
-	w.Profiles = buf[:len(w.Profiles)]
-	select {
-	case ss.win <- w:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// produceShard runs one shard's collection and emits its windows into
-// the shard's stream. The win channel is always closed on return, so
-// the merger can detect shard completion (or abort) without extra
-// signalling.
-func (p *Pipeline) produceShard(ctx context.Context, w int, ss *shardStream, factory ClassTargetFactory, sh core.Shard) error {
-	defer close(ss.win)
-	sp := p.cfg.Obs.ShardSpan(w, sh.Index, sh.Class)
-	defer sp.End()
-	target, err := factory(sh.Class, sh.Seed)
-	if err != nil {
-		return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
-	}
-	cfg := p.ev.Config()
-	for d := 0; d < streamDepth; d++ {
-		buf := make([]hpc.Profile, cfg.Batch)
-		for i := range buf {
-			buf[i] = make(hpc.Profile, len(cfg.Events))
-		}
-		ss.free <- buf
-	}
-	return p.ev.CollectShardEmit(ctx, target, sh, func(w core.Window) error {
-		return ss.emit(ctx, cfg.Events, w)
-	})
-}
-
-// streamOrder returns shard indices in the global delivery order:
+// streamOrder returns the shards in the global delivery order:
 // ascending (start, class). Interleaving classes at every shard
 // boundary is what lets an incremental tester compare class pairs long
 // before the budget is exhausted.
-func streamOrder(shards []core.Shard) []int {
-	order := make([]int, len(shards))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := shards[order[a]], shards[order[b]]
-		if sa.Start != sb.Start {
-			return sa.Start < sb.Start
-		}
-		return sa.Class < sb.Class
+func streamOrder(shards []core.Shard) []core.Shard {
+	order := slices.Clone(shards)
+	slices.SortFunc(order, func(a, b core.Shard) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Class, b.Class))
 	})
 	return order
+}
+
+// cutWindows is the one window cutter: it hands a delivered shard's
+// profiles to consume as consecutive windows of Batch runs (shorter on
+// the tail), in run order. Both in-process and fabric streams go through
+// it, so they consume identical window sequences. A consumer error is
+// returned verbatim, and once the caller's context is done no further
+// window is handed out.
+func (p *Pipeline) cutWindows(ctx context.Context, pl Plan, profs []hpc.Profile, consume func(core.Window) error) error {
+	if len(profs) != pl.Count {
+		return fmt.Errorf("pipeline: shard %d has %d profiles, want %d", pl.Index, len(profs), pl.Count)
+	}
+	batch := p.ev.Config().Batch
+	for off := 0; off < len(profs); off += batch {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		p.cfg.Obs.Add(obs.CWindowsEmitted, 1)
+		w := core.Window{Shard: pl.Index, Class: pl.Class, Start: pl.Start + off, Profiles: profs[off:min(off+batch, len(profs))]}
+		if err := consume(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// streamOutcome maps a stream's error to Stream's result: ErrStop is an
+// early stop, a context error becomes *Cancelled for stage, and every
+// other error passes through.
+func streamOutcome(stage string, err error) (stopped bool, _ error) {
+	switch {
+	case errors.Is(err, ErrStop):
+		return true, nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return false, &Cancelled{Stage: stage, Err: err}
+	default:
+		return false, err
+	}
 }
 
 // Stream runs the campaign's collection as an ordered window stream:
@@ -166,8 +123,8 @@ func streamOrder(shards []core.Shard) []int {
 // called — on the caller's goroutine — once per window, in the
 // deterministic stream order. consume may return ErrStop to end the
 // campaign early (Stream returns stopped=true, nil) or any other error
-// to abort it. The windows passed to consume alias recycled buffers;
-// the consumer must copy anything it keeps. An external cancellation
+// to abort it (returned verbatim). Windows slice the shards' own
+// profiles, so the consumer may keep them. An external cancellation
 // surfaces as *Cancelled: once the caller's context is done, no further
 // window is handed to consume.
 func (p *Pipeline) Stream(ctx context.Context, factory ClassTargetFactory, perClass map[int][]*tensor.Tensor, consume func(core.Window) error) (stopped bool, err error) {
@@ -183,95 +140,33 @@ func (p *Pipeline) Stream(ctx context.Context, factory ClassTargetFactory, perCl
 	}
 	p.cfg.Obs.Add(obs.CShardsPlanned, int64(len(shards)))
 	p.cfg.Obs.SetPhase("stream")
-	stage := p.cfg.Obs.Span("pipeline", "stream")
-	defer stage.End()
-	order := streamOrder(shards)
-	streams := make([]*shardStream, len(shards))
-	for i := range streams {
-		streams[i] = &shardStream{
-			win:  make(chan core.Window, streamDepth),
-			free: make(chan []hpc.Profile, streamDepth),
+	defer p.cfg.Obs.Span("pipeline", "stream").End()
+	err = p.runShards(ctx, factory, streamOrder(shards), func(sh core.Shard, profs []hpc.Profile) error {
+		return p.cutWindows(ctx, PlanOf(sh), profs, consume)
+	})
+	return streamOutcome("stream collection", err)
+}
+
+// StreamFrom is Stream over an external shard executor — the fabric's
+// Coordinator.RunStream. run gets the campaign's wire plans in stream
+// order and must call deliver with each plan's encoded result payload
+// (EncodeProfiles form), strictly in that order, returning deliver's
+// first error verbatim. Each payload is decoded and cut into windows
+// exactly as Stream cuts an in-process shard, so consume sees the
+// identical window sequence, and the result means what Stream's does.
+func (p *Pipeline) StreamFrom(ctx context.Context, perClass map[int][]*tensor.Tensor, run func(ctx context.Context, plans []Plan, deliver func(i int, payload []byte) error) error, consume func(core.Window) error) (stopped bool, err error) {
+	shards, err := p.planShards(perClass)
+	if err != nil {
+		return false, err
+	}
+	p.cfg.Obs.Add(obs.CShardsPlanned, int64(len(shards)))
+	plans := plansOf(streamOrder(shards))
+	err = run(ctx, plans, func(i int, payload []byte) error {
+		profs, err := DecodeProfiles(payload)
+		if err != nil {
+			return fmt.Errorf("pipeline: shard %d: %w", plans[i].Index, err)
 		}
-	}
-
-	streamCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Producers are fed to the pool in stream order, so the shards the
-	// merger is waiting on are always the ones being executed: the
-	// merger drains shard k completely before k+1, and jobs are handed
-	// out in exactly that order — no worker can be parked on a shard
-	// the merger won't reach.
-	collectErr := make(chan error, 1)
-	go func() {
-		err := p.forEach(streamCtx, len(shards), func(ctx context.Context, w, i int) error {
-			idx := order[i]
-			if err := p.produceShard(ctx, w, streams[idx], factory, shards[idx]); err != nil {
-				return err
-			}
-			p.cfg.Obs.Add(obs.CShardsDone, 1)
-			return nil
-		})
-		cancel() // wake the merger if producers stopped without closing every stream
-		collectErr <- err
-	}()
-
-	var consumeErr, cancelErr error
-merge:
-	for _, idx := range order {
-		ss := streams[idx]
-		for {
-			var w core.Window
-			var ok bool
-			select {
-			case w, ok = <-ss.win:
-			case <-streamCtx.Done():
-				// The context closes on failure or after every producer
-				// returned; completed shards' remaining windows are
-				// already buffered, so a non-blocking drain loses
-				// nothing — an empty, unclosed stream means its
-				// producer never ran.
-				select {
-				case w, ok = <-ss.win:
-				default:
-					break merge
-				}
-			}
-			if !ok {
-				continue merge
-			}
-			// A cancelled caller gets no further windows, even ones
-			// already buffered by producers that finished first: the
-			// campaign was aborted, not completed.
-			if err := ctx.Err(); err != nil {
-				cancelErr = err
-				cancel()
-				break merge
-			}
-			if cerr := consume(w); cerr != nil {
-				if errors.Is(cerr, ErrStop) {
-					stopped = true
-				} else {
-					consumeErr = cerr
-				}
-				cancel()
-				break merge
-			}
-			ss.free <- w.Profiles[:cap(w.Profiles)]
-		}
-	}
-
-	cErr := <-collectErr
-	switch {
-	case consumeErr != nil:
-		return false, consumeErr
-	case stopped:
-		return true, nil
-	case cancelErr != nil:
-		return false, wrapCancel("stream collection", cancelErr)
-	case cErr != nil:
-		return false, wrapCancel("stream collection", cErr)
-	default:
-		return false, nil
-	}
+		return p.cutWindows(ctx, plans[i], profs, consume)
+	})
+	return streamOutcome("fabric stream", err)
 }

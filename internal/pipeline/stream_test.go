@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // streamKey flattens one consumed window into a comparable record.
@@ -16,11 +18,11 @@ type streamKey struct {
 	Obs                 []float64
 }
 
-// collectStream runs Stream over the standard small campaign and
-// returns the consumed window sequence.
-func collectStream(t *testing.T, workers int) []streamKey {
+// collectStream runs Stream over the standard small campaign at the
+// given window size and returns the consumed window sequence.
+func collectStream(t *testing.T, workers, batch int) []streamKey {
 	t.Helper()
-	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: 2}, Config{Workers: workers, ShardRuns: 4})
+	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: batch}, Config{Workers: workers, ShardRuns: 4})
 	pools := testPools(3, 3)
 	events := p.ev.Config().Events
 	var seq []streamKey
@@ -44,40 +46,92 @@ func collectStream(t *testing.T, workers int) []streamKey {
 // TestStreamDeterministicOrderAcrossWorkers: the consumed window
 // sequence — identity, order and observations — must be bit-identical
 // at any worker count, and must follow the (start, class) stream order
-// with windows at the window-size cadence.
+// with windows at the window-size cadence: Batch runs each, shorter on
+// a shard's tail (4-run shards at batch 3 → 3+1). The observations are
+// the same at every window size; only the cuts move.
 func TestStreamDeterministicOrderAcrossWorkers(t *testing.T) {
-	ref := collectStream(t, 1)
+	var refObs []float64
+	for _, batch := range []int{2, 3} {
+		ref := collectStream(t, 1, batch)
 
-	// Shard plan order is (class, start); stream order is (start, class);
-	// batch 2 → 2 windows per shard. Recompute the expected window
-	// identities from the plan itself.
-	var wantID []streamKey
-	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: 2}, Config{Workers: 1, ShardRuns: 4})
-	shards, err := p.planShards(testPools(3, 3))
+		// Shard plan order is (class, start); stream order is (start,
+		// class). Recompute the expected window identities from the plan
+		// itself.
+		var wantID []streamKey
+		p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: batch}, Config{Workers: 1, ShardRuns: 4})
+		shards, err := p.planShards(testPools(3, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range streamOrder(shards) {
+			for run := sh.Start; run < sh.Start+sh.Count; run += batch {
+				wantID = append(wantID, streamKey{Shard: sh.Index, Class: sh.Class, Start: run})
+			}
+		}
+		if len(ref) != len(wantID) {
+			t.Fatalf("batch=%d: %d windows consumed, want %d", batch, len(ref), len(wantID))
+		}
+		var flat []float64
+		for i, k := range ref {
+			if k.Shard != wantID[i].Shard || k.Class != wantID[i].Class || k.Start != wantID[i].Start {
+				t.Fatalf("batch=%d: window %d identity (%d,%d,%d), want (%d,%d,%d)",
+					batch, i, k.Shard, k.Class, k.Start, wantID[i].Shard, wantID[i].Class, wantID[i].Start)
+			}
+			flat = append(flat, k.Obs...)
+		}
+		if refObs == nil {
+			refObs = flat
+		} else if !reflect.DeepEqual(flat, refObs) {
+			t.Fatalf("batch=%d: observations diverge from batch=2", batch)
+		}
+
+		for _, workers := range []int{2, 8} {
+			got := collectStream(t, workers, batch)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("batch=%d workers=%d: stream diverges from workers=1", batch, workers)
+			}
+		}
+	}
+}
+
+// signalWriter is a JSONL sink that signals every recorded event, so a
+// test can wait on the recorder instead of polling it.
+type signalWriter chan struct{}
+
+func (s signalWriter) Write(p []byte) (int, error) {
+	select {
+	case s <- struct{}{}:
+	default: // a signal is already pending; the waiter re-checks anyway
+	}
+	return len(p), nil
+}
+
+// TestStreamShardsRunAheadOfConsumer: a slow consumer must not park the
+// workers. Two workers collect 4-run shards while the consumer holds
+// its first window until both have finished a whole shard; a stream
+// that let a producer run only a few windows ahead of the consumer
+// would never get there.
+func TestStreamShardsRunAheadOfConsumer(t *testing.T) {
+	recorded := make(signalWriter, 1)
+	rec := obs.New(obs.Config{JSONL: recorded})
+	p := newPipeline(t, core.Config{RunsPerClass: 8, WarmupRuns: 1, Batch: 1}, Config{Workers: 2, ShardRuns: 4, Obs: rec})
+	deadline := time.After(10 * time.Second)
+	first := true
+	_, err := p.Stream(context.Background(), classAgnostic(testFactory(t, testNet(t))), testPools(2, 3), func(core.Window) error {
+		// A shard's span ends after its shards_done increment, so every
+		// increment is followed by a recorded event.
+		for first && rec.Get(obs.CShardsDone) < 2 {
+			select {
+			case <-recorded:
+			case <-deadline:
+				return fmt.Errorf("shards_done = %d after 10 s, want 2 while the first window is held", rec.Get(obs.CShardsDone))
+			}
+		}
+		first = false
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, idx := range streamOrder(shards) {
-		sh := shards[idx]
-		for run := sh.Start; run < sh.Start+sh.Count; run += 2 {
-			wantID = append(wantID, streamKey{Shard: sh.Index, Class: sh.Class, Start: run})
-		}
-	}
-	if len(ref) != len(wantID) {
-		t.Fatalf("%d windows consumed, want %d", len(ref), len(wantID))
-	}
-	for i, k := range ref {
-		if k.Shard != wantID[i].Shard || k.Class != wantID[i].Class || k.Start != wantID[i].Start {
-			t.Fatalf("window %d identity (%d,%d,%d), want (%d,%d,%d)",
-				i, k.Shard, k.Class, k.Start, wantID[i].Shard, wantID[i].Class, wantID[i].Start)
-		}
-	}
-
-	for _, workers := range []int{2, 8} {
-		got := collectStream(t, workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: stream diverges from workers=1", workers)
-		}
 	}
 }
 

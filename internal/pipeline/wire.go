@@ -109,11 +109,16 @@ func (p *Pipeline) WirePlans(perClass map[int][]*tensor.Tensor) ([]Plan, error) 
 	if err != nil {
 		return nil, err
 	}
+	return plansOf(shards), nil
+}
+
+// plansOf strips shards to their wire form, keeping their order.
+func plansOf(shards []core.Shard) []Plan {
 	plans := make([]Plan, len(shards))
 	for i, sh := range shards {
 		plans[i] = PlanOf(sh)
 	}
-	return plans, nil
+	return plans
 }
 
 // placeProfiles is the one profile-placement routine of the package: a

@@ -2,7 +2,7 @@ package repro
 
 // The streaming leakage monitor: instead of collecting a campaign's full
 // trace budget and scoring it afterwards (Evaluate), the monitor consumes
-// profile windows as the pipeline emits them, maintains sequential
+// profile windows as the pipeline delivers them, maintains sequential
 // hypothesis tests per (event, class-pair), and stops the campaign the
 // moment a test crosses its alpha-spending boundary — reporting how many
 // monitored classifications the detection cost. A campaign that runs to
@@ -12,7 +12,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -29,7 +28,7 @@ import (
 
 // MonitorConfig controls a streaming monitor campaign. The zero value
 // monitors the paper's four categories with the default counters at
-// α = 0.05 under a 300-trace-per-class budget on one worker.
+// α = 0.05 under a 300-trace-per-class budget on GOMAXPROCS workers.
 type MonitorConfig struct {
 	Classes []int
 	Events  []Event
@@ -42,17 +41,18 @@ type MonitorConfig struct {
 	// early stopping stays below it; on exhaustion the batch report
 	// applies it in full.
 	Alpha float64
-	// Workers fans shard collection out (1 = the sequential reference;
-	// the consumed window stream is identical at any worker count).
+	// Workers fans shard collection out; 0 → runtime.GOMAXPROCS(0) (1 =
+	// the sequential reference; the consumed window stream is identical
+	// at any worker count).
 	Workers int
 	// Seed is the pipeline root seed; 0 uses the scenario seed.
 	Seed int64
 	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
 	// default.
 	ShardRuns int
-	// Batch is the window size (core.Config.Batch): a shard emits a
-	// window every Batch measured runs, and the monitor looks at this
-	// cadence. Observations are identical at any value; only when the
+	// Batch is the window size (core.Config.Batch): the stream cuts each
+	// delivered shard into windows of Batch measured runs, and the
+	// monitor looks at this cadence. Observations are identical at any value; only when the
 	// monitor looks changes. Default 1.
 	Batch int
 	// MannWhitney monitors with the sequential rank-sum test (and scores
@@ -93,9 +93,6 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 300
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 8
@@ -181,8 +178,8 @@ func (sp *seqPair) test() (float64, float64, error) {
 	return r.T, r.P, err
 }
 
-// monitorRun is the stream consumer: it keeps a copy of every consumed
-// profile at its (class, run) offset (for the exhaustion report) and
+// monitorRun is the stream consumer: it keeps every consumed profile
+// at its (class, run) offset (for the exhaustion report) and
 // drives one seqPair per (event, class-pair).
 // Consumption happens on one goroutine in the pipeline's deterministic
 // stream order, so every decision — including the detection trace count —
@@ -241,7 +238,7 @@ func (m *monitorRun) consume(w core.Window) error {
 	cls := w.Class
 	for i, p := range w.Profiles {
 		m.total++
-		m.profiles[cls][w.Start+i] = maps.Clone(p)
+		m.profiles[cls][w.Start+i] = p
 		for _, e := range m.events {
 			v := p.Get(e)
 			for _, sp := range m.pairs[e] {

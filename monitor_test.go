@@ -122,8 +122,8 @@ func TestMonitorExhaustionByteInvariantAcrossProcesses(t *testing.T) {
 // leaking event, the distinguished pair, the p-value and above all the
 // trace count at the stop — must be identical at every worker count and
 // when streamed from worker processes, at the default one-run windows
-// and at a window size of 4 (where the fabric re-slices whole-shard
-// payloads into 4-run windows and the monitor looks every fourth run).
+// and at a window size of 4 (where every stream cuts whole shards into
+// 4-run windows and the monitor looks every fourth run).
 func TestMonitorEarlyStopDeterministicAcrossParallelism(t *testing.T) {
 	s := monitorScenario(t)
 	run := func(cfg MonitorConfig) *MonitorReport {

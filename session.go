@@ -14,9 +14,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/archid"
 	"repro/internal/core"
@@ -283,60 +281,22 @@ func (ss *session) profiles(ctx context.Context) (map[int][]hpc.Profile, error) 
 // stream runs the session's shard plan as a window stream into consume
 // and reports whether consume stopped it early. Over the fabric, workers
 // execute whole shards (reusing the collection journal, so an
-// interrupted campaign resumes) and delivery re-slices each payload into
-// Batch-sized windows in the pipeline's stream order, so the consumer
-// sees the exact window cadence of in-process streaming.
+// interrupted campaign resumes) and pipeline.StreamFrom cuts each
+// delivered payload into windows exactly as in-process streaming cuts a
+// shard, so the consumer sees the same window sequence either way.
 func (ss *session) stream(ctx context.Context, consume func(core.Window) error) (bool, error) {
 	x := ss.c.x
 	if x.procs == 0 {
 		return ss.p.Stream(ctx, ss.factory, ss.pools, consume)
 	}
-	plans, err := ss.p.WirePlans(ss.pools)
-	if err != nil {
-		return false, err
-	}
-	x.obs.Add(obs.CShardsPlanned, int64(len(plans)))
 	x.obs.SetPhase("stream")
 	defer x.obs.Span("fabric", "stream").End()
-	sort.SliceStable(plans, func(a, b int) bool {
-		if plans[a].Start != plans[b].Start {
-			return plans[a].Start < plans[b].Start
-		}
-		return plans[a].Class < plans[b].Class
-	})
 	coord, stop, err := ss.startFabric(ctx)
 	if err != nil {
 		return false, err
 	}
 	defer stop()
-	batch := ss.ev.Config().Batch
-	err = coord.RunStream(ctx, plans, func(i int, payload []byte) error {
-		profs, err := pipeline.DecodeProfiles(payload)
-		if err != nil {
-			return err
-		}
-		pl := plans[i]
-		if len(profs) != pl.Count {
-			return fmt.Errorf("repro: monitor shard %d returned %d profiles, plan says %d", pl.Index, len(profs), pl.Count)
-		}
-		for off := 0; off < len(profs); off += batch {
-			n := min(batch, len(profs)-off)
-			if err := consume(core.Window{Shard: pl.Index, Class: pl.Class, Start: pl.Start + off, Profiles: profs[off : off+n]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	switch {
-	case errors.Is(err, pipeline.ErrStop):
-		return true, nil
-	case err == nil:
-		return false, nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return false, &pipeline.Cancelled{Stage: "fabric stream", Err: err}
-	default:
-		return false, err
-	}
+	return ss.p.StreamFrom(ctx, ss.pools, coord.RunStream, consume)
 }
 
 // startFabric is the fabric prologue every session shares: it encodes
