@@ -4,7 +4,8 @@
 # sweep, the full test suite under the race detector, the allocation
 # gate for the simulation hot paths (run without -race, which would
 # perturb the counts), a short hot-path benchmark smoke so ns/op
-# regressions fail fast, the determinism smokes, a vet+test pass over the
+# regressions fail fast, the determinism smokes (fabric, batch, stream,
+# model recovery, telemetry), a vet+test pass over the
 # perfbench module (so the benchmark keeps compiling against the API),
 # and a one-iteration benchmark pass (which also
 # regenerates the paper's tables and figures once and exercises the
@@ -20,7 +21,7 @@ BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
 BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
-.PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck ci golden
+.PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke recoversmoke obssmoke perfbenchcheck ci golden
 
 all: build
 
@@ -123,6 +124,24 @@ streamsmoke:
 	cmp $$tmp/batch.csv $$tmp/stream.csv; \
 	echo "streamsmoke: streamed-to-exhaustion and batch distributions are byte-identical"
 
+# Model-recovery determinism smoke: cmd/archid and cmd/topo are each run
+# at -workers 1 and -workers 2 with the same seed, and the JSON results
+# must be byte-identical — every recovery observation derives from the
+# seed, never from scheduling.
+recoversmoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
+	$(GO) build -o $$tmp/archid ./cmd/archid; \
+	$(GO) build -o $$tmp/topo ./cmd/topo; \
+	for w in 1 2; do \
+		$$tmp/archid -max-inputs 4 -profile-runs 4 -attack-runs 2 -workers $$w -seed 17 \
+			-json $$tmp/archid$$w.json >/dev/null; \
+		$$tmp/topo -train-zoo 4 -holdout 3 -runs 3 -max-inputs 4 -workers $$w -seed 17 \
+			-json $$tmp/topo$$w.json >/dev/null; \
+	done; \
+	cmp $$tmp/archid1.json $$tmp/archid2.json; \
+	cmp $$tmp/topo1.json $$tmp/topo2.json; \
+	echo "recoversmoke: workers=1 and workers=2 archid and topo results are byte-identical"
+
 # Telemetry smoke: a fully-traced multi-process campaign must emit a
 # schema-valid Chrome trace while leaving the distribution CSV
 # byte-identical to the untraced run — telemetry is observational
@@ -154,4 +173,4 @@ perfbenchcheck:
 golden:
 	$(GO) test -run 'TestGoldenReport|TestAttackGoldenReport|TestArchIDGoldenReport|TestTopoGoldenReport|TestGoldenMonitor' -update .
 
-ci: fmtcheck vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke perfbenchcheck bench
+ci: fmtcheck vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke recoversmoke obssmoke perfbenchcheck bench

@@ -45,13 +45,16 @@ import (
 // Seed-derivation domains (core.DeriveSeed's third argument), disjoint
 // from the evaluation (0, 1) and attack (2, 3) stages.
 const (
-	seedDomainWeights  = 10 // per-architecture weight construction
+	// SeedDomainWeights derives the zoo's per-architecture weights (see
+	// Nets); the scenario's padded-envelope hypothesis set reuses it.
+	SeedDomainWeights  = 10
 	seedDomainPipeline = 11 // collection campaign root
 )
 
 // Config controls an architecture-fingerprinting campaign. The zero value
 // (plus a Zoo and Inputs) profiles 40 and attacks 20 classifications per
-// architecture with the paper's base events at the baseline level.
+// architecture at the baseline level. The monitored events are
+// per-session inputs to Collect and Score.
 type Config struct {
 	// Name identifies the campaign in the result ("mnist/baseline").
 	Name string
@@ -61,10 +64,6 @@ type Config struct {
 	// classifies; run r uses Inputs[r%len(Inputs)]. The secret is the
 	// model, not the input, so all architectures see the same pool.
 	Inputs []*tensor.Tensor
-	// Events are the monitored HPC events; default cache-misses and
-	// branches. One campaign counts one register group — callers split
-	// wider sets into groups (see repro.ArchIDGrouped).
-	Events []march.Event
 	// Level hardens every candidate deployment; default Baseline.
 	Level defense.Level
 	// ProfileRuns / AttackRuns are per-architecture observation budgets;
@@ -77,11 +76,6 @@ type Config struct {
 	// Seed is the campaign root seed; default 1. Weights, shard seeds,
 	// noise and jitter all derive from it.
 	Seed int64
-	// Session distinguishes collection campaigns that must observe the
-	// *same* victims (weights derive from Seed alone) but draw disjoint
-	// observations — the per-register-group sessions of a wide event set.
-	// It offsets only the pipeline's root seed.
-	Session int
 	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
 	// default.
 	ShardRuns int
@@ -101,9 +95,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("archid/%s", c.Level)
-	}
-	if len(c.Events) == 0 {
-		c.Events = []march.Event{march.EvCacheMisses, march.EvBranches}
 	}
 	if c.ProfileRuns <= 0 {
 		c.ProfileRuns = 40
@@ -167,17 +158,19 @@ type Result struct {
 // ChanceLevel is the accuracy of guessing the architecture uniformly.
 func (r *Result) ChanceLevel() float64 { return r.Attack.ChanceLevel() }
 
-// Nets builds every zoo architecture with weights derived deterministically
+// Nets builds every zoo member with weights derived deterministically
 // from the campaign seed: spec i is constructed from
-// DeriveSeed(seed, i, weights-domain) alone, so any process replaying the
-// campaign holds bit-identical victims.
-func Nets(zoo *nn.Zoo, seed int64) ([]*nn.Network, error) {
+// DeriveSeed(seed, i, domain) alone, so any process replaying the
+// campaign holds bit-identical victims. The fingerprinting zoo uses
+// SeedDomainWeights; topology recovery builds its training and victim
+// zoos in its own domains.
+func Nets(zoo *nn.Zoo, seed int64, domain int) ([]*nn.Network, error) {
 	if zoo == nil {
 		return nil, fmt.Errorf("archid: nil zoo")
 	}
 	nets := make([]*nn.Network, zoo.Len())
 	for _, s := range zoo.Specs() {
-		net, err := zoo.Build(s.ID, core.DeriveSeed(seed, s.ID, seedDomainWeights))
+		net, err := zoo.Build(s.ID, core.DeriveSeed(seed, s.ID, domain))
 		if err != nil {
 			return nil, fmt.Errorf("archid: building %s: %w", s.Name, err)
 		}
@@ -186,101 +179,181 @@ func Nets(zoo *nn.Zoo, seed int64) ([]*nn.Network, error) {
 	return nets, nil
 }
 
-// Campaign is the precomputed per-campaign state shared by every
-// collection session: the deterministic zoo victims, their envelope
-// (under ConstantTime/PaddedEnvelope) and their layer evidence.
-// Multi-session campaigns — the per-register-group collections of a wide
-// event set — reuse one Campaign so the victims are built (and the
-// envelope measured) exactly once.
-type Campaign struct {
-	cfg      Config
-	nets     []*nn.Network
-	env      *defense.Envelope // nil unless the deployment is envelope-padded
-	evidence []LayerEvidence
+// Deployment is the victim side of a model-recovery campaign, shared by
+// the fingerprinting and topology-recovery stages: the deterministic
+// victims (victim i is class label i), the level and envelope every
+// shard deploys them at, and the budget of one collection session. It
+// owns the stages' one collection path — Session, Collect, Pools and the
+// class-aware factory — so every recovery shard deploys through
+// defense.Deploy exactly as the scenario stages do. Multi-session
+// campaigns (the per-register-group collections of a wide event set)
+// reuse one Deployment, so sessions observe the same victims with
+// disjoint observation seeds.
+type Deployment struct {
+	// Nets are the victims; class c deploys Nets[c].
+	Nets []*nn.Network
+	// Level is the resolved hardening every shard deploys at; Env is the
+	// victims' footprint envelope, non-nil iff the deployment is padded
+	// (see Pad).
+	Level defense.Level
+	Env   *defense.Envelope
+	// Inputs is the shared pool: run r of every victim classifies
+	// Inputs[r%len(Inputs)].
+	Inputs []*tensor.Tensor
+	// Runs is each victim's measured-run budget per session.
+	Runs int
+	// Seed and Domain derive session g's pipeline root seed,
+	// DeriveSeed(Seed, g, Domain).
+	Seed   int64
+	Domain int
+	// Workers is the pipeline worker count (0 → GOMAXPROCS); ShardRuns
+	// bounds measured runs per shard (0 → the pipeline default).
+	Workers, ShardRuns int
+	// Obs, when non-nil, records session telemetry.
+	Obs *obs.Recorder
+	// DisableRuntime and DisableNoise remove the simulated framework
+	// overhead and the measurement noise from every deployment.
+	DisableRuntime, DisableNoise bool
 }
 
-// NewCampaign validates the configuration and precomputes the victims,
-// envelope and evidence. cfg.Events and cfg.Session are ignored here —
-// they are per-session inputs to Collect.
-func NewCampaign(cfg Config) (*Campaign, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	nets, err := Nets(cfg.Zoo, cfg.Seed)
+// Pad measures the victims' footprint envelope over Inputs[0] and
+// switches the deployment to the PaddedEnvelope level, topping every
+// victim up to it (envelope member index = class).
+func (d *Deployment) Pad() error {
+	env, err := defense.NewEnvelope(d.Nets, d.Inputs[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &Campaign{cfg: cfg, nets: nets}
-	padded := (cfg.Level == defense.ConstantTime || cfg.Level == defense.PaddedEnvelope) && !cfg.NoPad
-	if padded {
-		if c.env, err = defense.NewEnvelope(nets, cfg.Inputs[0]); err != nil {
-			return nil, err
-		}
-	}
-	if c.evidence, err = evidenceForNets(cfg.Zoo, nets, cfg.Inputs[0]); err != nil {
-		return nil, err
-	}
-	return c, nil
+	d.Level, d.Env = defense.PaddedEnvelope, env
+	return nil
 }
 
-// Padded reports whether the campaign's deployments are envelope-padded.
-func (c *Campaign) Padded() bool { return c.env != nil }
+// Padded reports whether the victims are envelope-padded.
+func (d *Deployment) Padded() bool { return d.Env != nil }
 
 // Collect runs one collection session on the concurrent sharded pipeline
-// and returns the labelled per-run profiles, byArch[architecture id][run].
-// Each shard deploys a fresh instance of its class's architecture through
-// the class-aware factory; sessions of the same campaign observe the same
-// victims with disjoint observation seeds.
-func (c *Campaign) Collect(ctx context.Context, events []march.Event, session int) (map[int][]hpc.Profile, error) {
-	p, factory, err := c.Session(events, session)
+// and returns the labelled per-run profiles, byVictim[class][run]. Each
+// shard deploys a fresh instance of its class's victim through the
+// class-aware factory.
+func (d *Deployment) Collect(ctx context.Context, events []march.Event, session int) (map[int][]hpc.Profile, error) {
+	p, factory, err := d.Session(events, session)
 	if err != nil {
 		return nil, err
 	}
-	return p.CollectProfilesByClass(ctx, factory, c.Pools())
+	return p.CollectProfilesByClass(ctx, factory, d.Pools())
 }
 
 // Session builds one collection session: its pipeline (session-derived
-// root seed over the campaign's run budget) and the class-aware factory
+// root seed over the per-victim run budget) and the class-aware factory
 // that deploys a shard's victim. The distributed fabric splits the two
 // across processes — the coordinator plans shards and merges payloads
 // with the pipeline, a shardworker process executes plans with the
 // factory — and both sides rebuild identical state from the campaign
 // configuration alone, which keeps fabric campaigns byte-identical to
 // in-process ones.
-func (c *Campaign) Session(events []march.Event, session int) (*pipeline.Pipeline, pipeline.ClassTargetFactory, error) {
+func (d *Deployment) Session(events []march.Event, session int) (*pipeline.Pipeline, pipeline.ClassTargetFactory, error) {
 	if len(events) == 0 || len(events) > hpc.DefaultCounters {
 		return nil, nil, fmt.Errorf("archid: a session counts 1..%d events, got %d (split wide sets into register groups)",
 			hpc.DefaultCounters, len(events))
 	}
-	ev, err := core.NewEvaluator(core.Config{
-		Events:       events,
-		RunsPerClass: c.cfg.ProfileRuns + c.cfg.AttackRuns,
-		Obs:          c.cfg.Obs,
-	})
+	ev, err := core.NewEvaluator(core.Config{Events: events, RunsPerClass: d.Runs, Obs: d.Obs})
 	if err != nil {
 		return nil, nil, err
 	}
 	p, err := pipeline.New(ev, pipeline.Config{
-		Workers:   c.cfg.Workers,
-		RootSeed:  core.DeriveSeed(c.cfg.Seed, session, seedDomainPipeline),
-		ShardRuns: c.cfg.ShardRuns,
-		Obs:       c.cfg.Obs,
+		Workers:   d.Workers,
+		RootSeed:  core.DeriveSeed(d.Seed, session, d.Domain),
+		ShardRuns: d.ShardRuns,
+		Obs:       d.Obs,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, c.factory(), nil
+	return p, d.factory(), nil
 }
 
-// Pools returns the per-architecture input pools of a collection session:
-// every candidate deployment classifies the shared campaign pool.
-func (c *Campaign) Pools() map[int][]*tensor.Tensor {
-	perClass := make(map[int][]*tensor.Tensor, c.cfg.Zoo.Len())
-	for _, s := range c.cfg.Zoo.Specs() {
-		perClass[s.ID] = c.cfg.Inputs
+// Pools returns the per-victim input pools of a collection session:
+// every victim classifies the shared pool.
+func (d *Deployment) Pools() map[int][]*tensor.Tensor {
+	perClass := make(map[int][]*tensor.Tensor, len(d.Nets))
+	for id := range d.Nets {
+		perClass[id] = d.Inputs
 	}
 	return perClass
+}
+
+// factory builds the class-aware target factory: a shard deploys victim
+// `class` at the resolved level, padded to its envelope member when the
+// deployment is padded, with every stateful structure seeded from the
+// shard seed.
+func (d *Deployment) factory() pipeline.ClassTargetFactory {
+	nets, level, env, noNoise, noRuntime := d.Nets, d.Level, d.Env, d.DisableNoise, d.DisableRuntime
+	return func(class int, seed int64) (core.Target, error) {
+		if class < 0 || class >= len(nets) {
+			return nil, fmt.Errorf("archid: no victim %d", class)
+		}
+		rt := instrument.DefaultRuntime()
+		if noRuntime {
+			rt = instrument.NoRuntime()
+		}
+		return defense.Deploy(nets[class], seed, noNoise, defense.Config{
+			Level:         level,
+			Runtime:       rt,
+			Envelope:      env,
+			EnvelopeIndex: class,
+		})
+	}
+}
+
+// Campaign is the precomputed per-campaign state: the zoo victims'
+// Deployment (envelope-padded under ConstantTime/PaddedEnvelope unless
+// NoPad) and their layer evidence. Multi-session campaigns reuse one
+// Campaign so the victims are built (and the envelope measured) exactly
+// once.
+type Campaign struct {
+	Deployment
+	cfg      Config
+	evidence []LayerEvidence
+}
+
+// NewCampaign validates the configuration and precomputes the victims,
+// envelope and evidence. Padded deployments run at PaddedEnvelope; the
+// NoPad ablation of PaddedEnvelope falls back to the bare constant-time
+// kernels.
+func NewCampaign(cfg Config) (*Campaign, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	nets, err := Nets(cfg.Zoo, cfg.Seed, SeedDomainWeights)
+	if err != nil {
+		return nil, err
+	}
+	c := &Campaign{cfg: cfg, Deployment: Deployment{
+		Nets:           nets,
+		Level:          cfg.Level,
+		Inputs:         cfg.Inputs,
+		Runs:           cfg.ProfileRuns + cfg.AttackRuns,
+		Seed:           cfg.Seed,
+		Domain:         seedDomainPipeline,
+		Workers:        cfg.Workers,
+		ShardRuns:      cfg.ShardRuns,
+		Obs:            cfg.Obs,
+		DisableRuntime: cfg.DisableRuntime,
+		DisableNoise:   cfg.DisableNoise,
+	}}
+	switch {
+	case (cfg.Level == defense.ConstantTime || cfg.Level == defense.PaddedEnvelope) && !cfg.NoPad:
+		if err := c.Pad(); err != nil {
+			return nil, err
+		}
+	case cfg.Level == defense.PaddedEnvelope:
+		c.Level = defense.ConstantTime
+	}
+	if c.evidence, err = evidenceForNets(cfg.Zoo, nets, cfg.Inputs[0]); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Score fits and scores both attackers on collected profiles (events must
@@ -303,63 +376,6 @@ func (c *Campaign) Score(events []march.Event, byArch map[int][]hpc.Profile) (*R
 		Padded:   c.Padded(),
 		Seed:     c.cfg.Seed,
 	}, nil
-}
-
-// Run is the end-to-end single-session campaign: Collect then Score.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	c, err := NewCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	byArch, err := c.Collect(ctx, cfg.Events, cfg.Session)
-	if err != nil {
-		return nil, err
-	}
-	return c.Score(cfg.Events, byArch)
-}
-
-// factory builds the class-aware target factory: shard workers deploy
-// architecture `class` hardened at the campaign's level on a fresh engine
-// seeded from the shard seed. Padded campaigns deploy at the
-// PaddedEnvelope level with the shared envelope (member index = class);
-// the NoPad ablation of PaddedEnvelope falls back to the bare
-// constant-time kernels.
-func (c *Campaign) factory() pipeline.ClassTargetFactory {
-	cfg, nets, env := c.cfg, c.nets, c.env
-	level := cfg.Level
-	if env != nil {
-		level = defense.PaddedEnvelope
-	} else if level == defense.PaddedEnvelope {
-		level = defense.ConstantTime
-	}
-	return func(class int, seed int64) (core.Target, error) {
-		if class < 0 || class >= len(nets) {
-			return nil, fmt.Errorf("archid: no architecture %d", class)
-		}
-		var noise *march.NoiseModel
-		if !cfg.DisableNoise {
-			noise = march.DefaultNoise(seed)
-		}
-		engine, err := march.NewEngine(march.Config{
-			Hierarchy: instrument.SimHierarchy(),
-			Noise:     noise,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt := instrument.DefaultRuntime()
-		if cfg.DisableRuntime {
-			rt = instrument.NoRuntime()
-		}
-		return defense.New(nets[class], engine, defense.Config{
-			Level:         level,
-			Seed:          seed + 1,
-			Runtime:       rt,
-			Envelope:      env,
-			EnvelopeIndex: class,
-		})
-	}
 }
 
 // LayerEvidence is the per-architecture layer-level fingerprint recovered
@@ -394,7 +410,7 @@ func EvidenceFor(zoo *nn.Zoo, seed int64, inputs []*tensor.Tensor) ([]LayerEvide
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("archid: need at least one input image")
 	}
-	nets, err := Nets(zoo, seed)
+	nets, err := Nets(zoo, seed, SeedDomainWeights)
 	if err != nil {
 		return nil, err
 	}

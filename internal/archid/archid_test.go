@@ -40,20 +40,36 @@ func testInputs(t *testing.T, n int) []*tensor.Tensor {
 	return out
 }
 
+// runCampaign is the end-to-end single-session campaign the tests score:
+// NewCampaign, one Collect of events (default cache-misses and branches), then Score.
+func runCampaign(cfg Config, events ...march.Event) (*Result, error) {
+	if len(events) == 0 {
+		events = []march.Event{march.EvCacheMisses, march.EvBranches}
+	}
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	byArch, err := c.Collect(context.Background(), events, 0)
+	if err != nil {
+		return nil, err
+	}
+	return c.Score(events, byArch)
+}
+
 func TestConfigValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Run(ctx, Config{}); err == nil {
+	if _, err := runCampaign(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	z := testZoo(t)
-	if _, err := Run(ctx, Config{Zoo: z}); err == nil {
+	if _, err := runCampaign(Config{Zoo: z}); err == nil {
 		t.Fatal("config without inputs accepted")
 	}
 	ins := testInputs(t, 2)
-	if _, err := Run(ctx, Config{Zoo: z, Inputs: ins, ProfileRuns: 1, AttackRuns: 2}); err == nil {
+	if _, err := runCampaign(Config{Zoo: z, Inputs: ins, ProfileRuns: 1, AttackRuns: 2}); err == nil {
 		t.Fatal("single profiling run accepted")
 	}
-	if _, err := Run(ctx, Config{Zoo: z, Inputs: ins, Events: march.ExtendedEvents()}); err == nil {
+	if _, err := runCampaign(Config{Zoo: z, Inputs: ins}, march.ExtendedEvents()...); err == nil {
 		t.Fatal("events beyond one register group accepted")
 	}
 }
@@ -63,7 +79,7 @@ func TestConfigValidation(t *testing.T) {
 // from the zoo far above chance (the architectures' footprints differ by
 // orders of magnitude).
 func TestBaselineFingerprintsArchitecture(t *testing.T) {
-	res, err := Run(context.Background(), Config{
+	res, err := runCampaign(Config{
 		Name:        "test/baseline",
 		Zoo:         testZoo(t),
 		Inputs:      testInputs(t, 6),
@@ -96,7 +112,7 @@ func TestBaselineFingerprintsArchitecture(t *testing.T) {
 // architectures and per-arch variances must carry the scale-relative
 // floor, proving the scores stayed finite and comparable.
 func TestConstantTimePaddingHidesArchitecture(t *testing.T) {
-	res, err := Run(context.Background(), Config{
+	res, err := runCampaign(Config{
 		Name:        "test/constant-time",
 		Zoo:         testZoo(t),
 		Inputs:      testInputs(t, 6),
@@ -142,7 +158,7 @@ func TestConstantTimePaddingHidesArchitecture(t *testing.T) {
 // envelope pad: per-kernel constant time alone leaves every architecture's
 // own fixed footprint observable, and recovery stays far above chance.
 func TestConstantTimeWithoutPadStillLeaks(t *testing.T) {
-	res, err := Run(context.Background(), Config{
+	res, err := runCampaign(Config{
 		Name:        "test/constant-time-nopad",
 		Zoo:         testZoo(t),
 		Inputs:      testInputs(t, 6),
@@ -169,7 +185,7 @@ func TestConstantTimeWithoutPadStillLeaks(t *testing.T) {
 // byte-identical at workers=1 and workers=8 (run under -race in CI).
 func TestWorkerInvariance(t *testing.T) {
 	run := func(workers int) []byte {
-		res, err := Run(context.Background(), Config{
+		res, err := runCampaign(Config{
 			Name:        "test/invariance",
 			Zoo:         testZoo(t),
 			Inputs:      testInputs(t, 4),
@@ -199,7 +215,7 @@ func TestWorkerInvariance(t *testing.T) {
 // ConstantTime-with-pad spelling — byte-identical results.
 func TestPaddedEnvelopeLevelMatchesConstantTimePad(t *testing.T) {
 	run := func(level defense.Level) []byte {
-		res, err := Run(context.Background(), Config{
+		res, err := runCampaign(Config{
 			Name:        "test/padded-equivalence",
 			Zoo:         testZoo(t),
 			Inputs:      testInputs(t, 4),

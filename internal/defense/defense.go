@@ -193,3 +193,22 @@ func (h *Hardened) injectNoise() {
 	}
 	eng.Ops(uint64(2 * n))
 }
+
+// Deploy is the one victim-deployment recipe every campaign stage
+// shares: net on a fresh SimHierarchy engine whose measurement noise is
+// seeded from seed (none when noNoise), hardened per cfg with its
+// runtime-jitter and dummy-traffic randomness seeded from seed+1.
+// Pipeline shards deploy with their shard seed, so every stateful
+// structure of a deployment derives from that one value.
+func Deploy(net *nn.Network, seed int64, noNoise bool, cfg Config) (*Hardened, error) {
+	var noise *march.NoiseModel
+	if !noNoise {
+		noise = march.DefaultNoise(seed)
+	}
+	engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy(), Noise: noise})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed = seed + 1
+	return New(net, engine, cfg)
+}

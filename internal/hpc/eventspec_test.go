@@ -1,6 +1,7 @@
 package hpc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/march"
@@ -44,4 +45,36 @@ func TestParseEventSpecCommaList(t *testing.T) {
 	if _, err := ParseEventSpec(""); err == nil {
 		t.Fatal("empty spec accepted")
 	}
+}
+
+// FuzzParseEventSpec: ParseEventSpec never panics, and a spec it accepts
+// is a non-empty list of distinct events, each of which re-parses from
+// its printed name.
+func FuzzParseEventSpec(f *testing.F) {
+	for _, s := range []string{
+		"base", "fig2b", "extended",
+		"cycles, instructions", " cache-misses ,branches ",
+		"", " , ", "no-such-event",
+		"branches,cycles,instructions,cache-misses,bus-cycles,ref-cycles,branches",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		evs, err := ParseEventSpec(s)
+		if err != nil {
+			return
+		}
+		if len(evs) == 0 {
+			t.Fatalf("ParseEventSpec(%q) accepted an empty list", s)
+		}
+		for i, e := range evs {
+			if slices.Contains(evs[:i], e) {
+				t.Fatalf("ParseEventSpec(%q) = %v lists %s twice", s, evs, e)
+			}
+			back, err := ParseEventSpec(e.String())
+			if err != nil || len(back) != 1 || back[0] != e {
+				t.Fatalf("event %s from %q re-parses as %v, %v", e, s, back, err)
+			}
+		}
+	})
 }

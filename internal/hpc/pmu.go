@@ -13,6 +13,7 @@ package hpc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -308,7 +309,7 @@ func FormatStat(p Profile) string {
 }
 
 // ParseEventList parses a perf-style comma-separated event list
-// ("cache-misses,branches").
+// ("cache-misses,branches"). An event listed twice is an error.
 func ParseEventList(s string) ([]march.Event, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("hpc: empty event list")
@@ -318,6 +319,9 @@ func ParseEventList(s string) ([]march.Event, error) {
 		e, err := march.ParseEvent(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, e) {
+			return nil, fmt.Errorf("hpc: event %s listed twice", e)
 		}
 		out = append(out, e)
 	}

@@ -1,11 +1,11 @@
 package topo
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"repro/internal/archid"
 	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/hpc"
@@ -13,7 +13,6 @@ import (
 	"repro/internal/march"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -31,7 +30,8 @@ const (
 
 // Config controls a topology-recovery campaign. The zero value (plus an
 // input shape, class count and Inputs) reconstructs 6 held-out victims
-// with models trained on an 8-member zoo at the baseline level.
+// with models trained on an 8-member zoo at the baseline level. The
+// monitored events are per-session inputs to Collect and Score.
 type Config struct {
 	// Name identifies the campaign in the result ("mnist-topo/baseline").
 	Name string
@@ -41,10 +41,6 @@ type Config struct {
 	// Inputs is the shared image pool; pipeline run r of every victim
 	// classifies Inputs[r%len(Inputs)].
 	Inputs []*tensor.Tensor
-	// Events are the pipeline session's monitored HPC events; default
-	// instructions and L1-dcache-loads (the verification channels). One
-	// campaign session counts one register group.
-	Events []march.Event
 	// Level hardens every victim deployment; default Baseline.
 	// PaddedEnvelope pads every victim to the holdout zoo's envelope.
 	Level defense.Level
@@ -64,9 +60,6 @@ type Config struct {
 	// Seed is the campaign root seed; default 1. Zoo generation, weights,
 	// shard seeds and noise all derive from it.
 	Seed int64
-	// Session offsets the pipeline root seed — the per-register-group
-	// sessions of a wide event set (see repro.Scenario.TopoGrouped).
-	Session int
 	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
 	// default.
 	ShardRuns int
@@ -82,9 +75,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("topo/%s", c.Level)
-	}
-	if len(c.Events) == 0 {
-		c.Events = []march.Event{march.EvInstructions, march.EvL1DLoads}
 	}
 	if c.TrainSize <= 0 {
 		c.TrainSize = 8
@@ -191,18 +181,18 @@ type Result struct {
 	MeanFootprintRelErr float64 `json:"mean_footprint_rel_err"`
 }
 
-// Campaign is the precomputed per-campaign state: the two disjoint zoos
-// and their deterministic networks, the fitted attacker models, the
+// Campaign is the precomputed per-campaign state: the two disjoint zoos,
+// the held-out victims' archid.Deployment (envelope-padded at
+// PaddedEnvelope), the training networks and fitted attacker models, the
 // victim traces and their reconstructions. Multi-session campaigns reuse
 // one Campaign so the zoos are generated (and the models fitted) exactly
 // once; only the pipeline collection is per-session.
 type Campaign struct {
+	archid.Deployment
 	cfg       Config
 	trainZoo  *nn.Zoo
 	holdZoo   *nn.Zoo
 	trainNets []*nn.Network
-	holdNets  []*nn.Network
-	env       *defense.Envelope // non-nil iff the deployment is padded
 	kindModel *KindModel
 	est       estimators
 	truths    [][]LayerTruth
@@ -212,8 +202,7 @@ type Campaign struct {
 
 // NewCampaign validates the configuration, generates the disjoint zoos,
 // fits the attacker models on the training zoo and reconstructs every
-// held-out victim from its flat trace. cfg.Events and cfg.Session are
-// ignored here — they are per-session inputs to Collect.
+// held-out victim from its flat trace.
 func NewCampaign(cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -236,14 +225,28 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topo: holdout zoo: %w", err)
 	}
-	if c.trainNets, err = buildZooNets(c.trainZoo, cfg.Seed, seedDomainTrainWeights); err != nil {
+	if c.trainNets, err = archid.Nets(c.trainZoo, cfg.Seed, seedDomainTrainWeights); err != nil {
 		return nil, err
 	}
-	if c.holdNets, err = buildZooNets(c.holdZoo, cfg.Seed, seedDomainHoldoutWeights); err != nil {
+	holdNets, err := archid.Nets(c.holdZoo, cfg.Seed, seedDomainHoldoutWeights)
+	if err != nil {
 		return nil, err
+	}
+	c.Deployment = archid.Deployment{
+		Nets:           holdNets,
+		Level:          cfg.Level,
+		Inputs:         cfg.Inputs,
+		Runs:           cfg.Runs,
+		Seed:           cfg.Seed,
+		Domain:         seedDomainPipeline,
+		Workers:        cfg.Workers,
+		ShardRuns:      cfg.ShardRuns,
+		Obs:            cfg.Obs,
+		DisableRuntime: cfg.DisableRuntime,
+		DisableNoise:   cfg.DisableNoise,
 	}
 	if cfg.Level == defense.PaddedEnvelope {
-		if c.env, err = defense.NewEnvelope(c.holdNets, cfg.Inputs[0]); err != nil {
+		if err := c.Pad(); err != nil {
 			return nil, err
 		}
 	}
@@ -255,23 +258,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	return c, nil
 }
-
-// buildZooNets constructs every zoo member with weights derived from the
-// campaign seed in the given domain.
-func buildZooNets(zoo *nn.Zoo, seed int64, domain int) ([]*nn.Network, error) {
-	nets := make([]*nn.Network, zoo.Len())
-	for _, s := range zoo.Specs() {
-		net, err := zoo.Build(s.ID, core.DeriveSeed(seed, s.ID, domain))
-		if err != nil {
-			return nil, fmt.Errorf("topo: building %s: %w", s.Name, err)
-		}
-		nets[s.ID] = net
-	}
-	return nets, nil
-}
-
-// Padded reports whether the campaign's victims are envelope-padded.
-func (c *Campaign) Padded() bool { return c.env != nil }
 
 // fitModels extracts attributed training traces and fits the kind
 // classifier and hyper-parameter estimators on them.
@@ -315,14 +301,14 @@ func (c *Campaign) fitModels() error {
 // reconstructVictims extracts every held-out victim's flat trace, segments
 // it, classifies each segment and regresses its hyper-parameters.
 func (c *Campaign) reconstructVictims() error {
-	c.truths = make([][]LayerTruth, len(c.holdNets))
-	c.recovered = make([][]LayerGuess, len(c.holdNets))
-	c.boundary = make([]bool, len(c.holdNets))
-	for id, net := range c.holdNets {
+	c.truths = make([][]LayerTruth, len(c.Nets))
+	c.recovered = make([][]LayerGuess, len(c.Nets))
+	c.boundary = make([]bool, len(c.Nets))
+	for id, net := range c.Nets {
 		c.truths[id] = trueTopology(net)
 		var trace *Trace
-		if c.env != nil {
-			trace = paddedTrace(c.env, c.cfg.Quantum)
+		if c.Env != nil {
+			trace = paddedTrace(c.Env, c.cfg.Quantum)
 		} else {
 			var err error
 			if trace, err = extractTrace(net, c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum); err != nil {
@@ -424,97 +410,6 @@ func bestKernel(h, w int, area float64) int {
 	return best
 }
 
-// Collect runs one collection session on the concurrent sharded pipeline
-// and returns the labelled per-run profiles, byVictim[victim id][run].
-// Each shard deploys a fresh instance of its victim through the
-// class-aware factory; sessions of the same campaign observe the same
-// victims with disjoint observation seeds.
-func (c *Campaign) Collect(ctx context.Context, events []march.Event, session int) (map[int][]hpc.Profile, error) {
-	p, factory, err := c.Session(events, session)
-	if err != nil {
-		return nil, err
-	}
-	return p.CollectProfilesByClass(ctx, factory, c.Pools())
-}
-
-// Session builds one collection session: its pipeline (session-derived
-// root seed over the campaign's run budget) and the class-aware factory
-// that deploys a shard's victim. The distributed fabric splits the two
-// across processes — the coordinator plans shards and merges payloads
-// with the pipeline, a shardworker process executes plans with the
-// factory — and both sides rebuild identical state from the campaign
-// configuration alone, which keeps fabric campaigns byte-identical to
-// in-process ones.
-func (c *Campaign) Session(events []march.Event, session int) (*pipeline.Pipeline, pipeline.ClassTargetFactory, error) {
-	if len(events) == 0 || len(events) > hpc.DefaultCounters {
-		return nil, nil, fmt.Errorf("topo: a session counts 1..%d events, got %d (split wide sets into register groups)",
-			hpc.DefaultCounters, len(events))
-	}
-	ev, err := core.NewEvaluator(core.Config{
-		Events:       events,
-		RunsPerClass: c.cfg.Runs,
-		Obs:          c.cfg.Obs,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := pipeline.New(ev, pipeline.Config{
-		Workers:   c.cfg.Workers,
-		RootSeed:  core.DeriveSeed(c.cfg.Seed, session, seedDomainPipeline),
-		ShardRuns: c.cfg.ShardRuns,
-		Obs:       c.cfg.Obs,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, c.factory(), nil
-}
-
-// Pools returns the per-victim input pools of a collection session:
-// every victim classifies the shared campaign pool.
-func (c *Campaign) Pools() map[int][]*tensor.Tensor {
-	perClass := make(map[int][]*tensor.Tensor, len(c.holdNets))
-	for id := range c.holdNets {
-		perClass[id] = c.cfg.Inputs
-	}
-	return perClass
-}
-
-// factory builds the class-aware target factory: shard workers deploy
-// victim `class` hardened at the campaign's level on a fresh engine
-// seeded from the shard seed, padded to the holdout envelope when the
-// level is PaddedEnvelope.
-func (c *Campaign) factory() pipeline.ClassTargetFactory {
-	cfg, nets, env := c.cfg, c.holdNets, c.env
-	return func(class int, seed int64) (core.Target, error) {
-		if class < 0 || class >= len(nets) {
-			return nil, fmt.Errorf("topo: no victim %d", class)
-		}
-		var noise *march.NoiseModel
-		if !cfg.DisableNoise {
-			noise = march.DefaultNoise(seed)
-		}
-		engine, err := march.NewEngine(march.Config{
-			Hierarchy: instrument.SimHierarchy(),
-			Noise:     noise,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt := instrument.DefaultRuntime()
-		if cfg.DisableRuntime {
-			rt = instrument.NoRuntime()
-		}
-		return defense.New(nets[class], engine, defense.Config{
-			Level:         cfg.Level,
-			Seed:          seed + 1,
-			Runtime:       rt,
-			Envelope:      env,
-			EnvelopeIndex: class,
-		})
-	}
-}
-
 // Score assembles the campaign result from collected profiles (events
 // must list the joined feature order when profiles were merged across
 // sessions): per-victim scorecards, the reconstruct-then-validate
@@ -535,7 +430,7 @@ func (c *Campaign) Score(events []march.Event, byVictim map[int][]hpc.Profile) (
 	verifyEvent, verifiable := verificationEvent(events)
 	var exact, kindSum, paramSum, footSum float64
 	paramN, footN := 0, 0
-	for id := range c.holdNets {
+	for id := range c.Nets {
 		spec, _ := c.holdZoo.ByID(id)
 		v := VictimResult{
 			ArchID:          id,
@@ -566,7 +461,7 @@ func (c *Campaign) Score(events []march.Event, byVictim map[int][]hpc.Profile) (
 		kindSum += v.KindAccuracy
 		res.Victims = append(res.Victims, v)
 	}
-	n := float64(len(c.holdNets))
+	n := float64(len(c.Nets))
 	res.ExactCountRate = exact / n
 	res.MeanKindAccuracy = kindSum / n
 	res.MeanParamRelErr = -1
@@ -578,21 +473,6 @@ func (c *Campaign) Score(events []march.Event, byVictim map[int][]hpc.Profile) (
 		res.MeanFootprintRelErr = footSum / float64(footN)
 	}
 	return res, nil
-}
-
-// Run is the end-to-end single-session campaign: NewCampaign, Collect,
-// Score.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	c, err := NewCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	byVictim, err := c.Collect(ctx, cfg.Events, cfg.Session)
-	if err != nil {
-		return nil, err
-	}
-	return c.Score(cfg.Events, byVictim)
 }
 
 // verificationEvent picks the footprint-check channel: L1 loads when

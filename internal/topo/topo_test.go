@@ -46,23 +46,38 @@ func testConfig(t *testing.T, level defense.Level) Config {
 	}
 }
 
+// runCampaign is the end-to-end single-session campaign the tests score:
+// NewCampaign, one Collect of events (default instructions and L1-dcache-loads), then Score.
+func runCampaign(cfg Config, events ...march.Event) (*Result, error) {
+	if len(events) == 0 {
+		events = []march.Event{march.EvInstructions, march.EvL1DLoads}
+	}
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	byVictim, err := c.Collect(context.Background(), events, 0)
+	if err != nil {
+		return nil, err
+	}
+	return c.Score(events, byVictim)
+}
+
 func TestConfigValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Run(ctx, Config{}); err == nil {
+	if _, err := runCampaign(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := Run(ctx, Config{InH: 28, InW: 28, InC: 1, Classes: 10}); err == nil {
+	if _, err := runCampaign(Config{InH: 28, InW: 28, InC: 1, Classes: 10}); err == nil {
 		t.Fatal("config without inputs accepted")
 	}
 	ins := testInputs(t, 1)
-	if _, err := Run(ctx, Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins, TrainSize: 1}); err == nil {
+	if _, err := runCampaign(Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins, TrainSize: 1}); err == nil {
 		t.Fatal("single-member training zoo accepted")
 	}
-	if _, err := Run(ctx, Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins, Runs: 1}); err == nil {
+	if _, err := runCampaign(Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins, Runs: 1}); err == nil {
 		t.Fatal("single measured run accepted")
 	}
-	if _, err := Run(ctx, Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins,
-		Events: march.ExtendedEvents()}); err == nil {
+	if _, err := runCampaign(Config{InH: 28, InW: 28, InC: 1, Classes: 10, Inputs: ins}, march.ExtendedEvents()...); err == nil {
 		t.Fatal("events beyond one register group accepted")
 	}
 }
@@ -96,7 +111,7 @@ func TestSegmenterRecoversKnownBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, net := range c.holdNets {
+	for id, net := range c.Nets {
 		trace, err := extractTrace(net, c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +153,7 @@ func TestSegmentTraceDegenerate(t *testing.T) {
 // reconstruct-then-validate footprint check agrees with the measured
 // victim profiles.
 func TestBaselineReconstruction(t *testing.T) {
-	res, err := Run(context.Background(), testConfig(t, defense.Baseline))
+	res, err := runCampaign(testConfig(t, defense.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +184,7 @@ func TestBaselineReconstruction(t *testing.T) {
 // structure, so kind accuracy falls to within 1.5× of chance and the
 // layer count is essentially never exact.
 func TestPaddedEnvelopeCollapsesReconstruction(t *testing.T) {
-	res, err := Run(context.Background(), testConfig(t, defense.PaddedEnvelope))
+	res, err := runCampaign(testConfig(t, defense.PaddedEnvelope))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestPaddedTraceMatchesDeployedFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := paddedTrace(c.env, c.cfg.Quantum)
+	trace := paddedTrace(c.Env, c.cfg.Quantum)
 	var total march.Counts
 	for _, s := range trace.Samples {
 		for e := range total {
@@ -229,7 +244,7 @@ func TestPaddedTraceMatchesDeployedFootprint(t *testing.T) {
 		march.EvDTLBLoads, march.EvDTLBLoadMisses,
 	}
 	input := c.cfg.Inputs[0]
-	for id, net := range c.holdNets {
+	for id, net := range c.Nets {
 		engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +252,7 @@ func TestPaddedTraceMatchesDeployedFootprint(t *testing.T) {
 		target, err := defense.New(net, engine, defense.Config{
 			Level:         defense.PaddedEnvelope,
 			Runtime:       instrument.NoRuntime(),
-			Envelope:      c.env,
+			Envelope:      c.Env,
 			EnvelopeIndex: id,
 		})
 		if err != nil {
@@ -271,7 +286,7 @@ func TestWorkerInvariance(t *testing.T) {
 		cfg.Workers = workers
 		cfg.HoldoutSize = 4
 		cfg.TrainSize = 6
-		res, err := Run(context.Background(), cfg)
+		res, err := runCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -200,7 +200,7 @@ func (s *Scenario) deploymentEnvelope() (*defense.Envelope, int, error) {
 			s.envErr = err
 			return
 		}
-		nets, err := archid.Nets(zoo, s.Config.Seed)
+		nets, err := archid.Nets(zoo, s.Config.Seed, archid.SeedDomainWeights)
 		if err != nil {
 			s.envErr = err
 			return
@@ -261,48 +261,20 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		return nil, err
 	}
 
-	var noise *march.NoiseModel
-	if !cfg.DisableNoise {
-		noise = march.DefaultNoise(cfg.Seed + 3)
-	}
-	engine, err := march.NewEngine(march.Config{
-		Hierarchy: instrument.SimHierarchy(),
-		Noise:     noise,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt := instrument.DefaultRuntime()
-	if cfg.DisableRuntime {
-		rt = instrument.NoRuntime()
-	}
 	s := &Scenario{
 		Config:       cfg,
 		Arch:         arch,
 		Train:        train,
 		Test:         test,
 		Net:          net,
-		Engine:       engine,
 		TestAccuracy: acc,
 	}
-	var env *defense.Envelope
-	envIdx := 0
-	if cfg.Defense == DefensePaddedEnvelope {
-		if env, envIdx, err = s.deploymentEnvelope(); err != nil {
-			return nil, err
-		}
-	}
-	target, err := defense.New(net, engine, defense.Config{
-		Level:         cfg.Defense,
-		Seed:          cfg.Seed + 4,
-		Runtime:       rt,
-		Envelope:      env,
-		EnvelopeIndex: envIdx,
-	})
-	if err != nil {
+	// The scenario's own deployment is the shard deployment at seed
+	// cfg.Seed+3, so direct measurements and pipeline shards agree.
+	if s.Target, err = s.FactoryFor(cfg.Defense)(cfg.Seed + 3); err != nil {
 		return nil, err
 	}
-	s.Target = target
+	s.Engine = s.Target.Engine()
 	return s, nil
 }
 
@@ -400,36 +372,17 @@ func (s *Scenario) FactoryFor(level DefenseLevel) pipeline.TargetFactory {
 	cfg := s.Config
 	net := s.Net
 	return func(seed int64) (core.Target, error) {
-		var env *defense.Envelope
-		envIdx := 0
+		d := defense.Config{Level: level, Runtime: instrument.DefaultRuntime()}
+		if cfg.DisableRuntime {
+			d.Runtime = instrument.NoRuntime()
+		}
 		if level == DefensePaddedEnvelope {
 			var err error
-			if env, envIdx, err = s.deploymentEnvelope(); err != nil {
+			if d.Envelope, d.EnvelopeIndex, err = s.deploymentEnvelope(); err != nil {
 				return nil, err
 			}
 		}
-		var noise *march.NoiseModel
-		if !cfg.DisableNoise {
-			noise = march.DefaultNoise(seed)
-		}
-		engine, err := march.NewEngine(march.Config{
-			Hierarchy: instrument.SimHierarchy(),
-			Noise:     noise,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt := instrument.DefaultRuntime()
-		if cfg.DisableRuntime {
-			rt = instrument.NoRuntime()
-		}
-		return defense.New(net, engine, defense.Config{
-			Level:         level,
-			Seed:          seed + 1,
-			Runtime:       rt,
-			Envelope:      env,
-			EnvelopeIndex: envIdx,
-		})
+		return defense.Deploy(net, seed, cfg.DisableNoise, d)
 	}
 }
 

@@ -281,3 +281,75 @@ func TestDuplicateClassLabelsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateEventsRejected: an event repeated across register groups
+// would be counted by two sessions, the second overwriting the first's
+// samples, so every stage rejects it before collecting anything.
+func TestDuplicateEventsRejected(t *testing.T) {
+	s := smallScenario(t)
+	ctx := context.Background()
+	events := []Event{EvBranches, EvCycles, EvInstructions, EvCacheMisses, EvBusCycles, EvRefCycles, EvBranches}
+	for _, tc := range []struct {
+		stage string
+		run   func() error
+	}{
+		{"evaluate", func() error {
+			_, err := s.EvaluateCtx(ctx, EvalConfig{Classes: []int{1, 2}, Events: events, RunsPerClass: 4})
+			return err
+		}},
+		{"attack", func() error {
+			_, err := s.Attack(ctx, AttackConfig{Classes: []int{1, 2}, Events: events, ProfileRuns: 4, AttackRuns: 2})
+			return err
+		}},
+		{"archid", func() error {
+			_, err := s.ArchID(ctx, ArchIDConfig{Events: events, ProfileRuns: 2, AttackRuns: 1, MaxInputs: 2})
+			return err
+		}},
+		{"topo", func() error {
+			_, err := s.Topo(ctx, TopoConfig{Events: events, TrainZoo: 2, Holdout: 2, Runs: 2, MaxInputs: 2})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "branches listed twice") {
+			t.Errorf("%s: repeated event not rejected: %v", tc.stage, err)
+		}
+	}
+}
+
+// TestScenarioTargetIsShardDeployment pins the deployment invariant every
+// stage relies on: the scenario's own Target is exactly the deployment a
+// pipeline shard builds with the seed cfg.Seed+3 — same engine noise,
+// same runtime jitter, same pad — so one classification of the same
+// image counts identically on both.
+func TestScenarioTargetIsShardDeployment(t *testing.T) {
+	for _, level := range []DefenseLevel{DefenseBaseline, DefensePaddedEnvelope} {
+		t.Run(level.String(), func(t *testing.T) {
+			s, err := NewScenario(ScenarioConfig{
+				Dataset:       DatasetMNIST,
+				PerClassTrain: 20,
+				PerClassTest:  10,
+				Epochs:        1,
+				Seed:          5,
+				Defense:       level,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard, err := s.FactoryFor(s.Config.Defense)(s.Config.Seed + 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := s.Test.Samples[0].Image
+			var counts [2]march.Counts
+			for i, target := range []core.Target{s.Target, shard} {
+				if _, err := target.Classify(img); err != nil {
+					t.Fatal(err)
+				}
+				counts[i] = target.Engine().Counts()
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("scenario target counts %v, shard deployment counts %v", counts[0], counts[1])
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/archid"
 	"repro/internal/core"
@@ -79,6 +80,13 @@ func (s *Scenario) newCollector(spec WorkerSpec, x runOpts) (*collector, error) 
 	level, err := ParseDefense(spec.Level)
 	if err != nil {
 		return nil, err
+	}
+	// One check on both sides of the fabric: a repeated event would
+	// count twice across register groups and overwrite its own samples.
+	for i, name := range spec.Events {
+		if slices.Contains(spec.Events[:i], name) {
+			return nil, fmt.Errorf("repro: event %s listed twice", name)
+		}
 	}
 	c := &collector{spec: spec, x: x}
 	inputs := s.Test.Inputs()

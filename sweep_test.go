@@ -226,6 +226,23 @@ func TestParseDefense(t *testing.T) {
 	}
 }
 
+// FuzzParseDefense: ParseDefense never panics, and a name it accepts is
+// exactly the level's printed name.
+func FuzzParseDefense(f *testing.F) {
+	for _, l := range AllDefenses() {
+		f.Add(l.String())
+	}
+	for _, s := range []string{"", "bogus", " baseline", "Baseline", "baseline,baseline", "level(9)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		l, err := ParseDefense(s)
+		if err == nil && l.String() != s {
+			t.Fatalf("ParseDefense(%q) = %v, which prints as %q", s, l, l.String())
+		}
+	})
+}
+
 // TestEvaluateGroupedWideEventSet: an event set wider than the register
 // file must split into register-sized campaign groups and still cover
 // every event with the full pair-test matrix.
