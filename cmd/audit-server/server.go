@@ -318,6 +318,9 @@ func validateRequest(req CampaignRequest) error {
 	if req.Scenario.Dataset == "" {
 		return fmt.Errorf("campaign needs a scenario dataset")
 	}
+	if len(req.Scenario.Net) != 0 {
+		return fmt.Errorf("scenario.net is not accepted: the server trains the network from the scenario's seeds")
+	}
 	if _, err := repro.ParseDefense(req.Scenario.Defense); err != nil {
 		return err
 	}

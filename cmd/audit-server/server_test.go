@@ -210,6 +210,7 @@ func TestServerRejectsUnrunnableCampaigns(t *testing.T) {
 		{"unknown event in list", `{"stage":"attack","scenario":{"dataset":"mnist","defense":"baseline"},"events":["branches,nope"]}`, "nope"},
 		{"event across entries", `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"events":["base","cache-misses"]}`, "listed twice"},
 		{"event within a list", `{"stage":"monitor","scenario":{"dataset":"mnist","defense":"baseline"},"events":["branches,branches"]}`, "listed twice"},
+		{"shipped weights", `{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline","net":"AAAA"}}`, "scenario.net"},
 	}
 	for _, tc := range cases {
 		resp := postCampaign(t, ts, tc.body)

@@ -2,8 +2,9 @@
 // fabric. A coordinator (any repro campaign with Processes ≥ 1) launches
 // it, sends the campaign spec in an init frame and then streams shard
 // plans; the worker rebuilds the full campaign state from the spec —
-// every construction step is seeded, so the rebuild is bit-identical to
-// the coordinator's — and answers each plan with the shard's canonical
+// seeds plus the coordinator's trained weights, which the campaign
+// digest binds, so the rebuild is bit-identical to the coordinator's
+// without retraining — and answers each plan with the shard's canonical
 // profile payload and digest.
 //
 // Usage:

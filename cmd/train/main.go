@@ -1,12 +1,14 @@
 // Command train fits one of the paper's two CNNs on its synthetic dataset
-// and writes the trained model to a gob file for reuse by the other tools.
+// and writes the trained model in the canonical model encoding
+// (nn.EncodeModel: architecture plus every parameter's float32 bits, the
+// same bytes for the same weights) for reuse by the other tools.
 // It builds the scenario through the same repro.NewScenario path the
 // evaluation and attack pipelines deploy, so a saved model is exactly the
 // network those campaigns would train for the same -seed.
 //
 // Usage:
 //
-//	train -dataset mnist -out mnist.gob [-epochs 2] [-seed 1] [-perclass 120]
+//	train -dataset mnist -out mnist.model [-epochs 2] [-seed 1] [-perclass 120]
 package main
 
 import (
@@ -25,7 +27,7 @@ func main() {
 	log.SetPrefix("train: ")
 	var (
 		dsName   = flag.String("dataset", "mnist", "dataset: mnist or cifar")
-		out      = flag.String("out", "", "output model file (gob); empty = train only")
+		out      = flag.String("out", "", "output model file (canonical model encoding, nn.LoadModel reads it); empty = train only")
 		epochs   = flag.Int("epochs", 2, "SGD epochs")
 		seed     = flag.Int64("seed", 1, "random seed (drives dataset generation, weight init and SGD order)")
 		perClass = flag.Int("perclass", 120, "training images per class")

@@ -5,14 +5,18 @@ package repro
 // runner construction. Sessions themselves are built in session.go, by
 // the same functions on both sides of the boundary.
 //
-// The spec is deliberately tiny — dataset, seeds and budgets, never
-// data. A shardworker process rebuilds the entire campaign (synthetic
-// dataset, trained network, victims, envelope) from the spec alone;
-// because every construction step is seeded, the rebuilt state is
-// bit-identical to the coordinator's, and a shard measured in another
-// process returns the exact bytes the in-process pipeline would have
-// produced. That is the whole determinism argument: processes=N only
-// changes *where* shards run, never *what* they observe.
+// The spec carries seeds, budgets and the trained network's weights,
+// never measured data. A shardworker process rebuilds the campaign from
+// it: the synthetic dataset, victims and envelope from seeds, the
+// deployed network from the shipped weights (nn.EncodeModel, canonical
+// bytes). The weights sit inside the spec bytes, so the campaign digest
+// that names a journal binds them too. Every construction step is seeded
+// or copied bit for bit, so the rebuilt state is identical to the
+// coordinator's — without relying on training reproducing the same
+// floats in another process — and a shard measured in another process
+// returns the exact bytes the in-process pipeline would have produced.
+// That is the whole determinism argument: processes=N only changes
+// *where* shards run, never *what* they observe.
 
 import (
 	"context"
@@ -22,6 +26,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/march"
+	"repro/internal/nn"
 )
 
 // FabricConfig configures the distributed audit fabric for campaigns
@@ -53,8 +58,10 @@ func (fc FabricConfig) workerBin() (string, error) {
 }
 
 // ScenarioSpec is the wire form of ScenarioConfig: everything a worker
-// process needs to rebuild the scenario — dataset generation, training
-// and deployment are all seeded, so the rebuild is bit-identical.
+// process needs to rebuild the scenario. Dataset generation and
+// deployment are seeded; the network comes from Net when it is set
+// (every spec a coordinator sends) and is otherwise retrained from the
+// seeds, so the rebuild is bit-identical either way.
 type ScenarioSpec struct {
 	Dataset        Dataset `json:"dataset"`
 	Seed           int64   `json:"seed"`
@@ -65,9 +72,11 @@ type ScenarioSpec struct {
 	Defense        string  `json:"defense"`
 	DisableRuntime bool    `json:"disable_runtime,omitempty"`
 	DisableNoise   bool    `json:"disable_noise,omitempty"`
+	// Net is the deployed network's canonical encoding (nn.EncodeModel).
+	Net []byte `json:"net,omitempty"`
 }
 
-// spec captures the scenario's rebuild recipe.
+// spec captures the scenario's rebuild recipe and its trained weights.
 func (s *Scenario) spec() ScenarioSpec {
 	c := s.Config
 	return ScenarioSpec{
@@ -80,7 +89,33 @@ func (s *Scenario) spec() ScenarioSpec {
 		Defense:        c.Defense.String(),
 		DisableRuntime: c.DisableRuntime,
 		DisableNoise:   c.DisableNoise,
+		Net:            nn.EncodeModel(s.Arch, s.Net),
 	}
+}
+
+// scenario rebuilds the spec's scenario on a worker: with shipped
+// weights it generates the dataset and deploys the decoded network (no
+// training, no accuracy pass); without them it runs the full recipe.
+func (sp ScenarioSpec) scenario() (*Scenario, error) {
+	cfg, err := sp.config()
+	if err != nil {
+		return nil, err
+	}
+	if len(sp.Net) == 0 {
+		return NewScenario(cfg)
+	}
+	arch, net, err := nn.DecodeModel(sp.Net)
+	if err != nil {
+		return nil, fmt.Errorf("repro: shipped network: %w", err)
+	}
+	s, err := newScenarioData(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if arch != s.Arch {
+		return nil, fmt.Errorf("repro: shipped network is architecture %q, the %s scenario deploys %q", arch.Name, cfg.Dataset, s.Arch.Name)
+	}
+	return s.deploy(net)
 }
 
 func (sp ScenarioSpec) config() (ScenarioConfig, error) {
@@ -189,7 +224,8 @@ func parseEventNames(names []string) ([]march.Event, error) {
 }
 
 // NewWorkerRunner is the fabric.BuildRunner of cmd/shardworker: it
-// decodes a WorkerSpec, rebuilds the scenario, and builds the spec's
+// decodes a WorkerSpec, rebuilds the scenario (deploying the shipped
+// network when the spec carries one), and builds the spec's
 // session through the same collector the coordinator used, returning the
 // plan executor the serve loop answers shard frames with.
 func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
@@ -200,11 +236,7 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	if spec.Proto != specProto {
 		return nil, fmt.Errorf("repro: worker spec proto %q, want %q — coordinator and shardworker binaries are out of sync", spec.Proto, specProto)
 	}
-	scfg, err := spec.Scenario.config()
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewScenario(scfg)
+	s, err := spec.Scenario.scenario()
 	if err != nil {
 		return nil, fmt.Errorf("repro: rebuilding scenario: %w", err)
 	}

@@ -16,12 +16,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 var (
@@ -407,5 +410,71 @@ func TestWideEventSetByteInvariantAcrossProcesses(t *testing.T) {
 				t.Fatalf("processes=2 result differs from in-process bytes:\n--- processes=2 ---\n%s\n--- in-process ---\n%s", g, w)
 			}
 		})
+	}
+}
+
+// TestWorkerUsesShippedNet: a spec whose scenario seeds would train one
+// network but which carries another (trained under a different seed)
+// makes every worker deploy the shipped network. The fabric campaign
+// must measure exactly what the in-process deployment of that network
+// measures, and not what the seeds' own network measures.
+func TestWorkerUsesShippedNet(t *testing.T) {
+	s := attackScenario(t)
+	other, err := NewScenario(ScenarioConfig{Dataset: DatasetMNIST, Seed: s.Config.Seed + 100,
+		PerClassTrain: 20, PerClassTest: 10, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := newScenarioData(s.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shipped, err = shipped.deploy(other.Net); err != nil {
+		t.Fatal(err)
+	}
+	run := func(sc *Scenario, procs int, fc FabricConfig) []byte {
+		rep, err := sc.Evaluate(smallEvalConfig(procs, fc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustJSON(t, toGolden(rep))
+	}
+	want := run(shipped, 0, FabricConfig{})
+	if bytes.Equal(want, run(s, 0, FabricConfig{})) {
+		t.Fatal("fixture: the two networks measure the same bytes, so the test cannot tell them apart")
+	}
+	if got := run(shipped, 2, fabricCfg(t)); !bytes.Equal(got, want) {
+		t.Fatalf("fabric workers did not deploy the shipped network:\n--- processes=2 ---\n%s\n--- in-process ---\n%s", got, want)
+	}
+}
+
+// TestWorkerRejectsForeignNet: a worker handed weights of the wrong
+// architecture, or a damaged weight blob, refuses the spec with an error
+// naming the problem instead of deploying something else.
+func TestWorkerRejectsForeignNet(t *testing.T) {
+	s := attackScenario(t)
+	cifar, err := nn.Build(nn.CIFARArch(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := nn.EncodeModel(s.Arch, s.Net)
+	for _, tc := range []struct {
+		name, want string
+		net        []byte
+	}{
+		{"cifar net in an mnist spec", `architecture "cifar-cnn"`, nn.EncodeModel(nn.CIFARArch(), cifar)},
+		{"truncated blob", "truncated", blob[:len(blob)-1]},
+		{"bad magic", "bad magic", append([]byte("X"), blob[1:]...)},
+	} {
+		spec := s.workerSpec(StageReport, s.Config.Defense, []Event{EvBranches})
+		spec.Scenario.Net = tc.net
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewWorkerRunner(context.Background(), raw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewWorkerRunner error = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

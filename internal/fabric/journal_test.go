@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -190,4 +192,55 @@ func TestJournalFreshFile(t *testing.T) {
 	if p, ok := j2.Payload(0); !ok || string(p) != "zero" {
 		t.Fatalf("reopen lost shard 0: %q, %v", p, ok)
 	}
+}
+
+// FuzzJournalLoad: whatever a journal file holds, OpenJournal either
+// fails or keeps a valid prefix of it (or starts the file fresh), and
+// reopening the repaired file loads the same completions and leaves it
+// unchanged.
+func FuzzJournalLoad(f *testing.F) {
+	for _, name := range []string{"valid.journal", "corrupt-tail.journal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(bytes.Replace(data, []byte("aGVsbG8="), []byte("aGVsbG9="), 1)) // digest mismatch
+	}
+	f.Add([]byte(nil))
+	f.Add([]byte(`{"v":1,"campaign":"` + fixtureCampaign + `"}` + "\n"))
+	f.Add([]byte(`{"v":1,"campaign":"someone-else"}` + "\n" + `{"v":1,"shard":0}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, fixtureCampaign)
+		if err != nil {
+			return
+		}
+		done := j.Done()
+		j.Close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := json.Marshal(journalHeader{V: ProtocolVersion, Campaign: fixtureCampaign})
+		if !bytes.HasPrefix(data, kept) && !bytes.Equal(kept, append(fresh, '\n')) {
+			t.Fatalf("repaired journal is neither a prefix of its input nor a fresh one: %q", kept)
+		}
+		j2, err := OpenJournal(path, fixtureCampaign)
+		if err != nil {
+			t.Fatalf("reopening a repaired journal: %v", err)
+		}
+		defer j2.Close()
+		if j2.Done() != done {
+			t.Fatalf("reopen loaded %d completions, first open %d", j2.Done(), done)
+		}
+		again, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(again, kept) {
+			t.Fatalf("reopening changed the repaired journal (%v)", err)
+		}
+	})
 }

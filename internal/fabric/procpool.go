@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -179,6 +180,14 @@ var _ pipeline.Dispatcher = (*ProcPool)(nil)
 // StartPool launches and initializes the worker processes. It returns
 // only once every worker has acknowledged the campaign spec with a ready
 // frame, so dispatch latency never includes campaign construction.
+//
+// Workers are launched one at a time — start the process, accept its
+// connection (TCP pools), send the init frame — so each accepted
+// connection belongs to the process just started. Their handshakes then
+// complete concurrently: every worker builds its campaign at once, and
+// pool start costs one campaign construction, not Procs of them. If any
+// worker fails, the others are killed, every launched process is reaped,
+// and the error is the lowest-id failing worker's.
 func StartPool(ctx context.Context, cfg PoolConfig) (*ProcPool, error) {
 	if cfg.Bin == "" {
 		return nil, fmt.Errorf("fabric: no shardworker binary configured")
@@ -191,6 +200,13 @@ func StartPool(ctx context.Context, cfg PoolConfig) (*ProcPool, error) {
 		free:   make(chan *worker, cfg.Procs),
 		closed: make(chan struct{}),
 	}
+	abort := func(err error) (*ProcPool, error) {
+		for _, w := range p.workers {
+			w.kill()
+		}
+		p.Close()
+		return nil, err
+	}
 	var ln net.Listener
 	if cfg.TCP {
 		var err error
@@ -201,19 +217,61 @@ func StartPool(ctx context.Context, cfg PoolConfig) (*ProcPool, error) {
 		defer ln.Close()
 	}
 	for i := 0; i < cfg.Procs; i++ {
-		w, err := p.spawn(ctx, i, ln)
+		w, err := p.launch(i, ln)
 		if err != nil {
-			p.Close()
-			return nil, err
+			return abort(err)
 		}
 		p.workers = append(p.workers, w)
+	}
+
+	hctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, len(p.workers))
+	var wg sync.WaitGroup
+	for i, w := range p.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = p.awaitReady(hctx, w); errs[i] != nil {
+				cancel() // one failure fails the pool: stop the others' builds
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return abort(err)
+	}
+	if err := handshakeErr(errs); err != nil {
+		return abort(err)
+	}
+	for _, w := range p.workers {
 		p.free <- w
 	}
 	return p, nil
 }
 
-// spawn launches worker id and completes its init handshake.
-func (p *ProcPool) spawn(ctx context.Context, id int, ln net.Listener) (*worker, error) {
+// handshakeErr picks a pool's handshake error: the lowest-id worker's
+// own failure, ahead of the cancellations that failure caused in the
+// workers killed because of it.
+func handshakeErr(errs []error) error {
+	var canceled error
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled):
+			if canceled == nil {
+				canceled = err
+			}
+		default:
+			return err
+		}
+	}
+	return canceled
+}
+
+// launch starts worker id, connects its transport and sends it the init
+// frame; awaitReady completes the handshake.
+func (p *ProcPool) launch(id int, ln net.Listener) (*worker, error) {
 	args := append([]string(nil), p.cfg.Args...)
 	if ln != nil {
 		args = append(args, "-connect", ln.Addr().String())
@@ -240,7 +298,7 @@ func (p *ProcPool) spawn(ctx context.Context, id int, ln net.Listener) (*worker,
 		if err := cmd.Start(); err != nil {
 			return nil, fmt.Errorf("fabric: starting worker %d (%s): %w", id, p.cfg.Bin, err)
 		}
-		// Workers are spawned and accepted one at a time, so this
+		// Workers are launched and accepted one at a time, so this
 		// connection belongs to this process.
 		if tl, ok := ln.(*net.TCPListener); ok {
 			//detlint:allow seedpurity — IO watchdog: the accept deadline bounds a hung worker handshake and never reaches campaign bytes
@@ -264,21 +322,25 @@ func (p *ProcPool) spawn(ctx context.Context, id int, ln net.Listener) (*worker,
 		w.kill()
 		return nil, fmt.Errorf("fabric: initializing worker %d: %v (%s)", id, err, w.describe())
 	}
+	return w, nil
+}
+
+// awaitReady reads worker w's answer to its init frame.
+func (p *ProcPool) awaitReady(ctx context.Context, w *worker) error {
 	f, err := p.readFrom(ctx, w)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: worker %d handshake: %w", id, err)
+		return fmt.Errorf("fabric: worker %d handshake: %w", w.id, err)
 	}
-	if f.Type == TypeError {
+	switch f.Type {
+	case TypeReady:
+		return nil
+	case TypeError:
 		w.kill()
-		w.wait()
-		return nil, fmt.Errorf("fabric: worker %d rejected campaign spec: %s", id, f.Err)
-	}
-	if f.Type != TypeReady {
+		return fmt.Errorf("fabric: worker %d rejected campaign spec: %s", w.id, f.Err)
+	default:
 		w.kill()
-		w.wait()
-		return nil, fmt.Errorf("fabric: worker %d sent %q during handshake, want %q", id, f.Type, TypeReady)
+		return fmt.Errorf("fabric: worker %d sent %q during handshake, want %q", w.id, f.Type, TypeReady)
 	}
-	return w, nil
 }
 
 // countReads wraps a worker transport's read side with byte telemetry
@@ -321,10 +383,13 @@ func (p *ProcPool) noteExit(w *worker) {
 
 // readFrom reads one frame from a worker under a context watchdog: if
 // ctx is cancelled while the read blocks, the worker is killed (and its
-// conn closed), which unblocks the read immediately.
+// conn closed), which unblocks the read immediately. The watchdog is
+// gone when readFrom returns, so a later cancellation of ctx never
+// reaches a worker whose read already succeeded.
 func (p *ProcPool) readFrom(ctx context.Context, w *worker) (Frame, error) {
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-ctx.Done():
 			w.kill()
@@ -335,6 +400,7 @@ func (p *ProcPool) readFrom(ctx context.Context, w *worker) (Frame, error) {
 	}()
 	f, err := ReadFrame(w.out)
 	close(done)
+	<-exited
 	if err != nil {
 		w.kill()
 		if ctxErr := ctx.Err(); ctxErr != nil {

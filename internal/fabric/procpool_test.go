@@ -2,27 +2,199 @@ package fabric
 
 // ProcPool process-level tests. The test binary doubles as the worker
 // process: TestMain re-executes itself as a protocol-speaking fake
-// shardworker when FABRIC_TEST_WORKER is set, so the pool is exercised
-// against a real subprocess without building cmd/shardworker.
+// shardworker when FABRIC_TEST_WORKER is set (its value picks the fake's
+// behaviour), so the pool is exercised against a real subprocess without
+// building cmd/shardworker.
 
 import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv("FABRIC_TEST_WORKER") != "" {
+	switch os.Getenv("FABRIC_TEST_WORKER") {
+	case "":
+		os.Exit(m.Run())
+	case "barrier":
+		runBarrierWorker()
+	case "reject-one":
+		runRejectOneWorker()
+	default:
 		runChattyWorker()
-		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	os.Exit(0)
+}
+
+// Fake-worker settings shared through the environment: a directory the
+// pool's workers all see, and the pool size.
+func fakeWorkerDir() string { return os.Getenv("FABRIC_TEST_DIR") }
+
+func fakeWorkerProcs() int {
+	n, _ := strconv.Atoi(os.Getenv("FABRIC_TEST_PROCS"))
+	return n
+}
+
+// fakeOut is where a fake worker writes frames: stdout, or the
+// coordinator connection of a TCP pool.
+var fakeOut io.Writer = os.Stdout
+
+// readInit connects a fake worker's transport — the "-connect addr"
+// connection of a TCP pool, else stdin/stdout — and reads its init
+// frame.
+func readInit() *bufio.Reader {
+	var in io.Reader = os.Stdin
+	if i := slices.Index(os.Args, "-connect"); i >= 0 && i+1 < len(os.Args) {
+		conn, err := net.Dial("tcp", os.Args[i+1])
+		if err != nil {
+			os.Exit(2)
+		}
+		in, fakeOut = conn, conn
+	}
+	br := bufio.NewReader(in)
+	if f, err := ReadFrame(br); err != nil || f.Type != TypeInit {
+		os.Exit(2)
+	}
+	return br
+}
+
+// awaitFiles polls until the fake-worker directory holds n files
+// matching pattern, giving up after 10 s.
+func awaitFiles(pattern string, n int) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, _ := filepath.Glob(filepath.Join(fakeWorkerDir(), pattern))
+		if len(got) >= n {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("only %d of %d workers got their init frame within 10s", len(got), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// serveShutdown answers frames until shutdown or a closed transport.
+func serveShutdown(br *bufio.Reader) {
+	for {
+		if f, err := ReadFrame(br); err != nil || f.Type == TypeShutdown {
+			return
+		}
+	}
+}
+
+// runBarrierWorker acknowledges its init frame only once every worker
+// of the pool has received one: a pool that waits for one worker's
+// ready frame before initializing the next never gets there.
+func runBarrierWorker() {
+	br := readInit()
+	os.WriteFile(filepath.Join(fakeWorkerDir(), fmt.Sprintf("init-%d", os.Getpid())), nil, 0o644)
+	if err := awaitFiles("init-*", fakeWorkerProcs()); err != nil {
+		WriteFrame(fakeOut, Frame{Type: TypeError, Err: err.Error()})
+		os.Exit(1)
+	}
+	WriteFrame(fakeOut, Frame{Type: TypeReady})
+	serveShutdown(br)
+}
+
+// runRejectOneWorker records its pid, waits for every worker of the
+// pool to do the same, and then exactly one worker (the first to claim
+// the sentinel) rejects the spec while the others stay busy "building"
+// for 20 s.
+func runRejectOneWorker() {
+	os.WriteFile(filepath.Join(fakeWorkerDir(), fmt.Sprintf("pid-%d", os.Getpid())), nil, 0o644)
+	br := readInit()
+	if err := awaitFiles("pid-*", fakeWorkerProcs()); err != nil {
+		WriteFrame(fakeOut, Frame{Type: TypeError, Err: err.Error()})
+		os.Exit(1)
+	}
+	if f, err := os.OpenFile(filepath.Join(fakeWorkerDir(), "reject"), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
+		f.Close()
+		WriteFrame(fakeOut, Frame{Type: TypeError, Err: "fake worker rejects the spec"})
+		os.Exit(1)
+	}
+	time.Sleep(20 * time.Second)
+	WriteFrame(fakeOut, Frame{Type: TypeReady})
+	serveShutdown(br)
+}
+
+// fakePool is the pool config of the fake-worker tests.
+func fakePool(mode, dir string, procs int) PoolConfig {
+	return PoolConfig{
+		Bin: os.Args[0],
+		Env: []string{"FABRIC_TEST_WORKER=" + mode, "FABRIC_TEST_DIR=" + dir,
+			"FABRIC_TEST_PROCS=" + strconv.Itoa(procs)},
+		Spec:  []byte(`{"fixture":true}`),
+		Procs: procs,
+	}
+}
+
+// TestStartPoolHandshakesConcurrently: every worker receives its init
+// frame before the pool waits on any ready frame, so workers that each
+// need all the others initialized complete the handshake.
+func TestStartPoolHandshakesConcurrently(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
+			cfg := fakePool("barrier", t.TempDir(), 3)
+			cfg.TCP = tcp
+			pool, err := StartPool(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("StartPool: %v", err)
+			}
+			pool.Close()
+		})
+	}
+}
+
+// TestStartPoolHandshakeFailureReapsAll: one worker of three rejects the
+// spec while the others are still building. StartPool fails with that
+// worker's rejection (not the others' cancellation), kills the workers
+// still building instead of waiting them out, and reaps every process.
+func TestStartPoolHandshakeFailureReapsAll(t *testing.T) {
+	dir := t.TempDir()
+	start := time.Now()
+	pool, err := StartPool(context.Background(), fakePool("reject-one", dir, 3))
+	if err == nil {
+		pool.Close()
+		t.Fatal("StartPool succeeded with a rejecting worker")
+	}
+	if !regexp.MustCompile(`worker \d rejected campaign spec: fake worker rejects the spec`).MatchString(err.Error()) {
+		t.Fatalf("error does not name the rejecting worker: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 15*time.Second {
+		t.Fatalf("StartPool took %v: it waited out the building workers instead of killing them", elapsed)
+	}
+	pids, err := filepath.Glob(filepath.Join(dir, "pid-*"))
+	if err != nil || len(pids) != 3 {
+		t.Fatalf("pid files = %v (%v), want 3", pids, err)
+	}
+	for _, f := range pids {
+		pid, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(f), "pid-"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A reaped process is gone; a running or unreaped one still
+		// answers signal 0.
+		if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+			t.Errorf("worker process %d still exists after StartPool failed (kill 0: %v)", pid, err)
+		}
+	}
 }
 
 // runChattyWorker speaks the worker protocol on stdio after spewing far

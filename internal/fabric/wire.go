@@ -12,8 +12,9 @@
 //
 // The unit of distribution is the pipeline's wire Plan: (class, start,
 // count, seed). A worker process is initialized once with an opaque
-// campaign spec (it rebuilds the victims, pools and evaluator from seeds
-// alone), then executes plans on demand, returning each shard's
+// campaign spec (seeds plus the trained network's weights, from which it
+// rebuilds the victims, pools and evaluator; the weights are part of the
+// spec bytes, so CampaignDigest binds them), then executes plans on demand, returning each shard's
 // canonically-encoded profiles. The coordinator merges results keyed by
 // shard id — never arrival order — journals completions so a crashed
 // campaign resumes without re-measuring finished shards, and on any

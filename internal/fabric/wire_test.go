@@ -94,3 +94,33 @@ func TestReadFrameRejectsCorruptStream(t *testing.T) {
 		t.Fatal("corrupt JSON frame accepted")
 	}
 }
+
+// frameBytes is one frame's wire encoding.
+func frameBytes(t testing.TB, f Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadFrame: arbitrary bytes on a worker transport give a frame or
+// an error, never a panic, and a frame that reads is one of this
+// protocol version.
+func FuzzReadFrame(f *testing.F) {
+	shard := frameBytes(f, Frame{Type: TypeShard, Plan: &pipeline.Plan{Index: 3, Class: 1, Start: 6, Count: 6, Seed: -42}})
+	f.Add(frameBytes(f, Frame{Type: TypeInit, Spec: json.RawMessage(`{"stage":"report"}`)}))
+	f.Add(shard)
+	f.Add(frameBytes(f, Frame{Type: TypeResult, Index: 3, Payload: []byte(`[{"x":1}]`), Digest: "abc"}))
+	f.Add(shard[:len(shard)-3])                     // truncated body
+	f.Add([]byte{0, 0, 0, 0})                       // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{', '}'}) // length past maxFrame
+	f.Add(append([]byte{0, 0, 0, 16}, `{"v":9,"type":1}`...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := ReadFrame(bytes.NewReader(b))
+		if err == nil && fr.V != ProtocolVersion {
+			t.Fatalf("ReadFrame returned a version-%d frame", fr.V)
+		}
+	})
+}

@@ -1,6 +1,6 @@
 // Package nn implements the convolutional neural network substrate: layers
 // with forward and backward passes, a sequential network container, softmax
-// cross-entropy training with SGD+momentum, and gob model serialization.
+// cross-entropy training with SGD+momentum, and a canonical model encoding.
 //
 // The paper under reproduction runs a TensorFlow CNN; this package replaces
 // it with a from-scratch implementation so the instrumented side-channel

@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -286,44 +286,195 @@ func Accuracy(n *Network, inputs []*tensor.Tensor, labels []int) (float64, error
 	return float64(correct) / float64(len(inputs)), nil
 }
 
-// modelFile is the gob wire format for a trained network. Only weights and
-// the architecture are persisted; optimizer state is not.
-type modelFile struct {
-	Arch    Arch
-	Tensors map[string][]float32
+// The canonical model encoding: one byte layout for a trained network,
+// so the same weights always encode to the same bytes (a model file's
+// digest identifies its weights). The layout is positional:
+//
+//	magic "RNNMODEL", version (uint32)
+//	arch: name (string), InH, InW, InC, Conv1, Conv2, Kernel, Classes (uint32 each)
+//	param count (uint32), then per parameter in Params() order:
+//	    name (string), length (uint32), length × float32 bits
+//
+// A string is its byte length (uint32) followed by the bytes; every
+// integer is little-endian.
+const (
+	modelMagic   = "RNNMODEL"
+	modelVersion = 1
+	// maxModelDim bounds every decoded architecture field and
+	// maxModelTensor every parameter, activation and im2col buffer the
+	// architecture implies, so a decoded network never asks for a huge
+	// allocation. The paper's CIFAR net peaks at ~25k elements.
+	maxModelDim    = 1 << 12
+	maxModelTensor = 1 << 22
+	// maxModelBytes bounds what LoadModel reads from its stream.
+	maxModelBytes = 128 << 20
+)
+
+// dims lists the architecture's integer fields in encoding order.
+func (a *Arch) dims() []*int {
+	return []*int{&a.InH, &a.InW, &a.InC, &a.Conv1, &a.Conv2, &a.Kernel, &a.Classes}
 }
 
-// SaveModel serializes the network (built from arch) to w.
-func SaveModel(w io.Writer, a Arch, n *Network) error {
-	mf := modelFile{Arch: a, Tensors: map[string][]float32{}}
-	for _, p := range n.Params() {
-		mf.Tensors[p.Name] = p.Value.Data
+// tensorSizes returns how many parameters the architecture builds, and
+// the element count of its largest tensor: a parameter, or an activation
+// or im2col buffer of one forward pass. Fields are assumed to be in
+// [0, maxModelDim], so no product overflows.
+func (a Arch) tensorSizes() (params, peak int) {
+	h, w := a.InH, a.InW
+	peak = h * w * a.InC
+	inC := a.InC
+	for _, outC := range []int{a.Conv1, a.Conv2} {
+		oh, ow := max(h-a.Kernel+1, 0), max(w-a.Kernel+1, 0)
+		cols := a.Kernel * a.Kernel * inC
+		peak = max(peak, oh*ow*cols, oh*ow*outC, cols*outC)
+		params += cols*outC + outC
+		h, w, inC = oh/2, ow/2, outC
 	}
-	if err := gob.NewEncoder(w).Encode(&mf); err != nil {
-		return fmt.Errorf("nn: encoding model: %w", err)
+	dense := h * w * inC * a.Classes
+	return params + dense + a.Classes, max(peak, dense)
+}
+
+// EncodeModel returns the canonical encoding of a network built from
+// arch.
+func EncodeModel(a Arch, n *Network) []byte {
+	params := n.Params()
+	size := len(modelMagic) + 4 + 4 + len(a.Name) + 4*len(a.dims()) + 4
+	for _, p := range params {
+		size += 4 + len(p.Name) + 4 + 4*p.Value.Len()
+	}
+	le := binary.LittleEndian
+	b := make([]byte, 0, size)
+	b = append(b, modelMagic...)
+	b = le.AppendUint32(b, modelVersion)
+	b = appendModelString(b, a.Name)
+	for _, d := range a.dims() {
+		b = le.AppendUint32(b, uint32(*d))
+	}
+	b = le.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = appendModelString(b, p.Name)
+		b = le.AppendUint32(b, uint32(p.Value.Len()))
+		for _, v := range p.Value.Data {
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	return b
+}
+
+func appendModelString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// modelReader consumes an encoded model; the first error sticks.
+type modelReader struct {
+	b   []byte
+	err error
+}
+
+func (r *modelReader) take(n uint64) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)) {
+		r.err = fmt.Errorf("nn: model truncated: need %d more bytes, have %d", n, len(r.b))
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *modelReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *modelReader) str() string { return string(r.take(uint64(r.u32()))) }
+
+// DecodeModel rebuilds a network from its canonical encoding. Every
+// parameter's name and length must match a fresh Build of the encoded
+// architecture, the architecture must stay within fixed size bounds, and
+// no bytes may follow the last parameter, so a blob that decodes
+// re-encodes to exactly itself.
+func DecodeModel(b []byte) (Arch, *Network, error) {
+	r := &modelReader{b: b}
+	if string(r.take(uint64(len(modelMagic)))) != modelMagic {
+		return Arch{}, nil, fmt.Errorf("nn: not a model file (bad magic)")
+	}
+	if v := r.u32(); r.err == nil && v != modelVersion {
+		return Arch{}, nil, fmt.Errorf("nn: model version %d, want %d", v, modelVersion)
+	}
+	var a Arch
+	a.Name = r.str()
+	for _, d := range a.dims() {
+		v := r.u32()
+		if v > maxModelDim {
+			return Arch{}, nil, fmt.Errorf("nn: model architecture field %d exceeds %d", v, maxModelDim)
+		}
+		*d = int(v)
+	}
+	count := r.u32()
+	if r.err != nil {
+		return Arch{}, nil, r.err
+	}
+	// Check the architecture's size before building it: Build allocates
+	// every parameter (and its gradient), so a blob too short to hold
+	// them, or an architecture past the bound, is refused first.
+	total, peak := a.tensorSizes()
+	if peak > maxModelTensor {
+		return Arch{}, nil, fmt.Errorf("nn: model architecture %+v implies a %d-element tensor, over the %d bound", a, peak, maxModelTensor)
+	}
+	if 4*total > len(r.b) {
+		return Arch{}, nil, fmt.Errorf("nn: model truncated: %d parameters need %d bytes, have %d", total, 4*total, len(r.b))
+	}
+	n, err := Build(a, rand.New(rand.NewSource(0)))
+	if err != nil {
+		return Arch{}, nil, err
+	}
+	params := n.Params()
+	if int(count) != len(params) {
+		return Arch{}, nil, fmt.Errorf("nn: model has %d tensors, architecture %q has %d", count, a.Name, len(params))
+	}
+	for _, p := range params {
+		name, length := r.str(), r.u32()
+		if r.err != nil {
+			return Arch{}, nil, r.err
+		}
+		if name != p.Name || int(length) != p.Value.Len() {
+			return Arch{}, nil, fmt.Errorf("nn: model tensor %q (%d values), want %q (%d values)", name, length, p.Name, p.Value.Len())
+		}
+		data := r.take(4 * uint64(length))
+		if r.err != nil {
+			return Arch{}, nil, r.err
+		}
+		for i := range p.Value.Data {
+			p.Value.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+	}
+	if len(r.b) != 0 {
+		return Arch{}, nil, fmt.Errorf("nn: %d trailing bytes after the model", len(r.b))
+	}
+	return a, n, nil
+}
+
+// SaveModel writes the network's canonical encoding to w.
+func SaveModel(w io.Writer, a Arch, n *Network) error {
+	if _, err := w.Write(EncodeModel(a, n)); err != nil {
+		return fmt.Errorf("nn: writing model: %w", err)
 	}
 	return nil
 }
 
 // LoadModel rebuilds a network from a stream written by SaveModel.
 func LoadModel(r io.Reader) (Arch, *Network, error) {
-	var mf modelFile
-	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
-		return Arch{}, nil, fmt.Errorf("nn: decoding model: %w", err)
-	}
-	n, err := Build(mf.Arch, rand.New(rand.NewSource(0)))
+	b, err := io.ReadAll(io.LimitReader(r, maxModelBytes+1))
 	if err != nil {
-		return Arch{}, nil, err
+		return Arch{}, nil, fmt.Errorf("nn: reading model: %w", err)
 	}
-	for _, p := range n.Params() {
-		data, ok := mf.Tensors[p.Name]
-		if !ok {
-			return Arch{}, nil, fmt.Errorf("nn: model file missing tensor %q", p.Name)
-		}
-		if len(data) != p.Value.Len() {
-			return Arch{}, nil, fmt.Errorf("nn: tensor %q has %d values, want %d", p.Name, len(data), p.Value.Len())
-		}
-		copy(p.Value.Data, data)
+	if len(b) > maxModelBytes {
+		return Arch{}, nil, fmt.Errorf("nn: model stream exceeds %d bytes", maxModelBytes)
 	}
-	return mf.Arch, n, nil
+	return DecodeModel(b)
 }

@@ -215,6 +215,38 @@ func (s *Scenario) deploymentEnvelope() (*defense.Envelope, int, error) {
 // NewScenario generates the dataset, trains the CNN, and deploys it
 // instrumented on a simulated core.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
+	s, err := newScenarioData(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = s.Config
+	net, err := nn.Build(s.Arch, rand.New(rand.NewSource(cfg.Seed+1)))
+	if err != nil {
+		return nil, err
+	}
+	lr := cfg.LR
+	if lr <= 0 {
+		lr = 0.05
+		if cfg.Dataset == DatasetCIFAR {
+			lr = 0.01
+		}
+	}
+	err = nn.Train(net, s.Train.Inputs(), s.Train.Labels(), nn.TrainConfig{
+		Epochs: cfg.Epochs, BatchSize: 16, LR: lr, Momentum: 0.9, Seed: cfg.Seed + 2,
+		Progress: cfg.TrainProgress,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.TestAccuracy, err = nn.Accuracy(net, s.Test.Inputs(), s.Test.Labels()); err != nil {
+		return nil, err
+	}
+	return s.deploy(net)
+}
+
+// newScenarioData generates the scenario's dataset and resolves its
+// architecture: everything but the network.
+func newScenarioData(cfg ScenarioConfig) (*Scenario, error) {
 	cfg = cfg.withDefaults()
 	var (
 		arch nn.Arch
@@ -238,40 +270,17 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := nn.Build(arch, rand.New(rand.NewSource(cfg.Seed+1)))
-	if err != nil {
-		return nil, err
-	}
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.05
-		if cfg.Dataset == DatasetCIFAR {
-			lr = 0.01
-		}
-	}
-	err = nn.Train(net, train.Inputs(), train.Labels(), nn.TrainConfig{
-		Epochs: cfg.Epochs, BatchSize: 16, LR: lr, Momentum: 0.9, Seed: cfg.Seed + 2,
-		Progress: cfg.TrainProgress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc, err := nn.Accuracy(net, test.Inputs(), test.Labels())
-	if err != nil {
-		return nil, err
-	}
+	return &Scenario{Config: cfg, Arch: arch, Train: train, Test: test}, nil
+}
 
-	s := &Scenario{
-		Config:       cfg,
-		Arch:         arch,
-		Train:        train,
-		Test:         test,
-		Net:          net,
-		TestAccuracy: acc,
-	}
-	// The scenario's own deployment is the shard deployment at seed
-	// cfg.Seed+3, so direct measurements and pipeline shards agree.
-	if s.Target, err = s.FactoryFor(cfg.Defense)(cfg.Seed + 3); err != nil {
+// deploy is the one deployment tail of a scenario, trained here or
+// shipped to a fabric worker: the scenario's own deployment is the shard
+// deployment at seed Config.Seed+3, so direct measurements and pipeline
+// shards agree.
+func (s *Scenario) deploy(net *nn.Network) (*Scenario, error) {
+	s.Net = net
+	var err error
+	if s.Target, err = s.FactoryFor(s.Config.Defense)(s.Config.Seed + 3); err != nil {
 		return nil, err
 	}
 	s.Engine = s.Target.Engine()
