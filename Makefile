@@ -19,7 +19,7 @@ GO ?= go
 # refuses to run without it, so no earlier snapshot is overwritten.
 BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
-BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
+BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkTrainMNIST$$|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
 .PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke recoversmoke obssmoke perfbenchcheck ci golden
 
@@ -71,10 +71,11 @@ bench-json:
 
 # Allocation gate: the hot paths (Hierarchy.Access, Engine.Load on a
 # cached line, PMU.MeasureOnceInto steady state, the core's measured-run
-# loop into a shard's preallocated profiles, and the nil-Recorder
-# telemetry hooks) must stay at 0 allocs/op.
+# loop into a shard's preallocated profiles, the nil-Recorder telemetry
+# hooks, and a warm training replica's per-sample pass) must stay at 0
+# allocs/op.
 allocgate:
-	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs ./internal/nn
 
 # Fast hot-path smoke: catches order-of-magnitude regressions in seconds.
 benchsmoke:

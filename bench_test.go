@@ -691,6 +691,24 @@ func BenchmarkPMUMeasure(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainMNIST measures training the default MNIST scenario's
+// network (NewScenario's dataset, seeds and hyperparameters), the
+// largest host cost of building a scenario. Training is data-parallel,
+// so it scales with GOMAXPROCS.
+func BenchmarkTrainMNIST(b *testing.B) {
+	s, err := newScenarioData(ScenarioConfig{Dataset: DatasetMNIST})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.trainNet(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTensorConv2D measures the reference (non-instrumented) conv
 // kernel used in training.
 func BenchmarkTensorConv2D(b *testing.B) {

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/pipeline"
 )
@@ -43,6 +44,10 @@ const ProtocolVersion = 1
 // maxFrame bounds a single frame; a corrupt length prefix must not make
 // a reader attempt a multi-gigabyte allocation.
 const maxFrame = 64 << 20
+
+// frameChunk is the most ReadFrame reserves for a body before any of it
+// has arrived.
+const frameChunk = 64 << 10
 
 // Frame types.
 const (
@@ -127,9 +132,20 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n == 0 || n > maxFrame {
 		return Frame{}, fmt.Errorf("fabric: frame length %d outside (0, %d]", n, maxFrame)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return Frame{}, fmt.Errorf("fabric: truncated frame: %w", err)
+	// Read the body in chunks that double up to the declared length, so
+	// a header that declares a huge frame costs about the bytes the peer
+	// actually sends; a frame up to frameChunk is one read, as before.
+	data := make([]byte, 0, min(n, frameChunk))
+	for uint32(len(data)) < n {
+		data = slices.Grow(data, min(int(n)-len(data), len(data)))
+		k, err := io.ReadFull(r, data[len(data):min(int(n), cap(data))])
+		data = data[:len(data)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, fmt.Errorf("fabric: truncated frame: %w", err)
+		}
 	}
 	var f Frame
 	if err := json.Unmarshal(data, &f); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,6 +93,23 @@ func TestReadFrameRejectsCorruptStream(t *testing.T) {
 	buf.WriteString("{{{{")
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("corrupt JSON frame accepted")
+	}
+}
+
+// TestReadFrameShortBodyAllocatesLittle sends a header that declares a
+// ~64 MiB frame followed by one byte: the reader must fail "truncated
+// frame" having allocated about what arrived, not what was declared.
+func TestReadFrameShortBodyAllocatesLittle(t *testing.T) {
+	in := []byte{0x03, 0xff, 0xff, 0xff, '{'}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("short body: err = %v, want a truncated frame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 5-byte stream allocated %d bytes, want under 1 MiB", got)
 	}
 }
 

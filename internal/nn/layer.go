@@ -1,6 +1,7 @@
 // Package nn implements the convolutional neural network substrate: layers
 // with forward and backward passes, a sequential network container, softmax
-// cross-entropy training with SGD+momentum, and a canonical model encoding.
+// cross-entropy training with SGD+momentum (data-parallel, and bit-identical
+// at any GOMAXPROCS), and a canonical model encoding.
 //
 // The paper under reproduction runs a TensorFlow CNN; this package replaces
 // it with a from-scratch implementation so the instrumented side-channel
@@ -15,22 +16,38 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer is one stage of a sequential network.
-//
-// Forward consumes the previous layer's output and caches whatever it needs
-// for Backward. Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating parameter gradients internally.
+// Layer is one stage of a sequential network. A layer holds its
+// parameters and their gradient accumulators only: every buffer one
+// sample's forward and backward pass writes belongs to a step, one per
+// replica, so replicas that share a network's weights run concurrently.
 type Layer interface {
 	// Name returns a short identifier used in diagnostics and model files.
 	Name() string
 	// OutShape returns the output shape for the configured input shape.
 	OutShape() []int
-	// Forward runs the layer on one sample (no batch dimension).
-	Forward(in *tensor.Tensor) (*tensor.Tensor, error)
-	// Backward propagates the gradient; must be called after Forward.
-	Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns parameter/gradient pairs; empty for stateless layers.
 	Params() []Param
+	// inVolume returns the input length the layer is built for.
+	inVolume() int
+	// newStep allocates one replica's working state for the layer, with
+	// room to record the parameter-gradient inputs of slots samples.
+	newStep(slots int) step
+}
+
+// step is one replica's working state for one layer. Its buffers are
+// allocated once, so steady-state passes allocate nothing.
+type step interface {
+	// forward runs the layer on one sample (no batch dimension). The
+	// result stays valid until the next forward.
+	forward(in []float32) []float32
+	// backward takes dL/d(output) for the sample last run forward, keeps
+	// the sample's parameter-gradient inputs in record slot k and
+	// returns dL/d(input). needIn is false when nothing consumes the
+	// input gradient; the step may then skip it and return nil.
+	backward(k int, gradOut []float32, needIn bool) []float32
+	// accumulate adds record slot k's contribution to the layer's
+	// gradient accumulators.
+	accumulate(k int)
 }
 
 // Param couples a parameter tensor with its accumulated gradient.
@@ -38,6 +55,16 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+}
+
+// slotBufs returns slots buffers of n values each, cut from one block.
+func slotBufs(slots, n int) [][]float32 {
+	block := make([]float32, slots*n)
+	bufs := make([][]float32, slots)
+	for k := range bufs {
+		bufs[k] = block[k*n : (k+1)*n : (k+1)*n]
+	}
+	return bufs
 }
 
 // Conv2D is a 2-D convolution layer with HWC input, square kernels, and a
@@ -50,8 +77,6 @@ type Conv2D struct {
 
 	gFilter *tensor.Tensor
 	gBias   *tensor.Tensor
-	colBuf  []float32 // cached im2col of the last input
-	lastIn  *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He-initialized weights
@@ -81,60 +106,80 @@ func (c *Conv2D) Name() string { return fmt.Sprintf("conv%dx%dx%d", c.Geom.K, c.
 // OutShape implements Layer.
 func (c *Conv2D) OutShape() []int { return []int{c.Geom.OutH(), c.Geom.OutW(), c.Geom.OutC} }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
+func (c *Conv2D) inVolume() int { return c.Geom.InH * c.Geom.InW * c.Geom.InC }
+
+func (c *Conv2D) newStep(slots int) step {
 	g := c.Geom
-	if in.Len() != g.InH*g.InW*g.InC {
-		return nil, fmt.Errorf("nn: %s input volume %d, want %d", c.Name(), in.Len(), g.InH*g.InW*g.InC)
+	rows, cols := g.OutH()*g.OutW(), g.K*g.K*g.InC
+	return &convStep{
+		c: c, rows: rows, cols: cols,
+		colBuf: make([]float32, rows*cols),
+		out:    make([]float32, rows*g.OutC),
+		dCols:  make([]float32, rows*cols),
+		dIn:    make([]float32, c.inVolume()),
+		df:     slotBufs(slots, cols*g.OutC),
+		grad:   slotBufs(slots, rows*g.OutC),
 	}
-	cols := g.K * g.K * g.InC
-	oh, ow := g.OutH(), g.OutW()
-	if len(c.colBuf) != oh*ow*cols {
-		c.colBuf = make([]float32, oh*ow*cols)
-	}
-	tensor.Im2Col(c.colBuf, in.Data, g)
-	out := tensor.New(oh, ow, g.OutC)
-	tensor.MatMulInto(out.Data, c.colBuf, c.Filter.Data, oh*ow, cols, g.OutC)
-	for i := 0; i < oh*ow; i++ {
-		row := out.Data[i*g.OutC : (i+1)*g.OutC]
-		for ch := range row {
-			row[ch] += c.Bias.Data[ch]
-		}
-	}
-	c.lastIn = in
-	return out, nil
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	g := c.Geom
-	oh, ow := g.OutH(), g.OutW()
-	if gradOut.Len() != oh*ow*g.OutC {
-		return nil, fmt.Errorf("nn: %s gradOut volume %d, want %d", c.Name(), gradOut.Len(), oh*ow*g.OutC)
-	}
-	if c.lastIn == nil {
-		return nil, fmt.Errorf("nn: %s Backward before Forward", c.Name())
-	}
-	cols := g.K * g.K * g.InC
-	// dFilter += colsᵀ · gradOut   ({cols, oh*ow}·{oh*ow, OutC})
-	df := make([]float32, cols*g.OutC)
-	tensor.MatMulTransA(df, c.colBuf, gradOut.Data, cols, oh*ow, g.OutC)
-	for i, v := range df {
-		c.gFilter.Data[i] += v
-	}
-	// dBias += column sums of gradOut.
-	for i := 0; i < oh*ow; i++ {
-		row := gradOut.Data[i*g.OutC : (i+1)*g.OutC]
-		for ch, v := range row {
-			c.gBias.Data[ch] += v
+// convStep is a replica's state for a Conv2D.
+type convStep struct {
+	c          *Conv2D
+	rows, cols int       // output positions, im2col columns
+	colBuf     []float32 // im2col of the input last run forward
+	out        []float32
+	dCols      []float32
+	dIn        []float32
+	df         [][]float32 // per record slot: colsᵀ·gradOut
+	grad       [][]float32 // per record slot: gradOut
+}
+
+//detlint:allocpath
+func (s *convStep) forward(in []float32) []float32 {
+	g := s.c.Geom
+	tensor.Im2Col(s.colBuf, in, g)
+	tensor.MatMulInto(s.out, s.colBuf, s.c.Filter.Data, s.rows, s.cols, g.OutC)
+	for i := 0; i < s.rows; i++ {
+		row := s.out[i*g.OutC : (i+1)*g.OutC]
+		for ch := range row {
+			row[ch] += s.c.Bias.Data[ch]
 		}
 	}
+	return s.out
+}
+
+//detlint:allocpath
+func (s *convStep) backward(k int, gradOut []float32, needIn bool) []float32 {
+	g := s.c.Geom
+	// dFilter's contribution: colsᵀ · gradOut ({cols, rows}·{rows, OutC}).
+	tensor.MatMulTransA(s.df[k], s.colBuf, gradOut, s.cols, s.rows, g.OutC)
+	copy(s.grad[k], gradOut)
+	if !needIn {
+		return nil
+	}
 	// dCols = gradOut · Filterᵀ; dIn = Col2Im(dCols).
-	dCols := make([]float32, oh*ow*cols)
-	tensor.MatMulTransB(dCols, gradOut.Data, c.Filter.Data, oh*ow, g.OutC, cols)
-	dIn := tensor.New(g.InH, g.InW, g.InC)
-	tensor.Col2Im(dIn.Data, dCols, g)
-	return dIn, nil
+	tensor.MatMulTransB(s.dCols, gradOut, s.c.Filter.Data, s.rows, g.OutC, s.cols)
+	tensor.Col2Im(s.dIn, s.dCols, g)
+	return s.dIn
+}
+
+// accumulate adds the slot's dFilter, then the column sums of its gradOut
+// to dBias.
+//
+//detlint:allocpath
+func (s *convStep) accumulate(k int) {
+	gf := s.c.gFilter.Data
+	for i, v := range s.df[k] {
+		gf[i] += v
+	}
+	outC := s.c.Geom.OutC
+	gb, grad := s.c.gBias.Data, s.grad[k]
+	for i := 0; i < s.rows; i++ {
+		row := grad[i*outC : (i+1)*outC]
+		for ch, v := range row {
+			gb[ch] += v
+		}
+	}
 }
 
 // Params implements Layer.
@@ -152,7 +197,6 @@ type Dense struct {
 	B       *tensor.Tensor // {Out}
 
 	gW, gB *tensor.Tensor
-	lastIn *tensor.Tensor
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -174,46 +218,71 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense%dx%d", d.In, d.Out) }
 // OutShape implements Layer.
 func (d *Dense) OutShape() []int { return []int{d.Out} }
 
-// Forward implements Layer.
-func (d *Dense) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if in.Len() != d.In {
-		return nil, fmt.Errorf("nn: %s input volume %d, want %d", d.Name(), in.Len(), d.In)
+func (d *Dense) inVolume() int { return d.In }
+
+func (d *Dense) newStep(slots int) step {
+	return &denseStep{
+		d:    d,
+		out:  make([]float32, d.Out),
+		dIn:  make([]float32, d.In),
+		in:   slotBufs(slots, d.In),
+		grad: slotBufs(slots, d.Out),
 	}
-	out := tensor.New(d.Out)
-	tensor.MatMulInto(out.Data, in.Data, d.W.Data, 1, d.In, d.Out)
-	for i := range out.Data {
-		out.Data[i] += d.B.Data[i]
-	}
-	d.lastIn = in
-	return out, nil
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	if gradOut.Len() != d.Out {
-		return nil, fmt.Errorf("nn: %s gradOut volume %d, want %d", d.Name(), gradOut.Len(), d.Out)
+// denseStep is a replica's state for a Dense layer.
+type denseStep struct {
+	d      *Dense
+	lastIn []float32 // the input last run forward
+	out    []float32
+	dIn    []float32
+	in     [][]float32 // per record slot: the input
+	grad   [][]float32 // per record slot: gradOut
+}
+
+//detlint:allocpath
+func (s *denseStep) forward(in []float32) []float32 {
+	d := s.d
+	tensor.MatMulInto(s.out, in, d.W.Data, 1, d.In, d.Out)
+	for i := range s.out {
+		s.out[i] += d.B.Data[i]
 	}
-	if d.lastIn == nil {
-		return nil, fmt.Errorf("nn: %s Backward before Forward", d.Name())
+	s.lastIn = in
+	return s.out
+}
+
+//detlint:allocpath
+func (s *denseStep) backward(k int, gradOut []float32, needIn bool) []float32 {
+	copy(s.in[k], s.lastIn)
+	copy(s.grad[k], gradOut)
+	if !needIn {
+		return nil
 	}
-	// dW += inᵀ·gradOut (outer product), dB += gradOut.
+	// dIn = gradOut · Wᵀ.
+	tensor.MatMulTransB(s.dIn, gradOut, s.d.W.Data, 1, s.d.Out, s.d.In)
+	return s.dIn
+}
+
+// accumulate adds the slot's outer product inᵀ·gradOut to dW and its
+// gradOut to dB.
+//
+//detlint:allocpath
+func (s *denseStep) accumulate(k int) {
+	d := s.d
+	in, grad := s.in[k], s.grad[k]
 	for i := 0; i < d.In; i++ {
-		iv := d.lastIn.Data[i]
+		iv := in[i]
 		if iv == 0 {
 			continue
 		}
 		row := d.gW.Data[i*d.Out : (i+1)*d.Out]
-		for j, gv := range gradOut.Data {
+		for j, gv := range grad {
 			row[j] += iv * gv
 		}
 	}
-	for j, gv := range gradOut.Data {
+	for j, gv := range grad {
 		d.gB.Data[j] += gv
 	}
-	// dIn = gradOut · Wᵀ.
-	dIn := tensor.New(d.In)
-	tensor.MatMulTransB(dIn.Data, gradOut.Data, d.W.Data, 1, d.Out, d.In)
-	return dIn, nil
 }
 
 // Params implements Layer.
@@ -227,7 +296,6 @@ func (d *Dense) Params() []Param {
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	shape []int
-	mask  []bool
 }
 
 // NewReLU constructs a ReLU for the given input shape.
@@ -241,44 +309,53 @@ func (r *ReLU) Name() string { return "relu" }
 // OutShape implements Layer.
 func (r *ReLU) OutShape() []int { return r.shape }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := in.Clone()
-	if len(r.mask) != len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(r.mask) != gradOut.Len() {
-		return nil, fmt.Errorf("nn: relu Backward before Forward or shape changed")
-	}
-	dIn := gradOut.Clone()
-	for i := range dIn.Data {
-		if !r.mask[i] {
-			dIn.Data[i] = 0
-		}
-	}
-	return dIn, nil
-}
-
 // Params implements Layer.
 func (r *ReLU) Params() []Param { return nil }
+
+func (r *ReLU) inVolume() int { return tensor.Volume(r.shape) }
+
+func (r *ReLU) newStep(int) step {
+	n := r.inVolume()
+	return &reluStep{out: make([]float32, n), dIn: make([]float32, n), mask: make([]bool, n)}
+}
+
+// reluStep is a replica's state for a ReLU.
+type reluStep struct {
+	out, dIn []float32
+	mask     []bool // input >= 0, for the sample last run forward
+}
+
+//detlint:allocpath
+func (s *reluStep) forward(in []float32) []float32 {
+	for i, v := range in {
+		if v < 0 {
+			s.out[i] = 0
+			s.mask[i] = false
+		} else {
+			s.out[i] = v
+			s.mask[i] = true
+		}
+	}
+	return s.out
+}
+
+//detlint:allocpath
+func (s *reluStep) backward(_ int, gradOut []float32, _ bool) []float32 {
+	for i, v := range gradOut {
+		if s.mask[i] {
+			s.dIn[i] = v
+		} else {
+			s.dIn[i] = 0
+		}
+	}
+	return s.dIn
+}
+
+func (s *reluStep) accumulate(int) {}
 
 // MaxPool2 is 2×2/stride-2 max pooling over HWC input.
 type MaxPool2 struct {
 	inShape []int
-	arg     []int32
 }
 
 // NewMaxPool2 constructs the pool for the given HWC input shape.
@@ -297,33 +374,41 @@ func (m *MaxPool2) OutShape() []int {
 	return []int{m.inShape[0] / 2, m.inShape[1] / 2, m.inShape[2]}
 }
 
-// Forward implements Layer.
-func (m *MaxPool2) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out, arg, err := tensor.MaxPool2(in)
-	if err != nil {
-		return nil, err
-	}
-	m.arg = arg
-	return out, nil
-}
-
-// Backward implements Layer.
-func (m *MaxPool2) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	if m.arg == nil {
-		return nil, fmt.Errorf("nn: maxpool Backward before Forward")
-	}
-	if gradOut.Len() != len(m.arg) {
-		return nil, fmt.Errorf("nn: maxpool gradOut volume %d, want %d", gradOut.Len(), len(m.arg))
-	}
-	dIn := tensor.New(m.inShape...)
-	for o, src := range m.arg {
-		dIn.Data[src] += gradOut.Data[o]
-	}
-	return dIn, nil
-}
-
 // Params implements Layer.
 func (m *MaxPool2) Params() []Param { return nil }
+
+func (m *MaxPool2) inVolume() int { return tensor.Volume(m.inShape) }
+
+func (m *MaxPool2) newStep(int) step {
+	n := tensor.Volume(m.OutShape())
+	return &poolStep{m: m, out: make([]float32, n), arg: make([]int32, n), dIn: make([]float32, m.inVolume())}
+}
+
+// poolStep is a replica's state for a MaxPool2.
+type poolStep struct {
+	m   *MaxPool2
+	out []float32
+	arg []int32 // flat input index of each output, for the sample last run forward
+	dIn []float32
+}
+
+//detlint:allocpath
+func (s *poolStep) forward(in []float32) []float32 {
+	sh := s.m.inShape
+	tensor.MaxPool2Into(s.out, s.arg, in, sh[0], sh[1], sh[2])
+	return s.out
+}
+
+//detlint:allocpath
+func (s *poolStep) backward(_ int, gradOut []float32, _ bool) []float32 {
+	clear(s.dIn)
+	for o, src := range s.arg {
+		s.dIn[src] += gradOut[o]
+	}
+	return s.dIn
+}
+
+func (s *poolStep) accumulate(int) {}
 
 // Flatten reshapes an HWC tensor to rank-1. It exists so the network's
 // layer list mirrors the textbook CNN architecture.
@@ -342,15 +427,18 @@ func (f *Flatten) Name() string { return "flatten" }
 // OutShape implements Layer.
 func (f *Flatten) OutShape() []int { return []int{tensor.Volume(f.inShape)} }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return in.Reshape(in.Len())
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	return gradOut.Reshape(f.inShape...)
-}
-
 // Params implements Layer.
 func (f *Flatten) Params() []Param { return nil }
+
+func (f *Flatten) inVolume() int { return tensor.Volume(f.inShape) }
+
+func (f *Flatten) newStep(int) step { return flattenStep{} }
+
+// flattenStep passes data and gradients through unchanged.
+type flattenStep struct{}
+
+func (flattenStep) forward(in []float32) []float32 { return in }
+
+func (flattenStep) backward(_ int, gradOut []float32, _ bool) []float32 { return gradOut }
+
+func (flattenStep) accumulate(int) {}

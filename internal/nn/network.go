@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -85,15 +87,14 @@ func Build(a Arch, rng *rand.Rand) (*Network, error) {
 
 // Forward runs the network on one sample and returns the logits.
 func (n *Network) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	x := in
-	for _, l := range n.Layers {
-		var err error
-		x, err = l.Forward(x)
-		if err != nil {
-			return nil, fmt.Errorf("nn: forward through %s: %w", l.Name(), err)
-		}
+	if err := n.checkInputs([]*tensor.Tensor{in}); err != nil {
+		return nil, err
 	}
-	return x, nil
+	reps, err := n.replicas(1, 0)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromSlice(reps[0].forward(in.Data), n.outShape()...)
 }
 
 // Predict returns the argmax class and the softmax probabilities.
@@ -107,17 +108,125 @@ func (n *Network) Predict(in *tensor.Tensor) (int, *tensor.Tensor, error) {
 	return cls, probs, nil
 }
 
-// Backward runs backprop from dL/d(logits) through the whole stack.
-func (n *Network) Backward(gradLogits *tensor.Tensor) error {
-	g := gradLogits
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		var err error
-		g, err = n.Layers[i].Backward(g)
-		if err != nil {
-			return fmt.Errorf("nn: backward through %s: %w", n.Layers[i].Name(), err)
+func (n *Network) outShape() []int {
+	if len(n.Layers) == 0 {
+		return n.InShape
+	}
+	return n.Layers[len(n.Layers)-1].OutShape()
+}
+
+// checkInputs requires every input to have the network's input volume.
+func (n *Network) checkInputs(inputs []*tensor.Tensor) error {
+	want := tensor.Volume(n.InShape)
+	for i, in := range inputs {
+		if in.Len() != want {
+			return fmt.Errorf("nn: input %d has volume %d, network takes %d", i, in.Len(), want)
 		}
 	}
 	return nil
+}
+
+// replica runs samples one at a time through a network whose weights it
+// shares. It owns every buffer a forward and backward pass writes, so
+// replicas run concurrently, and a warm replica allocates nothing.
+type replica struct {
+	steps []step // one per layer
+	// first is the index of the first layer with parameters. No layer up
+	// to it needs an input gradient, since nothing consumes one.
+	first int
+	grad  []float32 // dL/d(logits), or the softmax in predict
+}
+
+// replicas builds count replicas of the network, each with slots record
+// slots, after checking that each layer takes what the one before it
+// gives.
+func (n *Network) replicas(count, slots int) ([]*replica, error) {
+	vol, first := tensor.Volume(n.InShape), len(n.Layers)
+	for i, l := range n.Layers {
+		if l.inVolume() != vol {
+			return nil, fmt.Errorf("nn: %s takes %d inputs, layer %d's input has %d", l.Name(), l.inVolume(), i, vol)
+		}
+		if vol = tensor.Volume(l.OutShape()); vol <= 0 {
+			return nil, fmt.Errorf("nn: %s (layer %d) has an empty output", l.Name(), i)
+		}
+		if first == len(n.Layers) && len(l.Params()) > 0 {
+			first = i
+		}
+	}
+	reps := make([]*replica, count)
+	for i := range reps {
+		r := &replica{steps: make([]step, len(n.Layers)), first: first, grad: make([]float32, vol)}
+		for j, l := range n.Layers {
+			r.steps[j] = l.newStep(slots)
+		}
+		reps[i] = r
+	}
+	return reps, nil
+}
+
+//detlint:allocpath
+func (r *replica) forward(in []float32) []float32 {
+	for _, s := range r.steps {
+		in = s.forward(in)
+	}
+	return in
+}
+
+// sample runs one training sample forward and backward, keeping its
+// parameter-gradient inputs in record slot k, and returns its loss and
+// whether the argmax of its logits is its label (which the caller has
+// checked is in range).
+//
+//detlint:allocpath
+func (r *replica) sample(k int, in []float32, label int) (float64, bool) {
+	logits := r.forward(in)
+	hit := tensor.ArgMax(logits) == label
+	loss := lossGrad(r.grad, logits, label)
+	g := r.grad
+	for i := len(r.steps) - 1; i >= r.first; i-- {
+		g = r.steps[i].backward(k, g, i > r.first)
+	}
+	return loss, hit
+}
+
+// accumulate adds record slot k's gradients into the network's.
+//
+//detlint:allocpath
+func (r *replica) accumulate(k int) {
+	for _, s := range r.steps[r.first:] {
+		s.accumulate(k)
+	}
+}
+
+// predict returns the argmax of the sample's softmax probabilities.
+//
+//detlint:allocpath
+func (r *replica) predict(in []float32) int {
+	tensor.SoftmaxInto(r.grad, r.forward(in))
+	return tensor.ArgMax(r.grad)
+}
+
+// fanOut calls fn(w) for every w in [0, workers), concurrently on as many
+// goroutines (the caller's among them), and returns when all have.
+func fanOut(workers int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// chunk returns worker w's contiguous share [lo, hi) of n items split
+// over workers.
+func chunk(n, workers, w int) (lo, hi int) {
+	per := (n + workers - 1) / workers
+	lo = min(w*per, n)
+	return lo, min(lo+per, n)
 }
 
 // Params returns all parameter/gradient pairs in layer order.
@@ -151,15 +260,19 @@ func LossGrad(logits *tensor.Tensor, label int) (float64, *tensor.Tensor, error)
 	if label < 0 || label >= logits.Len() {
 		return 0, nil, fmt.Errorf("nn: label %d out of range for %d logits", label, logits.Len())
 	}
-	probs := tensor.Softmax(logits)
-	p := float64(probs.Data[label])
+	grad := tensor.New(logits.Shape...)
+	return lossGrad(grad.Data, logits.Data, label), grad, nil
+}
+
+// lossGrad writes dL/d(logits) to grad and returns the loss.
+func lossGrad(grad, logits []float32, label int) float64 {
+	tensor.SoftmaxInto(grad, logits)
+	p := float64(grad[label])
 	if p < 1e-12 {
 		p = 1e-12
 	}
-	loss := -math.Log(p)
-	grad := probs.Clone()
-	grad.Data[label] -= 1
-	return loss, grad, nil
+	grad[label] -= 1
+	return -math.Log(p)
 }
 
 // SGD is stochastic gradient descent with classical momentum and optional
@@ -214,6 +327,14 @@ type TrainConfig struct {
 
 // Train fits the network on the given samples with SGD. Inputs and labels
 // must be parallel slices; inputs are single samples (no batch dim).
+//
+// Training is data-parallel and bit-identical at any GOMAXPROCS. Each
+// minibatch is cut into contiguous runs of samples, one per replica
+// (min(GOMAXPROCS, BatchSize) of them), and the replicas compute every
+// sample's gradient inputs concurrently. The caller then adds them into
+// the shared gradients, and sums the loss, in sample order: float32
+// addition is not associative, so per-replica partial sums would change
+// the weights' bits.
 func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) error {
 	if len(inputs) == 0 || len(inputs) != len(labels) {
 		return fmt.Errorf("nn: Train needs parallel non-empty inputs/labels, got %d/%d", len(inputs), len(labels))
@@ -227,39 +348,50 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 	if cfg.LR <= 0 {
 		cfg.LR = 0.05
 	}
+	if err := n.checkInputs(inputs); err != nil {
+		return err
+	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.BatchSize)
+	reps, err := n.replicas(workers, (cfg.BatchSize+workers-1)/workers)
+	if err != nil {
+		return err
+	}
+	classes := len(reps[0].grad)
+	for i, l := range labels {
+		if l < 0 || l >= classes {
+			return fmt.Errorf("nn: label %d of sample %d out of range for %d logits", l, i, classes)
+		}
+	}
 	opt := NewSGD(cfg.LR, cfg.Momentum, 0)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(inputs))
 	for i := range order {
 		order[i] = i
 	}
+	losses, hits := make([]float64, cfg.BatchSize), make([]bool, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss, correct := 0.0, 0
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			for _, idx := range order[start:end] {
-				logits, err := n.Forward(inputs[idx])
-				if err != nil {
-					return err
+			batch := order[start:min(start+cfg.BatchSize, len(order))]
+			fanOut(workers, func(w int) {
+				lo, hi := chunk(len(batch), workers, w)
+				for pos := lo; pos < hi; pos++ {
+					idx := batch[pos]
+					losses[pos], hits[pos] = reps[w].sample(pos-lo, inputs[idx].Data, labels[idx])
 				}
-				cls, _ := logits.MaxIndex()
-				if cls == labels[idx] {
-					correct++
-				}
-				loss, grad, err := LossGrad(logits, labels[idx])
-				if err != nil {
-					return err
-				}
-				totalLoss += loss
-				if err := n.Backward(grad); err != nil {
-					return err
+			})
+			for w, r := range reps {
+				lo, hi := chunk(len(batch), workers, w)
+				for pos := lo; pos < hi; pos++ {
+					r.accumulate(pos - lo)
+					totalLoss += losses[pos]
+					if hits[pos] {
+						correct++
+					}
 				}
 			}
-			opt.Step(n, end-start)
+			opt.Step(n, len(batch))
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, totalLoss/float64(len(order)), float64(correct)/float64(len(order)))
@@ -268,22 +400,36 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 	return nil
 }
 
-// Accuracy evaluates classification accuracy on a labelled set.
+// Accuracy evaluates classification accuracy on a labelled set, spreading
+// the forward passes over min(GOMAXPROCS, len(inputs)) replicas.
 func Accuracy(n *Network, inputs []*tensor.Tensor, labels []int) (float64, error) {
 	if len(inputs) == 0 || len(inputs) != len(labels) {
 		return 0, fmt.Errorf("nn: Accuracy needs parallel non-empty inputs/labels")
 	}
-	correct := 0
-	for i, in := range inputs {
-		cls, _, err := n.Predict(in)
-		if err != nil {
-			return 0, err
-		}
-		if cls == labels[i] {
-			correct++
-		}
+	if err := n.checkInputs(inputs); err != nil {
+		return 0, err
 	}
-	return float64(correct) / float64(len(inputs)), nil
+	workers := min(runtime.GOMAXPROCS(0), len(inputs))
+	reps, err := n.replicas(workers, 0)
+	if err != nil {
+		return 0, err
+	}
+	correct := make([]int, workers)
+	fanOut(workers, func(w int) {
+		lo, hi := chunk(len(inputs), workers, w)
+		c := 0
+		for i := lo; i < hi; i++ {
+			if reps[w].predict(inputs[i].Data) == labels[i] {
+				c++
+			}
+		}
+		correct[w] = c
+	})
+	total := 0
+	for _, c := range correct {
+		total += c
+	}
+	return float64(total) / float64(len(inputs)), nil
 }
 
 // The canonical model encoding: one byte layout for a trained network,

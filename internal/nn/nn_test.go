@@ -18,23 +18,29 @@ func TestConv2DForwardShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Forward(tensor.New(8, 8, 2))
-	if err != nil {
-		t.Fatal(err)
+	if sh := c.OutShape(); sh[0] != 6 || sh[1] != 6 || sh[2] != 4 {
+		t.Fatalf("conv out shape = %v, want [6 6 4]", sh)
 	}
-	if out.Shape[0] != 6 || out.Shape[1] != 6 || out.Shape[2] != 4 {
-		t.Fatalf("conv out shape = %v, want [6 6 4]", out.Shape)
+	if out := c.newStep(1).forward(make([]float32, 8*8*2)); len(out) != 6*6*4 {
+		t.Fatalf("conv out volume = %d, want %d", len(out), 6*6*4)
 	}
 }
 
 func TestConv2DRejectsBadInput(t *testing.T) {
 	g := tensor.ConvGeom{InH: 8, InW: 8, InC: 2, K: 3, Stride: 1, OutC: 4}
 	c, _ := NewConv2D(g, testRNG())
-	if _, err := c.Forward(tensor.New(4, 4, 2)); err == nil {
+	n := &Network{InShape: []int{8, 8, 2}, Layers: []Layer{c, NewFlatten(c.OutShape())}, Classes: 144}
+	if _, err := n.Forward(tensor.New(4, 4, 2)); err == nil {
 		t.Fatal("conv accepted wrong input volume")
 	}
-	if _, err := c.Backward(tensor.New(6, 6, 4)); err == nil {
-		t.Fatal("conv Backward before Forward accepted")
+	// A network whose declared input does not fit its first layer is
+	// refused before any pass runs.
+	n.InShape = []int{4, 4, 2}
+	if _, err := n.Forward(tensor.New(4, 4, 2)); err == nil {
+		t.Fatal("conv accepted an input shape its geometry does not take")
+	}
+	if err := Train(n, []*tensor.Tensor{tensor.New(4, 4, 2)}, []int{0}, TrainConfig{}); err == nil {
+		t.Fatal("Train accepted an input shape the conv geometry does not take")
 	}
 }
 
@@ -43,19 +49,12 @@ func TestDenseForwardBackwardShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := d.Forward(tensor.New(10))
-	if err != nil {
-		t.Fatal(err)
+	st := d.newStep(1)
+	if out := st.forward(make([]float32, 10)); len(out) != 4 {
+		t.Fatalf("dense out = %d, want 4", len(out))
 	}
-	if out.Len() != 4 {
-		t.Fatalf("dense out = %d, want 4", out.Len())
-	}
-	dIn, err := d.Backward(tensor.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dIn.Len() != 10 {
-		t.Fatalf("dense dIn = %d, want 10", dIn.Len())
+	if dIn := st.backward(0, make([]float32, 4), true); len(dIn) != 10 {
+		t.Fatalf("dense dIn = %d, want 10", len(dIn))
 	}
 	if _, err := NewDense(0, 4, testRNG()); err == nil {
 		t.Fatal("dense accepted zero input dim")
@@ -90,6 +89,18 @@ func forwardLoss(n *Network, in *tensor.Tensor, label int) (float64, *tensor.Ten
 	return loss, grad, err
 }
 
+// backprop runs one sample forward and backward on a fresh replica, the
+// way Train does, and adds its gradients into the network's.
+func backprop(t *testing.T, n *Network, in *tensor.Tensor, label int) {
+	t.Helper()
+	reps, err := n.replicas(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps[0].sample(0, in.Data, label)
+	reps[0].accumulate(0)
+}
+
 // TestGradientsMatchNumerical is the core correctness check for backprop: a
 // tiny full network's analytic gradients must match finite differences.
 func TestGradientsMatchNumerical(t *testing.T) {
@@ -106,13 +117,7 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	label := 1
 
 	n.ZeroGrads()
-	_, grad, err := forwardLoss(n, in, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Backward(grad); err != nil {
-		t.Fatal(err)
-	}
+	backprop(t, n, in, label)
 
 	for _, p := range n.Params() {
 		// Spot-check a handful of indices per parameter tensor.
@@ -172,17 +177,11 @@ func TestBuildArchitectures(t *testing.T) {
 	}
 }
 
-func TestTrainLearnsSeparableProblem(t *testing.T) {
-	// Two trivially separable classes: bright top half vs bright bottom half.
-	rng := testRNG()
-	arch := Arch{Name: "tiny", InH: 12, InW: 12, InC: 1, Conv1: 4, Conv2: 4, Kernel: 3, Classes: 2}
-	n, err := Build(arch, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+// separableData builds the bright-top vs bright-bottom toy problem.
+func separableData(rng *rand.Rand, n int) ([]*tensor.Tensor, []int) {
 	var inputs []*tensor.Tensor
 	var labels []int
-	for i := 0; i < 120; i++ {
+	for i := 0; i < n; i++ {
 		img := tensor.New(12, 12, 1)
 		cls := i % 2
 		for y := 0; y < 12; y++ {
@@ -197,6 +196,18 @@ func TestTrainLearnsSeparableProblem(t *testing.T) {
 		inputs = append(inputs, img)
 		labels = append(labels, cls)
 	}
+	return inputs, labels
+}
+
+func TestTrainLearnsSeparableProblem(t *testing.T) {
+	// Two trivially separable classes: bright top half vs bright bottom half.
+	rng := testRNG()
+	arch := Arch{Name: "tiny", InH: 12, InW: 12, InC: 1, Conv1: 4, Conv2: 4, Kernel: 3, Classes: 2}
+	n, err := Build(arch, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, labels := separableData(rng, 120)
 	err = Train(n, inputs, labels, TrainConfig{Epochs: 6, BatchSize: 8, LR: 0.05, Momentum: 0.9, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -236,13 +247,7 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 0.5
 	}
-	_, grad, err := forwardLoss(n, in, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Backward(grad); err != nil {
-		t.Fatal(err)
-	}
+	backprop(t, n, in, 0)
 	NewSGD(0.1, 0.9, 0).Step(n, 1)
 	after := n.Params()[0].Value
 	moved := false
@@ -314,28 +319,23 @@ func TestQuickReLUBackwardMask(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
-		r := NewReLU([]int{n})
-		in := tensor.New(n)
-		for i := range in.Data {
-			in.Data[i] = rng.Float32()*4 - 2
+		r := NewReLU([]int{n}).newStep(1)
+		in := make([]float32, n)
+		for i := range in {
+			in[i] = rng.Float32()*4 - 2
 		}
-		if _, err := r.Forward(in); err != nil {
-			return false
+		r.forward(in)
+		g := make([]float32, n)
+		for i := range g {
+			g[i] = 1
 		}
-		g := tensor.New(n)
-		for i := range g.Data {
-			g.Data[i] = 1
-		}
-		dIn, err := r.Backward(g)
-		if err != nil {
-			return false
-		}
-		for i := range in.Data {
+		dIn := r.backward(0, g, true)
+		for i := range in {
 			want := float32(1)
-			if in.Data[i] < 0 {
+			if in[i] < 0 {
 				want = 0
 			}
-			if dIn.Data[i] != want {
+			if dIn[i] != want {
 				return false
 			}
 		}
@@ -355,25 +355,70 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		in := tensor.New(h, w, c)
-		for i := range in.Data {
-			in.Data[i] = rng.Float32()
+		st := p.newStep(1)
+		in := make([]float32, h*w*c)
+		for i := range in {
+			in[i] = rng.Float32()
 		}
-		out, err := p.Forward(in)
-		if err != nil {
-			return false
-		}
-		g := tensor.New(out.Shape...)
+		out := st.forward(in)
+		g := tensor.New(len(out))
 		for i := range g.Data {
 			g.Data[i] = rng.Float32()
 		}
-		dIn, err := p.Backward(g)
-		if err != nil {
-			return false
-		}
+		dIn := tensor.MustFromSlice(st.backward(0, g.Data, true), h, w, c)
 		return math.Abs(dIn.Sum()-g.Sum()) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBuildMLP(t *testing.T) {
+	n, err := BuildMLP(MNISTMLPArch(), testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits, err := n.Forward(tensor.New(28, 28, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logits.Len() != 10 {
+		t.Fatalf("MLP logits = %d", logits.Len())
+	}
+	// flatten + 2×(dense+relu) + dense = 6 layers.
+	if len(n.Layers) != 6 {
+		t.Fatalf("MLP layers = %d, want 6", len(n.Layers))
+	}
+	bad := MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Hidden: []int{0}, Classes: 3}
+	if bad.Validate() == nil {
+		t.Fatal("zero hidden size accepted")
+	}
+	bad = MLPArch{Name: "bad", InH: 0, InW: 8, InC: 1, Classes: 3}
+	if bad.Validate() == nil {
+		t.Fatal("zero input dim accepted")
+	}
+	bad = MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Classes: 1}
+	if bad.Validate() == nil {
+		t.Fatal("single class accepted")
+	}
+}
+
+func TestMLPLearnsSeparableProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	arch := MLPArch{Name: "t", InH: 12, InW: 12, InC: 1, Hidden: []int{16}, Classes: 2}
+	n, err := BuildMLP(arch, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, labels := separableData(rng, 100)
+	if err := Train(n, inputs, labels, TrainConfig{Epochs: 5, BatchSize: 8, LR: 0.05, Momentum: 0.9, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	acc, err := Accuracy(n, inputs, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.95 {
+		t.Fatalf("MLP accuracy = %v", acc)
 	}
 }

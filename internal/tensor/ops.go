@@ -226,27 +226,38 @@ func MaxPool2(in *Tensor) (*Tensor, []int32, error) {
 	}
 	out := New(oh, ow, c)
 	arg := make([]int32, oh*ow*c)
+	MaxPool2Into(out.Data, arg, in.Data, h, w, c)
+	return out, arg, nil
+}
+
+// MaxPool2Into is MaxPool2 over raw HWC data of shape {h, w, c}, writing
+// the pooled values to out and their flat input indices to arg (both of
+// length (h/2)*(w/2)*c).
+func MaxPool2Into(out []float32, arg []int32, in []float32, h, w, c int) {
+	oh, ow := h/2, w/2
+	if len(in) != h*w*c || len(out) != oh*ow*c || len(arg) != len(out) {
+		panic(fmt.Sprintf("tensor: MaxPool2Into size mismatch h=%d w=%d c=%d (in=%d out=%d arg=%d)", h, w, c, len(in), len(out), len(arg)))
+	}
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for ch := 0; ch < c; ch++ {
 				bestIdx := ((2*oy)*w + 2*ox) * c
-				best := in.Data[bestIdx+ch]
+				best := in[bestIdx+ch]
 				bi := bestIdx + ch
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
 						idx := ((2*oy+dy)*w+(2*ox+dx))*c + ch
-						if in.Data[idx] > best {
-							best, bi = in.Data[idx], idx
+						if in[idx] > best {
+							best, bi = in[idx], idx
 						}
 					}
 				}
 				o := (oy*ow+ox)*c + ch
-				out.Data[o] = best
+				out[o] = best
 				arg[o] = int32(bi)
 			}
 		}
 	}
-	return out, arg, nil
 }
 
 // ReLU applies max(0,x) element-wise, returning a new tensor.
@@ -264,24 +275,32 @@ func ReLU(in *Tensor) *Tensor {
 // subtracting the max logit.
 func Softmax(in *Tensor) *Tensor {
 	out := New(in.Shape...)
-	if len(in.Data) == 0 {
-		return out
+	SoftmaxInto(out.Data, in.Data)
+	return out
+}
+
+// SoftmaxInto writes the softmax of in to dst (of the same length).
+func SoftmaxInto(dst, in []float32) {
+	if len(dst) != len(in) {
+		panic(fmt.Sprintf("tensor: SoftmaxInto dst length %d, want %d", len(dst), len(in)))
 	}
-	maxv := in.Data[0]
-	for _, v := range in.Data {
+	if len(in) == 0 {
+		return
+	}
+	maxv := in[0]
+	for _, v := range in {
 		if v > maxv {
 			maxv = v
 		}
 	}
 	sum := 0.0
-	for i, v := range in.Data {
+	for i, v := range in {
 		e := math.Exp(float64(v - maxv))
-		out.Data[i] = float32(e)
+		dst[i] = float32(e)
 		sum += e
 	}
 	inv := float32(1.0 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return out
 }

@@ -173,13 +173,20 @@ func (t *Tensor) MaxIndex() (int, float32) {
 	if len(t.Data) == 0 {
 		panic("tensor: MaxIndex of empty tensor")
 	}
-	best, bv := 0, t.Data[0]
-	for i, v := range t.Data {
+	best := ArgMax(t.Data)
+	return best, t.Data[best]
+}
+
+// ArgMax returns the index of the largest value in x, the first on ties.
+// It panics on an empty slice.
+func ArgMax(x []float32) int {
+	best, bv := 0, x[0]
+	for i, v := range x {
 		if v > bv {
 			best, bv = i, v
 		}
 	}
-	return best, bv
+	return best
 }
 
 // CountNonZero returns the number of elements with |v| > eps.

@@ -219,7 +219,20 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.Config
+	net, err := s.trainNet()
+	if err != nil {
+		return nil, err
+	}
+	if s.TestAccuracy, err = nn.Accuracy(net, s.Test.Inputs(), s.Test.Labels()); err != nil {
+		return nil, err
+	}
+	return s.deploy(net)
+}
+
+// trainNet builds the scenario's network from its seed and trains it on
+// the training split.
+func (s *Scenario) trainNet() (*nn.Network, error) {
+	cfg := s.Config
 	net, err := nn.Build(s.Arch, rand.New(rand.NewSource(cfg.Seed+1)))
 	if err != nil {
 		return nil, err
@@ -238,10 +251,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.TestAccuracy, err = nn.Accuracy(net, s.Test.Inputs(), s.Test.Labels()); err != nil {
-		return nil, err
-	}
-	return s.deploy(net)
+	return net, nil
 }
 
 // newScenarioData generates the scenario's dataset and resolves its
