@@ -19,7 +19,7 @@ GO ?= go
 # refuses to run without it, so no earlier snapshot is overwritten.
 BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
-BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkTrainMNIST$$|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
+BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkTrainMNIST$$|BenchmarkTrainKernels|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
 .PHONY: all build vet lint fmtcheck test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke recoversmoke obssmoke perfbenchcheck ci golden
 
@@ -55,8 +55,10 @@ fmtcheck:
 test:
 	$(GO) test ./...
 
+# The root package's campaign tests take close to go test's default
+# 10-minute per-package timeout under -race on a 2-vCPU host.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

@@ -709,25 +709,53 @@ func BenchmarkTrainMNIST(b *testing.B) {
 	}
 }
 
-// BenchmarkTensorConv2D measures the reference (non-instrumented) conv
-// kernel used in training.
-func BenchmarkTensorConv2D(b *testing.B) {
-	g := tensor.ConvGeom{InH: 28, InW: 28, InC: 1, K: 3, Stride: 1, OutC: 8}
-	in := tensor.New(28, 28, 1)
+// BenchmarkTrainKernels times each tensor kernel that training runs, at
+// the MNIST scenario network's shapes: conv1 (28×28×1 → 26×26×8, im2col
+// 676×9) and conv2 (13×13×8 → 11×11×16, im2col 121×72). Operands are
+// about 40% zeros, like post-ReLU activations, so the matmuls' zero skip
+// fires as it does in training.
+func BenchmarkTrainKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	for i := range in.Data {
-		in.Data[i] = rng.Float32()
-	}
-	filt := tensor.New(9, 8)
-	for i := range filt.Data {
-		filt.Data[i] = rng.Float32()
-	}
-	bias := make([]float32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.Conv2D(in, filt, bias, g); err != nil {
-			b.Fatal(err)
+	operand := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			if rng.Float64() >= 0.4 {
+				v[i] = float32(rng.NormFloat64())
+			}
 		}
+		return v
+	}
+	g1 := tensor.ConvGeom{InH: 28, InW: 28, InC: 1, K: 3, Stride: 1, OutC: 8}
+	g2 := tensor.ConvGeom{InH: 13, InW: 13, InC: 8, K: 3, Stride: 1, OutC: 16}
+	rows1, cols1 := g1.OutH()*g1.OutW(), g1.K*g1.K*g1.InC
+	rows2, cols2 := g2.OutH()*g2.OutW(), g2.K*g2.K*g2.InC
+	in1, in2 := operand(g1.InH*g1.InW*g1.InC), operand(g2.InH*g2.InW*g2.InC)
+	colBuf1, colBuf2 := operand(rows1*cols1), operand(rows2*cols2)
+	filt1, filt2 := operand(cols1*g1.OutC), operand(cols2*g2.OutC)
+	grad1, grad2 := operand(rows1*g1.OutC), operand(rows2*g2.OutC)
+	out1, out2 := make([]float32, rows1*g1.OutC), make([]float32, rows2*g2.OutC)
+	df1, df2 := make([]float32, cols1*g1.OutC), make([]float32, cols2*g2.OutC)
+	dCols2, dIn2 := make([]float32, rows2*cols2), make([]float32, len(in2))
+	im1, im2 := make([]float32, len(colBuf1)), make([]float32, len(colBuf2))
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"conv1-forward", func() { tensor.MatMulInto(out1, colBuf1, filt1, rows1, cols1, g1.OutC) }},
+		{"conv2-forward", func() { tensor.MatMulInto(out2, colBuf2, filt2, rows2, cols2, g2.OutC) }},
+		{"conv1-dFilter", func() { tensor.MatMulTransA(df1, colBuf1, grad1, cols1, rows1, g1.OutC) }},
+		{"conv2-dFilter", func() { tensor.MatMulTransA(df2, colBuf2, grad2, cols2, rows2, g2.OutC) }},
+		{"conv2-dCols", func() { tensor.MatMulTransB(dCols2, grad2, filt2, rows2, g2.OutC, cols2) }},
+		{"conv1-im2col", func() { tensor.Im2Col(im1, in1, g1) }},
+		{"conv2-im2col", func() { tensor.Im2Col(im2, in2, g2) }},
+		{"conv2-col2im", func() { tensor.Col2Im(dIn2, dCols2, g2) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
 	}
 }
 

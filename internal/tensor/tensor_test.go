@@ -135,30 +135,38 @@ func TestCountNonZero(t *testing.T) {
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := []float32{1, 2, 3, 4, 5, 6}
+	b := []float32{7, 8, 9, 10, 11, 12}
+	c := make([]float32, 4)
+	MatMulInto(c, a, b, 2, 3, 2)
 	want := []float32{58, 64, 139, 154}
 	for i := range want {
-		if c.Data[i] != want[i] {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data[i], want[i])
+		if c[i] != want[i] {
+			t.Fatalf("MatMulInto[%d] = %v, want %v", i, c[i], want[i])
 		}
 	}
 }
 
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 func TestMatMulShapeErrors(t *testing.T) {
-	a := New(2, 3)
-	b := New(2, 3)
-	if _, err := MatMul(a, b); err == nil {
-		t.Fatal("MatMul accepted mismatched inner dims")
-	}
-	c := New(6)
-	if _, err := MatMul(c, b); err == nil {
-		t.Fatal("MatMul accepted rank-1 operand")
-	}
+	// a is 2×3 and b is 2×3: as a·b (m=2, k=3, n=3) b is one row short.
+	a, b, dst := make([]float32, 6), make([]float32, 6), make([]float32, 6)
+	mustPanic(t, "MatMulInto with mismatched inner dims", func() { MatMulInto(dst, a, b, 2, 3, 3) })
+	mustPanic(t, "MatMulTransB with short b", func() { MatMulTransB(dst[:4], a, b[:5], 2, 3, 2) })
+	mustPanic(t, "MatMulTransA with short dst", func() { MatMulTransA(dst[:3], a, b, 2, 3, 2) })
+	mustPanic(t, "MatMulInto at a fixed width with short dst", func() {
+		MatMulInto(make([]float32, 15), make([]float32, 2), make([]float32, 8), 2, 1, 8)
+	})
 }
 
 // naiveMatMul is the reference triple loop for cross-checking kernels.
@@ -295,6 +303,23 @@ func naiveConv(in []float32, filt []float32, bias []float32, g ConvGeom) []float
 	return out
 }
 
+// conv runs the training forward pass of a conv layer: Im2Col, a matmul
+// with the filter matrix, then the bias on every output row.
+func conv(in, filt, bias []float32, g ConvGeom) []float32 {
+	rows, cols := g.OutH()*g.OutW(), g.K*g.K*g.InC
+	colBuf := make([]float32, rows*cols)
+	Im2Col(colBuf, in, g)
+	out := make([]float32, rows*g.OutC)
+	MatMulInto(out, colBuf, filt, rows, cols, g.OutC)
+	for i := 0; i < rows; i++ {
+		row := out[i*g.OutC : (i+1)*g.OutC]
+		for c := range row {
+			row[c] += bias[c]
+		}
+	}
+	return out
+}
+
 func TestConv2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	geoms := []ConvGeom{
@@ -315,14 +340,11 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		for i := range bias {
 			bias[i] = rng.Float32()
 		}
-		got, err := Conv2D(in, filt, bias, g)
-		if err != nil {
-			t.Fatalf("geom %d: %v", gi, err)
-		}
+		got := conv(in.Data, filt.Data, bias, g)
 		want := naiveConv(in.Data, filt.Data, bias, g)
 		for i := range want {
-			if !almostEq(float64(got.Data[i]), float64(want[i]), 1e-3) {
-				t.Fatalf("geom %d: Conv2D[%d] = %v, want %v", gi, i, got.Data[i], want[i])
+			if !almostEq(float64(got[i]), float64(want[i]), 1e-3) {
+				t.Fatalf("geom %d: conv[%d] = %v, want %v", gi, i, got[i], want[i])
 			}
 		}
 	}
@@ -330,19 +352,15 @@ func TestConv2DMatchesNaive(t *testing.T) {
 
 func TestConv2DErrors(t *testing.T) {
 	g := ConvGeom{InH: 6, InW: 6, InC: 1, K: 3, Stride: 1, OutC: 2}
-	in := New(5, 5, 1) // wrong volume
-	filt := New(9, 2)
-	bias := make([]float32, 2)
-	if _, err := Conv2D(in, filt, bias, g); err == nil {
-		t.Fatal("Conv2D accepted wrong input volume")
-	}
-	in = New(6, 6, 1)
-	if _, err := Conv2D(in, New(8, 2), bias, g); err == nil {
-		t.Fatal("Conv2D accepted wrong filter volume")
-	}
-	if _, err := Conv2D(in, filt, make([]float32, 3), g); err == nil {
-		t.Fatal("Conv2D accepted wrong bias length")
-	}
+	rows, cols := g.OutH()*g.OutW(), g.K*g.K*g.InC
+	colBuf := make([]float32, rows*cols)
+	mustPanic(t, "Im2Col with wrong input volume", func() { Im2Col(colBuf, make([]float32, 25), g) })
+	mustPanic(t, "Im2Col with wrong dst length", func() { Im2Col(colBuf[1:], make([]float32, 36), g) })
+	mustPanic(t, "conv matmul with wrong filter volume", func() {
+		MatMulInto(make([]float32, rows*g.OutC), colBuf, make([]float32, 8*g.OutC), rows, cols, g.OutC)
+	})
+	mustPanic(t, "Col2Im with wrong cols length", func() { Col2Im(make([]float32, 36), colBuf[1:], g) })
+	mustPanic(t, "Col2Im with wrong dst length", func() { Col2Im(make([]float32, 35), colBuf, g) })
 }
 
 func TestCol2ImAdjointProperty(t *testing.T) {
@@ -378,65 +396,47 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 }
 
 func TestMaxPool2(t *testing.T) {
-	in := MustFromSlice([]float32{
+	in := []float32{
 		1, 5, 2, 0,
 		3, 4, 8, 1,
 		0, 0, 2, 2,
 		9, 1, 3, 7,
-	}, 4, 4, 1)
-	out, arg, err := MaxPool2(in)
-	if err != nil {
-		t.Fatal(err)
 	}
+	out, arg := make([]float32, 4), make([]int32, 4)
+	MaxPool2Into(out, arg, in, 4, 4, 1)
 	want := []float32{5, 8, 9, 7}
 	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("MaxPool2[%d] = %v, want %v", i, out.Data[i], want[i])
+		if out[i] != want[i] {
+			t.Fatalf("MaxPool2Into[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 	// argmax indices must point back at the winning elements.
 	for i := range want {
-		if in.Data[arg[i]] != want[i] {
-			t.Fatalf("arg[%d] -> %v, want %v", i, in.Data[arg[i]], want[i])
+		if in[arg[i]] != want[i] {
+			t.Fatalf("arg[%d] -> %v, want %v", i, in[arg[i]], want[i])
 		}
 	}
 }
 
 func TestMaxPool2OddDims(t *testing.T) {
-	in := New(5, 5, 2)
-	for i := range in.Data {
-		in.Data[i] = float32(i)
+	// A 5×5×2 input pools to 2×2×2: the trailing row and column drop.
+	in := make([]float32, 5*5*2)
+	for i := range in {
+		in[i] = float32(i)
 	}
-	out, _, err := MaxPool2(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Shape[0] != 2 || out.Shape[1] != 2 || out.Shape[2] != 2 {
-		t.Fatalf("odd-dim pool shape = %v, want [2 2 2]", out.Shape)
+	out, arg := make([]float32, 2*2*2), make([]int32, 2*2*2)
+	MaxPool2Into(out, arg, in, 5, 5, 2)
+	// The last pooled cell of channel 1 is the max of rows/cols 2..3.
+	if want := in[(3*5+3)*2+1]; out[7] != want {
+		t.Fatalf("odd-dim pool last cell = %v, want %v", out[7], want)
 	}
 }
 
 func TestMaxPool2Errors(t *testing.T) {
-	if _, _, err := MaxPool2(New(4, 4)); err == nil {
-		t.Fatal("rank-2 input accepted")
-	}
-	if _, _, err := MaxPool2(New(1, 4, 1)); err == nil {
-		t.Fatal("too-small input accepted")
-	}
-}
-
-func TestReLU(t *testing.T) {
-	in := MustFromSlice([]float32{-1, 0, 2, -0.5}, 4)
-	out := ReLU(in)
-	want := []float32{0, 0, 2, 0}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("ReLU[%d] = %v, want %v", i, out.Data[i], want[i])
-		}
-	}
-	if in.Data[0] != -1 {
-		t.Fatal("ReLU mutated its input")
-	}
+	in := make([]float32, 4*4*1)
+	mustPanic(t, "MaxPool2Into with short out", func() { MaxPool2Into(make([]float32, 3), make([]int32, 4), in, 4, 4, 1) })
+	mustPanic(t, "MaxPool2Into with short arg", func() { MaxPool2Into(make([]float32, 4), make([]int32, 3), in, 4, 4, 1) })
+	mustPanic(t, "MaxPool2Into with wrong input volume", func() { MaxPool2Into(make([]float32, 4), make([]int32, 4), in[1:], 4, 4, 1) })
 }
 
 func TestSoftmaxProperties(t *testing.T) {
@@ -511,27 +511,24 @@ func TestQuickConvLinearity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ConvGeom{InH: 5, InW: 5, InC: 1 + rng.Intn(2), K: 3, Stride: 1, Pad: 1, OutC: 1 + rng.Intn(3)}
 		vol := g.InH * g.InW * g.InC
-		x := New(g.InH, g.InW, g.InC)
-		y := New(g.InH, g.InW, g.InC)
+		x := make([]float32, vol)
+		y := make([]float32, vol)
+		xy := make([]float32, vol)
 		for i := 0; i < vol; i++ {
-			x.Data[i] = rng.Float32() - 0.5
-			y.Data[i] = rng.Float32() - 0.5
+			x[i] = rng.Float32() - 0.5
+			y[i] = rng.Float32() - 0.5
+			xy[i] = x[i] + y[i]
 		}
-		filt := New(g.K*g.K*g.InC, g.OutC)
-		for i := range filt.Data {
-			filt.Data[i] = rng.Float32() - 0.5
+		filt := make([]float32, g.K*g.K*g.InC*g.OutC)
+		for i := range filt {
+			filt[i] = rng.Float32() - 0.5
 		}
 		bias := make([]float32, g.OutC)
-		xy := x.Clone()
-		xy.AddScaled(y, 1)
-		cxy, err := Conv2D(xy, filt, bias, g)
-		if err != nil {
-			return false
-		}
-		cx, _ := Conv2D(x, filt, bias, g)
-		cy, _ := Conv2D(y, filt, bias, g)
-		for i := range cxy.Data {
-			if !almostEq(float64(cxy.Data[i]), float64(cx.Data[i]+cy.Data[i]), 1e-3) {
+		cxy := conv(xy, filt, bias, g)
+		cx := conv(x, filt, bias, g)
+		cy := conv(y, filt, bias, g)
+		for i := range cxy {
+			if !almostEq(float64(cxy[i]), float64(cx[i]+cy[i]), 1e-3) {
 				return false
 			}
 		}
@@ -548,15 +545,13 @@ func TestQuickMaxPoolDominance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h, w, c := 2+2*rng.Intn(3), 2+2*rng.Intn(3), 1+rng.Intn(3)
-		in := New(h, w, c)
-		for i := range in.Data {
-			in.Data[i] = rng.Float32()*10 - 5
-		}
-		out, arg, err := MaxPool2(in)
-		if err != nil {
-			return false
+		in := make([]float32, h*w*c)
+		for i := range in {
+			in[i] = rng.Float32()*10 - 5
 		}
 		oh, ow := h/2, w/2
+		out, arg := make([]float32, oh*ow*c), make([]int32, oh*ow*c)
+		MaxPool2Into(out, arg, in, h, w, c)
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				for ch := 0; ch < c; ch++ {
@@ -564,12 +559,12 @@ func TestQuickMaxPoolDominance(t *testing.T) {
 					for dy := 0; dy < 2; dy++ {
 						for dx := 0; dx < 2; dx++ {
 							idx := ((2*oy+dy)*w+(2*ox+dx))*c + ch
-							if in.Data[idx] > out.Data[o] {
+							if in[idx] > out[o] {
 								return false
 							}
 						}
 					}
-					if in.Data[arg[o]] != out.Data[o] {
+					if in[arg[o]] != out[o] {
 						return false
 					}
 				}
