@@ -71,7 +71,7 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -pr $(BENCH_PR) > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 
-# Allocation gate: the hot paths (Hierarchy.Access, Engine.Load on a
+# Allocation gate: the hot paths (Cache.Access, Engine.Load on a
 # cached line, PMU.MeasureOnceInto steady state, the core's measured-run
 # loop into a shard's preallocated profiles, the nil-Recorder telemetry
 # hooks, and a warm training replica's per-sample pass) must stay at 0

@@ -25,6 +25,7 @@ import (
 	"repro/internal/march/branch"
 	"repro/internal/march/cache"
 	"repro/internal/march/mem"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -339,7 +340,12 @@ func BenchmarkAblationCacheGeometry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := ev.Evaluate("geom", cls, pools)
+			// One shard per class on the one classifier, in class order.
+			p, err := pipeline.New(ev, pipeline.Config{Workers: 1, ShardRuns: 80})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := p.Evaluate(context.Background(), "geom", func(int64) (core.Target, error) { return cls, nil }, pools)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -599,7 +605,12 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(mem.Addr(addrs[i%len(addrs)]), false)
+		// The engine's miss walk: retry each level until one hits.
+		for _, lv := range h.Levels {
+			if lv.Access(mem.Addr(addrs[i%len(addrs)]), false) {
+				break
+			}
+		}
 	}
 }
 
@@ -782,7 +793,7 @@ func BenchmarkMonitorStream(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := s.Monitor(MonitorConfig{
+				rep, err := s.MonitorCtx(context.Background(), MonitorConfig{
 					Classes: []int{1, 2},
 					Budget:  60,
 					Workers: c.workers,

@@ -534,3 +534,51 @@ func TestServerQueueFullReturns503(t *testing.T) {
 		t.Fatalf("next accepted id = %d, want 3", id)
 	}
 }
+
+// FuzzCampaignRequest: whatever body is POSTed to /campaigns, the server
+// answers 202 or 4xx — never a panic or a 5xx — and the campaign runner
+// sees a request only when the server accepted it, and then only one
+// that validateRequest accepts.
+func FuzzCampaignRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"stage":`,
+		`{"stage":"report","bogus":1}`,
+		`{"stage":"exfiltrate","scenario":{"dataset":"mnist"}}`,
+		`{"stage":"report","scenario":{}}`,
+		`{"stage":"report","scenario":{"dataset":"mnist","defense":"baseline"},"processes":4}`,
+		validBody,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var mu sync.Mutex
+		var ran []CampaignRequest
+		s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+			mu.Lock()
+			ran = append(ran, req)
+			mu.Unlock()
+			return json.RawMessage(`{}`), nil
+		})
+		w := httptest.NewRecorder()
+		s.handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(body)))
+		s.Close() // waits for an accepted campaign to run
+		code := w.Code
+		if code != http.StatusAccepted && (code < 400 || code >= 500) {
+			t.Fatalf("status %d for body %q, want 202 or 4xx", code, body)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		want := 0
+		if code == http.StatusAccepted {
+			want = 1
+		}
+		if len(ran) != want {
+			t.Fatalf("status %d but the runner ran %d campaigns, want %d", code, len(ran), want)
+		}
+		for _, req := range ran {
+			if err := validateRequest(req); err != nil {
+				t.Fatalf("runner got a request validateRequest rejects: %v", err)
+			}
+		}
+	})
+}

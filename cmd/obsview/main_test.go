@@ -12,7 +12,7 @@ func TestCheckValidTraceFromRecorder(t *testing.T) {
 	r := obs.New(obs.Config{Label: "obsview-test"})
 	r.Span("pipeline", "collect").End()
 	r.ShardSpan(1, 3, 0).End()
-	r.Mark("fabric", "journal-skip")
+	r.MarkExtra(0, "fabric", "journal-skip", "")
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,19 @@
 package repro
 
 // Integration tests exercising cross-module flows end to end: the process
-// registry + PMU attach path (the perf-stat deployment), the sampling
-// series over a real classification, the TVLA verdict through the facade,
-// and the template attack against the hardened classifier.
+// registry + PMU attach path (the perf-stat deployment), per-classification
+// samples over a real classification stream, and the template attack
+// against the hardened classifier.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/hpc"
 	"repro/internal/march"
+	"repro/internal/pipeline"
 )
 
 // TestIntegrationPerfStatDeployment wires the full perf-stat path: spawn
@@ -75,52 +77,20 @@ func TestIntegrationSamplingOverClassifications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interleave the two categories; every sample is one classification.
+	// Interleave the two categories; every sample is one classification
+	// in its own counter interval.
 	imgs := append(pools[1][:4], pools[2][:4]...)
-	series, err := pmu.SampleSeries(len(imgs), func(i int) {
-		if _, err := s.Target.Classify(imgs[i]); err != nil {
-			t.Error(err)
+	for i, img := range imgs {
+		sample, err := pmu.Measure(1, func(int) {
+			if _, err := s.Target.Classify(img); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Samples) != len(imgs) {
-		t.Fatalf("samples = %d, want %d", len(series.Samples), len(imgs))
-	}
-	for i, sm := range series.Samples {
-		if sm.Deltas.Get(EvInstructions) <= 0 {
+		if sample.Get(EvInstructions) <= 0 {
 			t.Fatalf("sample %d observed no instructions", i)
-		}
-	}
-}
-
-// TestIntegrationTVLAThroughFacade runs the fixed-vs-random assessment on
-// the facade's scenario.
-func TestIntegrationTVLAThroughFacade(t *testing.T) {
-	s := smallScenario(t)
-	ev, err := core.NewEvaluator(core.Config{RunsPerClass: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pools, err := s.ClassPools(1, 2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := pools[1][0]
-	mixed := append(append(append(pools[1][1:], pools[2]...), pools[3]...), pools[4]...)
-	results, err := ev.TVLA(s.Target, fixed, mixed, 25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("TVLA results = %d, want 2 events", len(results))
-	}
-	// At minimum the verdict must be well-formed; leakiness depends on the
-	// small model's separation and is asserted in internal/core's tests.
-	for _, r := range results {
-		if r.Result.P < 0 || r.Result.P > 1 {
-			t.Fatalf("TVLA p out of range: %+v", r)
 		}
 	}
 }
@@ -207,7 +177,12 @@ func TestIntegrationMannWhitneyFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := ev.Evaluate("facade-"+method.String(), s.Target, pools)
+		// One shard per class on the one scenario target, in class order.
+		p, err := pipeline.New(ev, pipeline.Config{Workers: 1, ShardRuns: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Evaluate(context.Background(), "facade-"+method.String(), func(int64) (core.Target, error) { return s.Target, nil }, pools)
 		if err != nil {
 			t.Fatal(err)
 		}

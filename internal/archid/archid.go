@@ -402,22 +402,9 @@ type LayerProfile struct {
 	L1DLoads     uint64 `json:"l1d_loads"`
 }
 
-// EvidenceFor computes the layer evidence for every zoo architecture by
-// replaying one attributed classification of inputs[0] on a noise-free
-// baseline deployment per spec, with victims built from the campaign
-// seed. Campaigns reuse their already-built victims via NewCampaign.
-func EvidenceFor(zoo *nn.Zoo, seed int64, inputs []*tensor.Tensor) ([]LayerEvidence, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("archid: need at least one input image")
-	}
-	nets, err := Nets(zoo, seed, SeedDomainWeights)
-	if err != nil {
-		return nil, err
-	}
-	return evidenceForNets(zoo, nets, inputs[0])
-}
-
-// evidenceForNets is EvidenceFor over already-built victims.
+// evidenceForNets computes the layer evidence for every zoo architecture
+// by replaying one attributed classification of input on a noise-free
+// baseline deployment of each already-built victim.
 func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor) ([]LayerEvidence, error) {
 	out := make([]LayerEvidence, 0, zoo.Len())
 	for _, s := range zoo.Specs() {

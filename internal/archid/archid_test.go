@@ -248,7 +248,12 @@ func TestPaddedEnvelopeLevelMatchesConstantTimePad(t *testing.T) {
 // exactly the layer stacks the zoo registered.
 func TestEvidenceMatchesSpecs(t *testing.T) {
 	zoo := testZoo(t)
-	evidence, err := EvidenceFor(zoo, 1, testInputs(t, 1))
+	nets, err := Nets(zoo, 1, SeedDomainWeights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := testInputs(t, 1)[0]
+	evidence, err := evidenceForNets(zoo, nets, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +280,7 @@ func TestEvidenceMatchesSpecs(t *testing.T) {
 		}
 	}
 	// Determinism: a second computation is identical.
-	again, err := EvidenceFor(zoo, 1, testInputs(t, 1))
+	again, err := evidenceForNets(zoo, nets, input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // collectWithBatch runs one 7-run shard at the given window size on a
-// fresh target (identical seed) and returns its profiles both as
-// per-run vectors and transposed into distributions.
-func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
+// fresh target (identical seed) and returns its profiles both as they
+// are and transposed into distributions.
+func collectWithBatch(t *testing.T, batch int) (*Distributions, []hpc.Profile) {
 	t.Helper()
 	const runs = 7
 	target := buildTarget(t, instrument.Options{SparsitySkip: true, Runtime: instrument.DefaultRuntime()}, 5)
@@ -29,15 +29,11 @@ func collectWithBatch(t *testing.T, batch int) (*Distributions, [][]float64) {
 	if len(profs) != runs {
 		t.Fatalf("batch=%d: %d profiles, want %d", batch, len(profs), runs)
 	}
-	vecs := make([][]float64, len(profs))
-	for i, p := range profs {
-		vecs[i] = p.Vector(ev.Config().Events)
-	}
 	d, err := ev.Distributions(map[int][]hpc.Profile{sh.Class: profs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, vecs
+	return d, profs
 }
 
 // TestCollectShardBatchInvariance: the shard collector must produce

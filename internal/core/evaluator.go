@@ -16,7 +16,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/hpc"
@@ -223,43 +222,6 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	return &Evaluator{cfg: cfg}, nil
 }
 
-// Collect performs step 1: it observes RunsPerClass classifications for
-// every category in perClass and returns the distributions. perClass maps
-// category label → pool of images of that category; images are cycled when
-// the pool is smaller than RunsPerClass.
-//
-// Collect is the sequential execution of the campaign's shard plan (see
-// PlanShards): one shard per class, executed in class order on the single
-// provided target. Each shard cold-resets the simulated core before its
-// warm-up, so cache and predictor state from one class cannot bleed into
-// the next class's traces. The concurrent pipeline executes the same shard
-// units on per-worker engines.
-func (ev *Evaluator) Collect(target Target, perClass map[int][]*tensor.Tensor) (*Distributions, error) {
-	return ev.CollectCtx(context.Background(), target, perClass)
-}
-
-// CollectCtx is Collect with cancellation between classifications.
-func (ev *Evaluator) CollectCtx(ctx context.Context, target Target, perClass map[int][]*tensor.Tensor) (*Distributions, error) {
-	if target == nil {
-		return nil, fmt.Errorf("core: nil target")
-	}
-	shards, err := ev.PlanShards(perClass, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	// One shard per class (PlanShards with maxRuns 0), so each shard's
-	// profiles are its class's full run series.
-	byClass := make(map[int][]hpc.Profile, len(shards))
-	for _, sh := range shards {
-		profs, err := ev.CollectShardProfiles(ctx, target, sh)
-		if err != nil {
-			return nil, err
-		}
-		byClass[sh.Class] = profs
-	}
-	return ev.Distributions(byClass)
-}
-
 // Test performs step 2 on collected distributions: Welch t-tests for every
 // category pair of every event. It is the sequential execution of the
 // campaign's TestJobs; the concurrent pipeline batches the same jobs
@@ -294,18 +256,4 @@ func (ev *Evaluator) runTest(a, b []float64) (stats.TTestResult, error) {
 	default:
 		return stats.WelchTTest(a, b)
 	}
-}
-
-// Evaluate runs the full campaign (steps 1–3) and returns the report with
-// any alarms raised.
-func (ev *Evaluator) Evaluate(name string, target Target, perClass map[int][]*tensor.Tensor) (*Report, error) {
-	d, err := ev.Collect(target, perClass)
-	if err != nil {
-		return nil, err
-	}
-	tests, err := ev.Test(d)
-	if err != nil {
-		return nil, err
-	}
-	return ev.BuildReport(name, d, tests), nil
 }

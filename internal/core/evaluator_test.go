@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -73,6 +74,37 @@ func classImages(class, n int, seed int64) []*tensor.Tensor {
 	return out
 }
 
+// collect runs a campaign's collection one class per shard, in class
+// order, on the single given target: PlanShards, CollectShardProfiles,
+// Distributions.
+func collect(ev *Evaluator, target Target, perClass map[int][]*tensor.Tensor) (*Distributions, error) {
+	shards, err := ev.PlanShards(perClass, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	byClass := make(map[int][]hpc.Profile, len(shards))
+	for _, sh := range shards {
+		if byClass[sh.Class], err = ev.CollectShardProfiles(context.Background(), target, sh); err != nil {
+			return nil, err
+		}
+	}
+	return ev.Distributions(byClass)
+}
+
+// evaluate runs collect, the pairwise tests and BuildReport: a whole
+// campaign on one target.
+func evaluate(ev *Evaluator, name string, target Target, perClass map[int][]*tensor.Tensor) (*Report, error) {
+	d, err := collect(ev, target, perClass)
+	if err != nil {
+		return nil, err
+	}
+	tests, err := ev.Test(d)
+	if err != nil {
+		return nil, err
+	}
+	return ev.BuildReport(name, d, tests), nil
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if len(c.Events) != 2 || c.Events[0] != march.EvCacheMisses || c.Events[1] != march.EvBranches {
@@ -102,13 +134,13 @@ func TestNewEvaluatorValidation(t *testing.T) {
 func TestCollectValidation(t *testing.T) {
 	ev, _ := NewEvaluator(Config{RunsPerClass: 2, WarmupRuns: -1})
 	target := buildTarget(t, instrument.Options{SparsitySkip: true}, 1)
-	if _, err := ev.Collect(nil, nil); err == nil {
+	if _, err := collect(ev, nil, nil); err == nil {
 		t.Fatal("nil target accepted")
 	}
-	if _, err := ev.Collect(target, map[int][]*tensor.Tensor{0: classImages(0, 1, 1)}); err == nil {
+	if _, err := collect(ev, target, map[int][]*tensor.Tensor{0: classImages(0, 1, 1)}); err == nil {
 		t.Fatal("single category accepted")
 	}
-	if _, err := ev.Collect(target, map[int][]*tensor.Tensor{0: classImages(0, 1, 1), 1: nil}); err == nil {
+	if _, err := collect(ev, target, map[int][]*tensor.Tensor{0: classImages(0, 1, 1), 1: nil}); err == nil {
 		t.Fatal("empty pool accepted")
 	}
 }
@@ -123,7 +155,7 @@ func TestCollectShapes(t *testing.T) {
 		0: classImages(0, 3, 10),
 		1: classImages(1, 3, 20),
 	}
-	d, err := ev.Collect(target, pools)
+	d, err := collect(ev, target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +190,7 @@ func TestEvaluateRaisesAlarmForLeakyTarget(t *testing.T) {
 		0: classImages(0, 12, 100),
 		1: classImages(1, 12, 200),
 	}
-	r, err := ev.Evaluate("leaky", target, pools)
+	r, err := evaluate(ev, "leaky", target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +222,7 @@ func TestEvaluateSameDistributionNoSystematicAlarm(t *testing.T) {
 		0: classImages(0, 10, 300),
 		1: classImages(0, 10, 400), // same class, different draws
 	}
-	r, err := ev.Evaluate("null", target, pools)
+	r, err := evaluate(ev, "null", target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +246,7 @@ func TestEvaluateConstantTimeDefenseQuietsCacheAlarms(t *testing.T) {
 		0: classImages(0, 12, 500),
 		1: classImages(1, 12, 600),
 	}
-	r, err := ev.Evaluate("hardened", target, pools)
+	r, err := evaluate(ev, "hardened", target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +279,7 @@ func TestHolmCorrectionPopulated(t *testing.T) {
 		0: classImages(0, 8, 700),
 		1: classImages(1, 8, 800),
 	}
-	r, err := ev.Evaluate("holm", target, pools)
+	r, err := evaluate(ev, "holm", target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +323,7 @@ func TestMannWhitneyMethodAgreesOnLeakyTarget(t *testing.T) {
 		0: classImages(0, 12, 100),
 		1: classImages(1, 12, 200),
 	}
-	r, err := ev.Evaluate("mw", target, pools)
+	r, err := evaluate(ev, "mw", target, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,61 +335,6 @@ func TestMannWhitneyMethodAgreesOnLeakyTarget(t *testing.T) {
 		if tt.Result.DF != 0 {
 			t.Fatalf("rank-sum test reported df %v", tt.Result.DF)
 		}
-	}
-}
-
-func TestTVLAFlagsLeakyTarget(t *testing.T) {
-	ev, err := NewEvaluator(Config{RunsPerClass: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := buildTarget(t, instrument.Options{SparsitySkip: true, Runtime: instrument.NoRuntime()}, -1)
-	fixed := classImages(0, 1, 900)[0]
-	pool := append(classImages(0, 6, 901), classImages(1, 6, 902)...)
-	results, err := ev.TVLA(target, fixed, pool, 40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2 events", len(results))
-	}
-	anyLeaky := false
-	for _, r := range results {
-		if r.Leaky {
-			anyLeaky = true
-			if r.Result.T < TVLAThreshold && r.Result.T > -TVLAThreshold {
-				t.Fatalf("leaky verdict with |t| below threshold: %+v", r)
-			}
-		}
-	}
-	if !anyLeaky {
-		t.Fatal("TVLA missed a strongly leaky target")
-	}
-}
-
-func TestTVLAQuietForConstantTime(t *testing.T) {
-	ev, err := NewEvaluator(Config{RunsPerClass: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := buildTarget(t, instrument.Options{ConstantTime: true, Runtime: instrument.DefaultRuntime()}, 13)
-	fixed := classImages(0, 1, 910)[0]
-	pool := append(classImages(0, 6, 911), classImages(1, 6, 912)...)
-	results, err := ev.TVLA(target, fixed, pool, 40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Event == march.EvCacheMisses && r.Leaky {
-			t.Fatalf("constant-time target failed TVLA on cache-misses: t=%v", r.Result.T)
-		}
-	}
-}
-
-func TestTVLAValidation(t *testing.T) {
-	ev, _ := NewEvaluator(Config{})
-	if _, err := ev.TVLA(nil, nil, nil, 10, 1); err == nil {
-		t.Fatal("nil args accepted")
 	}
 }
 

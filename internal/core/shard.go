@@ -14,10 +14,9 @@ import (
 
 // Shard is one self-contained unit of collection work: a contiguous run
 // range of a single category, executed on a cold-reset simulated core.
-// Both the sequential Collect path and the concurrent pipeline execute the
-// same shard units, so the observation for run r of class c depends only
-// on the shard plan — never on which worker (or how many workers) executed
-// it.
+// The pipeline executes shard units on per-worker engines, so the
+// observation for run r of class c depends only on the shard plan — never
+// on which worker (or how many workers) executed it.
 type Shard struct {
 	// Index is the shard's position in the deterministic plan order.
 	Index int
@@ -323,8 +322,7 @@ func (ev *Evaluator) FinalizeTests(tests []PairTest) []PairTest {
 }
 
 // BuildReport assembles the campaign report, deriving alarms from the
-// finalized tests in order — shared by the sequential Evaluate path and
-// the concurrent pipeline so both produce identical reports.
+// finalized tests in order — the last step of every campaign.
 func (ev *Evaluator) BuildReport(name string, d *Distributions, tests []PairTest) *Report {
 	r := &Report{Name: name, Config: ev.cfg, Dists: d, Tests: tests}
 	for _, t := range tests {

@@ -63,28 +63,6 @@ func (s *Set) ByClass() map[int][]int {
 	return m
 }
 
-// Filter returns a new Set containing only the listed classes, preserving
-// original labels. Classes counts the distinct classes actually present in
-// the filtered set — not the unfiltered count, which would misreport the
-// chance level (1/Classes) and class iteration of anything derived from
-// the filtered split.
-func (s *Set) Filter(classes ...int) *Set {
-	keep := map[int]bool{}
-	for _, c := range classes {
-		keep[c] = true
-	}
-	out := &Set{Name: s.Name + "-filtered"}
-	kept := map[int]bool{}
-	for _, sm := range s.Samples {
-		if keep[sm.Label] {
-			out.Samples = append(out.Samples, sm)
-			kept[sm.Label] = true
-		}
-	}
-	out.Classes = len(kept)
-	return out
-}
-
 // Config controls synthetic dataset generation.
 type Config struct {
 	PerClassTrain int

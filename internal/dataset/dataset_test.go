@@ -135,28 +135,6 @@ func TestWithinClassVariation(t *testing.T) {
 
 func TestFilterAndAccessors(t *testing.T) {
 	train, _, _ := MNISTLike(Config{PerClassTrain: 3, PerClassTest: 1, Classes: 5, Seed: 4})
-	f := train.Filter(1, 3)
-	if len(f.Samples) != 6 {
-		t.Fatalf("filtered size = %d, want 6", len(f.Samples))
-	}
-	for _, sm := range f.Samples {
-		if sm.Label != 1 && sm.Label != 3 {
-			t.Fatalf("filter leaked label %d", sm.Label)
-		}
-	}
-	// Classes must report the kept-class count, not the unfiltered one:
-	// chance levels and class iteration derive from it.
-	if f.Classes != 2 {
-		t.Fatalf("filtered Classes = %d, want 2 (unfiltered set has %d)", f.Classes, train.Classes)
-	}
-	// Requested classes absent from the set do not inflate the count; an
-	// empty filter reports zero classes.
-	if g := train.Filter(1, 3, 97); g.Classes != 2 {
-		t.Fatalf("Classes with absent request = %d, want 2", g.Classes)
-	}
-	if e := train.Filter(42); e.Classes != 0 || len(e.Samples) != 0 {
-		t.Fatalf("empty filter: Classes=%d samples=%d, want 0/0", e.Classes, len(e.Samples))
-	}
 	if len(train.Inputs()) != len(train.Labels()) {
 		t.Fatal("Inputs/Labels length mismatch")
 	}
@@ -196,7 +174,12 @@ func TestQuickDigitImagesAlwaysValid(t *testing.T) {
 			return false
 		}
 		for _, sm := range train.Samples {
-			nz := sm.Image.CountNonZero(1e-6)
+			nz := 0
+			for _, v := range sm.Image.Data {
+				if v > 1e-6 || v < -1e-6 {
+					nz++
+				}
+			}
 			// A glyph must paint something but not everything.
 			if nz == 0 || nz == sm.Image.Len() {
 				return false

@@ -155,9 +155,6 @@ func New(net *nn.Network, engine *march.Engine, cfg Config) (*Hardened, error) {
 	return h, nil
 }
 
-// Level returns the configured hardening level.
-func (h *Hardened) Level() Level { return h.level }
-
 // ScratchTop exposes the inner classifier's activation-scratch ceiling:
 // the first simulated address safe for a co-located tenant's
 // allocations (see instrument.Classifier.ScratchTop).

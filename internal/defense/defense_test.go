@@ -82,8 +82,8 @@ func TestAllLevelsPredictIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Level() != level {
-			t.Fatalf("Level() = %v, want %v", h.Level(), level)
+		if h.level != level {
+			t.Fatalf("level = %v, want %v", h.level, level)
 		}
 		if i == 0 {
 			ref = got

@@ -187,9 +187,6 @@ func NewEnvelope(nets []*nn.Network, input *tensor.Tensor) (*Envelope, error) {
 	return &Envelope{pads: pads, env: env}, nil
 }
 
-// Len returns the number of hypothesis members.
-func (e *Envelope) Len() int { return len(e.pads) }
-
 // Pad returns member i's per-classification pad.
 func (e *Envelope) Pad(i int) (march.PadSpec, error) {
 	if i < 0 || i >= len(e.pads) {

@@ -47,8 +47,8 @@ func TestEnvelopePadsEqualizeExtendedFootprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Len() != len(nets) {
-		t.Fatalf("envelope has %d members, want %d", env.Len(), len(nets))
+	if len(env.pads) != len(nets) {
+		t.Fatalf("envelope has %d members, want %d", len(env.pads), len(nets))
 	}
 	var want march.Counts
 	for i, net := range nets {

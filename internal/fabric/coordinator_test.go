@@ -225,8 +225,8 @@ func TestCoordinatorJournalsBeforeFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Done() != 2 {
-		t.Fatalf("journal holds %d completions after crash, want 2", j2.Done())
+	if len(j2.done) != 2 {
+		t.Fatalf("journal holds %d completions after crash, want 2", len(j2.done))
 	}
 	// The resumed run finishes the campaign, re-dispatching only 2 and 3.
 	d2 := &fakeDispatcher{procs: 1}

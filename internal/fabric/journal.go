@@ -155,13 +155,6 @@ func (j *Journal) Payload(index int) ([]byte, bool) {
 	return p, ok
 }
 
-// Done reports how many shard completions the journal currently holds.
-func (j *Journal) Done() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
 // Append records a completed shard. The record is synced before Append
 // returns, so a completion acknowledged here survives any later crash.
 func (j *Journal) Append(index int, payload []byte) error {

@@ -40,8 +40,8 @@ func TestJournalLoadsValidFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Done() != 2 {
-		t.Fatalf("loaded %d completions, want 2", j.Done())
+	if len(j.done) != 2 {
+		t.Fatalf("loaded %d completions, want 2", len(j.done))
 	}
 	for i, want := range []string{"hello", "world"} {
 		p, ok := j.Payload(i)
@@ -58,8 +58,8 @@ func TestJournalTruncatesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the torn final record is lost; the clean prefix survives.
-	if j.Done() != 1 {
-		t.Fatalf("loaded %d completions, want 1", j.Done())
+	if len(j.done) != 1 {
+		t.Fatalf("loaded %d completions, want 1", len(j.done))
 	}
 	if _, ok := j.Payload(1); ok {
 		t.Fatal("corrupt shard 1 record survived the load")
@@ -76,8 +76,8 @@ func TestJournalTruncatesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Done() != 2 {
-		t.Fatalf("after repair reopen loaded %d completions, want 2", j2.Done())
+	if len(j2.done) != 2 {
+		t.Fatalf("after repair reopen loaded %d completions, want 2", len(j2.done))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Done() != 0 {
-		t.Fatalf("foreign journal yielded %d completions, want 0", j.Done())
+	if len(j.done) != 0 {
+		t.Fatalf("foreign journal yielded %d completions, want 0", len(j.done))
 	}
 	if err := j.Append(0, []byte("fresh")); err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Done() != 1 {
-		t.Fatalf("reset journal reopened with %d completions, want 1", j2.Done())
+	if len(j2.done) != 1 {
+		t.Fatalf("reset journal reopened with %d completions, want 1", len(j2.done))
 	}
 	if p, ok := j2.Payload(0); !ok || string(p) != "fresh" {
 		t.Fatalf("shard 0 payload = %q, %v; want %q", p, ok, "fresh")
@@ -131,8 +131,8 @@ func TestJournalDigestMismatchInvalidatesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Done() != 1 {
-		t.Fatalf("tampered journal yielded %d completions, want 1", j.Done())
+	if len(j.done) != 1 {
+		t.Fatalf("tampered journal yielded %d completions, want 1", len(j.done))
 	}
 	if _, ok := j.Payload(1); ok {
 		t.Fatal("digest-mismatched record survived")
@@ -163,8 +163,8 @@ func TestJournalAppendDuplicateKeepsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Done() != 1 {
-		t.Fatalf("duplicate append left %d records, want 1", j2.Done())
+	if len(j2.done) != 1 {
+		t.Fatalf("duplicate append left %d records, want 1", len(j2.done))
 	}
 }
 
@@ -175,8 +175,8 @@ func TestJournalFreshFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Done() != 0 {
-		t.Fatalf("fresh journal has %d completions", j.Done())
+	if len(j.done) != 0 {
+		t.Fatalf("fresh journal has %d completions", len(j.done))
 	}
 	if err := j.Append(0, []byte("zero")); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func FuzzJournalLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		done := j.Done()
+		done := len(j.done)
 		j.Close()
 		kept, err := os.ReadFile(path)
 		if err != nil {
@@ -235,8 +235,8 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Fatalf("reopening a repaired journal: %v", err)
 		}
 		defer j2.Close()
-		if j2.Done() != done {
-			t.Fatalf("reopen loaded %d completions, first open %d", j2.Done(), done)
+		if len(j2.done) != done {
+			t.Fatalf("reopen loaded %d completions, first open %d", len(j2.done), done)
 		}
 		again, err := os.ReadFile(path)
 		if err != nil || !bytes.Equal(again, kept) {

@@ -42,16 +42,6 @@ func (p Profile) Events() []march.Event {
 	return evs
 }
 
-// Vector flattens the profile into a float slice over the given event
-// order, for use by the template attack.
-func (p Profile) Vector(order []march.Event) []float64 {
-	out := make([]float64, len(order))
-	for i, e := range order {
-		out[i] = p[e]
-	}
-	return out
-}
-
 // PMU is a simulated Performance Monitoring Unit bound to one engine. It
 // schedules requested events onto a limited set of counter registers,
 // rotating groups in round-robin time slices like perf, and scales counts

@@ -2,7 +2,6 @@ package hpc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/march"
@@ -53,29 +52,6 @@ func (r *Registry) Lookup(pid int) (*Process, error) {
 		return nil, fmt.Errorf("hpc: no such process %d", pid)
 	}
 	return p, nil
-}
-
-// Kill removes a process from the table.
-func (r *Registry) Kill(pid int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.procs[pid]; !ok {
-		return fmt.Errorf("hpc: no such process %d", pid)
-	}
-	delete(r.procs, pid)
-	return nil
-}
-
-// List returns the live processes sorted by pid.
-func (r *Registry) List() []*Process {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Process, 0, len(r.procs))
-	for _, p := range r.procs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
 }
 
 // Attach creates a PMU bound to the process's engine — the simulated

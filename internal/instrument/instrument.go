@@ -110,12 +110,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the leaky baseline configuration the paper
-// evaluates.
-func DefaultOptions() Options {
-	return Options{SparsitySkip: true, Runtime: DefaultRuntime(), Seed: 1}
-}
-
 // SimHierarchy returns the cache hierarchy used for the reproduction: an
 // embedded-class core (4 KiB L1D, 16 KiB L2, 32 KiB LLC). The paper's Xeon
 // ran a TensorFlow working set far larger than its LLC; scaling the cache
@@ -303,9 +297,6 @@ func flattenLayer(p *layerPlan, cur *tensor.Tensor, curRegion mem.Region) (*tens
 
 // Engine returns the underlying simulated core.
 func (c *Classifier) Engine() *march.Engine { return c.engine }
-
-// Options returns the classifier's configuration.
-func (c *Classifier) Options() Options { return c.opts }
 
 // Classify runs one instrumented classification and returns the predicted
 // class. Hardware activity lands on the classifier's engine; observe it

@@ -118,7 +118,7 @@ func TestAttributionConvDominatesForConvNet(t *testing.T) {
 
 func TestAttributionRejectsWrongShape(t *testing.T) {
 	c, _ := buildClassifier(t, Options{SparsitySkip: true})
-	if _, _, err := c.ClassifyWithAttribution(randImage(1).Clone()); err != nil {
+	if _, _, err := c.ClassifyWithAttribution(randImage(1)); err != nil {
 		t.Fatal(err) // correct shape must pass
 	}
 	bad := randImage(1)

@@ -1,6 +1,6 @@
 package lint
 
-// allocpath: the simulator's hot paths (cache Hierarchy.Access, the
+// allocpath: the simulator's hot paths (cache.Cache.Access, the
 // Engine load/store path, the PMU steady-state measure path) are pinned
 // at 0 allocs/op by the runtime allocgate (`make allocgate`). That gate
 // catches a regression only after the allocation ships; this analyzer

@@ -1,13 +1,12 @@
 package march
 
-// Equivalence and allocation guards for the batched trace API and the
+// Equivalence and allocation guards for the range accesses and the
 // engine's same-line fast path: every batched form must leave the engine —
 // counters, cache contents, TLB, predictor — exactly where the
 // element-by-element form leaves it. Wall-clock is the only thing allowed
 // to change.
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/march/cache"
@@ -47,7 +46,7 @@ func engineState(t *testing.T, a, b *Engine, label string) {
 			t.Fatalf("%s: level %d stats diverged: %+v vs %+v", label, i, as, bs)
 		}
 	}
-	if as, bs := a.TLB().Stats(), b.TLB().Stats(); as != bs {
+	if as, bs := a.tlb.Stats(), b.tlb.Stats(); as != bs {
 		t.Fatalf("%s: TLB stats diverged: %+v vs %+v", label, as, bs)
 	}
 }
@@ -115,53 +114,6 @@ func TestLoadRangeAfterInvalidate(t *testing.T) {
 	// The re-walk after invalidation must re-miss once per line.
 	if misses := a.Hierarchy().Levels[0].Stats().Misses; misses != 2*4 {
 		t.Fatalf("L1 misses = %d, want 8 (4 lines, cold twice)", misses)
-	}
-}
-
-func TestAccessBatchMatchesDirectCalls(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var ops []TraceOp
-	for i := 0; i < 5000; i++ {
-		switch rng.Intn(7) {
-		case 0:
-			ops = append(ops, TraceOp{Kind: OpLoad, Addr: mem.Addr(rng.Intn(1 << 16)), Size: uint64(1 + rng.Intn(80))})
-		case 1:
-			ops = append(ops, TraceOp{Kind: OpStore, Addr: mem.Addr(rng.Intn(1 << 16)), Size: uint64(1 + rng.Intn(80))})
-		case 2:
-			ops = append(ops, TraceOp{Kind: OpLoadRange, Addr: mem.Addr(rng.Intn(1 << 16)), Size: 4, N: uint64(rng.Intn(64))})
-		case 3:
-			ops = append(ops, TraceOp{Kind: OpStoreRange, Addr: mem.Addr(rng.Intn(1 << 16)), Size: 8, N: uint64(rng.Intn(32))})
-		case 4:
-			ops = append(ops, TraceOp{Kind: OpBranch, PC: uint64(rng.Intn(64) * 4), Taken: rng.Intn(2) == 0})
-		case 5:
-			ops = append(ops, TraceOp{Kind: OpPredictable, N: uint64(rng.Intn(10))})
-		default:
-			ops = append(ops, TraceOp{Kind: OpOps, N: uint64(rng.Intn(10))})
-		}
-	}
-	a, b := simEngine(t), simEngine(t)
-	a.AccessBatch(ops)
-	for _, op := range ops {
-		switch op.Kind {
-		case OpLoad:
-			b.Load(op.Addr, op.Size)
-		case OpStore:
-			b.Store(op.Addr, op.Size)
-		case OpLoadRange:
-			b.LoadRange(op.Addr, op.Size, int(op.N))
-		case OpStoreRange:
-			b.StoreRange(op.Addr, op.Size, int(op.N))
-		case OpBranch:
-			b.Branch(op.PC, op.Taken)
-		case OpPredictable:
-			b.PredictableBranches(op.N)
-		case OpOps:
-			b.Ops(op.N)
-		}
-	}
-	engineState(t, a, b, "batch")
-	if as, bs := a.Predictor().Stats(), b.Predictor().Stats(); as != bs {
-		t.Fatalf("predictor stats diverged: %+v vs %+v", as, bs)
 	}
 }
 

@@ -41,14 +41,6 @@ type Stats struct {
 	Mispredicts uint64
 }
 
-// MispredictRate returns mispredicts/branches (0 when no branches).
-func (s Stats) MispredictRate() float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Branches)
-}
-
 // Predictor is the common interface: Predict-then-Update per branch.
 type Predictor interface {
 	// Record predicts the branch at pc, compares with the actual outcome,
@@ -458,60 +450,9 @@ func (b *BTB) Lookup(pc, target uint64) bool {
 // run provable hits.
 func (b *BTB) HitN(n uint64) { b.hits += n }
 
-// Hits returns the number of BTB hits.
-func (b *BTB) Hits() uint64 { return b.hits }
-
-// Misses returns the number of BTB misses.
-func (b *BTB) Misses() uint64 { return b.misses }
-
 // Reset clears the BTB.
 func (b *BTB) Reset() {
 	clear(b.tags)
 	clear(b.targets)
 	b.hits, b.misses = 0, 0
 }
-
-// RAS is a return address stack for call/return pairs in the instrumented
-// kernels. Overflow wraps (oldest entries are lost), as in hardware.
-type RAS struct {
-	stack []uint64
-	top   int
-	depth int
-	hits  uint64
-	miss  uint64
-}
-
-// NewRAS builds a stack with the given depth (default 16).
-func NewRAS(depth int) *RAS {
-	if depth <= 0 {
-		depth = 16
-	}
-	return &RAS{stack: make([]uint64, depth), depth: depth}
-}
-
-// Push records a call's return address.
-func (r *RAS) Push(ret uint64) {
-	r.stack[r.top%r.depth] = ret
-	r.top++
-}
-
-// Pop predicts a return target and checks it; returns true when correct.
-func (r *RAS) Pop(actual uint64) bool {
-	if r.top == 0 {
-		r.miss++
-		return false
-	}
-	r.top--
-	if r.stack[r.top%r.depth] == actual {
-		r.hits++
-		return true
-	}
-	r.miss++
-	return false
-}
-
-// Hits returns correct return predictions.
-func (r *RAS) Hits() uint64 { return r.hits }
-
-// Misses returns incorrect return predictions.
-func (r *RAS) Misses() uint64 { return r.miss }

@@ -1,7 +1,7 @@
 package cache
 
-// Allocation gate for the simulator's innermost loop: Hierarchy.Access
-// must not allocate, hit or miss. A regression here multiplies GC work by
+// Allocation gate for the simulator's innermost loop: a hierarchy walk
+// of Cache.Access calls must not allocate, hit or miss. A regression here multiplies GC work by
 // the millions of accesses per simulated classification.
 
 import (
@@ -24,16 +24,16 @@ func TestHierarchyAccessZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hit path (hot line).
-	h.Access(0x1000, false)
-	if allocs := testing.AllocsPerRun(1000, func() { h.Access(0x1000, false) }); allocs != 0 {
-		t.Fatalf("Hierarchy.Access hit allocates %v/op, want 0", allocs)
+	walk(h, 0x1000, false)
+	if allocs := testing.AllocsPerRun(1000, func() { walk(h, 0x1000, false) }); allocs != 0 {
+		t.Fatalf("hierarchy walk hit allocates %v/op, want 0", allocs)
 	}
 	// Miss/evict path (strided sweep larger than the LLC).
 	i := 0
 	if allocs := testing.AllocsPerRun(2000, func() {
-		h.Access(mem.Addr(i*64), i%5 == 0)
+		walk(h, mem.Addr(i*64), i%5 == 0)
 		i++
 	}); allocs != 0 {
-		t.Fatalf("Hierarchy.Access miss allocates %v/op, want 0", allocs)
+		t.Fatalf("hierarchy walk miss allocates %v/op, want 0", allocs)
 	}
 }

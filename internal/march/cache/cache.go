@@ -104,14 +104,6 @@ type Stats struct {
 	Writes    uint64
 }
 
-// MissRate returns misses/accesses (0 for no accesses).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative level.
 type Cache struct {
 	cfg      Config
@@ -608,8 +600,8 @@ func (c *Cache) plruVictim(set uint64) int {
 	return lo
 }
 
-// Hierarchy chains levels; an access that misses level i is retried at
-// level i+1. Stats accumulate independently per level.
+// Hierarchy chains levels; the engine retries an access that misses
+// level i at level i+1. Stats accumulate independently per level.
 type Hierarchy struct {
 	Levels []*Cache
 }
@@ -629,20 +621,6 @@ func NewHierarchy(cfgs ...Config) (*Hierarchy, error) {
 		h.Levels = append(h.Levels, lv)
 	}
 	return h, nil
-}
-
-// Access walks the hierarchy. It returns the deepest level index that
-// missed +1; 0 means an L1 hit, len(Levels) means the access went to
-// memory (a last-level miss).
-//
-//detlint:allocpath
-func (h *Hierarchy) Access(addr mem.Addr, write bool) int {
-	for i, lv := range h.Levels {
-		if lv.Access(addr, write) {
-			return i
-		}
-	}
-	return len(h.Levels)
 }
 
 // Last returns the last (largest) level.

@@ -34,13 +34,6 @@ type Placement struct {
 	tWay   int32
 }
 
-// Valid reports whether the placement has been resolved at all (it may
-// still be stale; Touch re-checks residency on every use).
-func (pl *Placement) Valid() bool { return pl.dProbe != 0 }
-
-// Covers reports whether addr falls inside the placement's 64-byte block.
-func (pl *Placement) Covers(addr uint64) bool { return addr-pl.Lo < 64 }
-
 // Pair binds a data cache and a TLB for fused resolved-touch replay.
 type Pair struct {
 	Data *Cache

@@ -176,9 +176,6 @@ func DefaultNoise(seed int64) *NoiseModel {
 	return n
 }
 
-// Silent returns a no-noise model (useful for deterministic tests).
-func Silent() *NoiseModel { return &NoiseModel{rng: rand.New(rand.NewSource(0))} }
-
 // Apply perturbs a snapshot of counts in place.
 func (n *NoiseModel) Apply(c *Counts) {
 	if n == nil {
@@ -745,57 +742,6 @@ func (e *Engine) LoadStoreRange(base mem.Addr, elem uint64, count int) {
 	e.maybeYield()
 }
 
-// OpKind discriminates batched trace operations.
-type OpKind uint8
-
-// Trace operation kinds.
-const (
-	OpLoad OpKind = iota
-	OpStore
-	OpLoadRange
-	OpStoreRange
-	OpBranch
-	OpPredictable
-	OpOps
-)
-
-// TraceOp is one replayable engine operation. Batching ops lets
-// instrumented kernels hand the engine whole loop bodies at once instead
-// of crossing a call boundary per simulated instruction.
-type TraceOp struct {
-	Kind  OpKind
-	Addr  mem.Addr // Load/Store/ranges
-	Size  uint64   // access size; element size for ranges
-	N     uint64   // range element count, Predictable/Ops amount
-	PC    uint64   // Branch program counter
-	Taken bool     // Branch direction
-}
-
-// AccessBatch replays ops in order. It is semantically identical to
-// issuing the corresponding Engine calls one by one.
-func (e *Engine) AccessBatch(ops []TraceOp) {
-	for idx := range ops {
-		op := &ops[idx]
-		switch op.Kind {
-		case OpLoad:
-			e.access(op.Addr, op.Size, false)
-		case OpStore:
-			e.access(op.Addr, op.Size, true)
-		case OpLoadRange:
-			e.rangeAccess(op.Addr, op.Size, int(op.N), false)
-		case OpStoreRange:
-			e.rangeAccess(op.Addr, op.Size, int(op.N), true)
-		case OpBranch:
-			e.Branch(op.PC, op.Taken)
-		case OpPredictable:
-			e.PredictableBranches(op.N)
-		case OpOps:
-			e.Ops(op.N)
-		}
-		e.maybeYield()
-	}
-}
-
 // Branch simulates one data-dependent conditional branch at pc.
 func (e *Engine) Branch(pc uint64, taken bool) {
 	e.instructions++
@@ -880,27 +826,11 @@ func (e *Engine) Background(ops, branches, branchMisses, llcRefs, llcMisses uint
 	e.maybeYield()
 }
 
-// Pad injects deterministic filler activity: ops/branches/mispredicts and
-// LLC references/misses like Background, plus raw stall cycles. It is the
-// envelope-padding primitive of the archid scenario's hardened
-// deployments — a serving loop that tops every classification up to a
-// fixed architecture-independent budget (dummy arithmetic, retired
-// no-op branches, cache-thrashing sweeps, fence/spin stalls). Unlike
-// Background it does not clamp branchMisses to branches: the pad deltas
-// are computed against a consistent envelope by the caller, and clamping
-// would silently break the equalization.
-func (e *Engine) Pad(ops, branches, branchMisses, llcRefs, llcMisses, stallCycles uint64) {
-	e.PadExtended(PadSpec{
-		Ops: ops, Branches: branches, BranchMisses: branchMisses,
-		LLCRefs: llcRefs, LLCMisses: llcMisses, StallCycles: stallCycles,
-	})
-}
-
 // PadSpec is the full per-classification pad of an envelope-padded
-// deployment, in the engine's independent counter components. Beyond the
-// Pad primitive's LLC/branch/instruction components it also covers the
-// per-level L1 and dTLB events — the residual fingerprint the original
-// archid padding left observable — and the raw stall-cycle residue.
+// deployment, in the engine's independent counter components: retired
+// ops and branches, mispredicts, LLC references/misses, per-level L1 and
+// dTLB events — the residual fingerprint the original archid padding
+// left observable — and the raw stall-cycle residue.
 type PadSpec struct {
 	Ops, Branches, BranchMisses uint64
 	LLCRefs, LLCMisses          uint64
@@ -909,10 +839,15 @@ type PadSpec struct {
 	StallCycles                 uint64
 }
 
-// PadExtended injects the deterministic filler activity of a PadSpec: the
-// same components as Pad plus external L1 and dTLB traffic, so the padded
-// deployment equalizes the *extended* event set too. The external L1/TLB
-// pads are stats-only (they do not walk the hierarchy or charge page-walk
+// PadExtended injects the deterministic filler activity of a PadSpec. It
+// is the envelope-padding primitive of the hardened deployments — a
+// serving loop that tops every classification up to a fixed
+// architecture-independent budget (dummy arithmetic, retired no-op
+// branches, cache-thrashing sweeps, fence/spin stalls). Unlike Background
+// it does not clamp BranchMisses to Branches: the pad deltas are computed
+// against a consistent envelope by the caller, and clamping would
+// silently break the equalization. The external L1/TLB pads are
+// stats-only (they do not walk the hierarchy or charge page-walk
 // penalties): the stall component already carries the exact cycle residue
 // of the envelope, and charging the pads again would double-count it.
 func (e *Engine) PadExtended(p PadSpec) {
@@ -957,14 +892,6 @@ func (e *Engine) Counts() Counts {
 	return c
 }
 
-// NoisyCounts returns Counts with the engine's noise model applied. Each
-// call draws fresh noise; use it once per measurement interval.
-func (e *Engine) NoisyCounts() Counts {
-	c := e.Counts()
-	e.noise.Apply(&c)
-	return c
-}
-
 // Noise returns the configured noise model (may be nil).
 func (e *Engine) Noise() *NoiseModel { return e.noise }
 
@@ -989,6 +916,3 @@ func (e *Engine) ColdReset() {
 	e.pred.Reset()
 	e.btb.Reset()
 }
-
-// TLB exposes the data TLB (for per-structure stats in reports).
-func (e *Engine) TLB() *cache.Cache { return e.tlb }

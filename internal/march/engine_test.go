@@ -145,7 +145,7 @@ func TestOpsRetireInstructions(t *testing.T) {
 func TestPadInjectsExactCounts(t *testing.T) {
 	e := newTestEngine(t)
 	before := e.Counts()
-	e.Pad(100, 40, 7, 30, 12, 555)
+	e.PadExtended(PadSpec{Ops: 100, Branches: 40, BranchMisses: 7, LLCRefs: 30, LLCMisses: 12, StallCycles: 555})
 	d := e.Counts().Sub(before)
 	if d.Get(EvInstructions) != 140 {
 		t.Fatalf("instructions delta = %d, want 140 (ops+branches)", d.Get(EvInstructions))
@@ -166,7 +166,7 @@ func TestPadInjectsExactCounts(t *testing.T) {
 	// Unlike Background, branchMisses are not clamped to branches: the
 	// caller computes pads against a consistent envelope.
 	e2 := newTestEngine(t)
-	e2.Pad(0, 1, 5, 0, 0, 0)
+	e2.PadExtended(PadSpec{Branches: 1, BranchMisses: 5})
 	if got := e2.Counts().Get(EvBranchMisses); got != 5 {
 		t.Fatalf("unclamped mispredict pad = %d, want 5", got)
 	}
@@ -261,7 +261,7 @@ func TestNoiseNilSafe(t *testing.T) {
 }
 
 func TestSilentNoiseIsDeterministic(t *testing.T) {
-	n := Silent()
+	n := &NoiseModel{rng: rand.New(rand.NewSource(0))} // zero sigmas
 	var c Counts
 	c[EvCacheMisses] = 12345
 	n.Apply(&c)

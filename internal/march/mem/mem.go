@@ -9,7 +9,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Addr is a simulated virtual address.
@@ -21,14 +20,6 @@ type Region struct {
 	Base Addr
 	Size uint64
 }
-
-// Contains reports whether a falls inside the region.
-func (r Region) Contains(a Addr) bool {
-	return a >= r.Base && a < r.Base+Addr(r.Size)
-}
-
-// End returns the first address past the region.
-func (r Region) End() Addr { return r.Base + Addr(r.Size) }
 
 // Arena is a bump allocator over the simulated address space. Allocations
 // are aligned to cache-line boundaries so a tensor's footprint in the cache
@@ -66,55 +57,9 @@ func (a *Arena) Alloc(name string, size uint64) (Region, error) {
 	return r, nil
 }
 
-// Reset releases every allocation at or above the given region's base,
-// rewinding the bump pointer to it. The argument may be a real region or a
-// pseudo-region from Mark. Used to recycle per-inference activation
-// buffers while keeping weights resident at stable addresses.
-func (a *Arena) Reset(to Region) {
-	keep := a.regions[:0]
-	for _, r := range a.regions {
-		if r.Base < to.Base {
-			keep = append(keep, r)
-		}
-	}
-	a.regions = keep
-	if to.Base < a.base {
-		a.next = a.base
-		return
-	}
-	a.next = to.Base
-}
-
-// Mark returns a pseudo-region representing the current bump pointer, for
-// later Reset.
+// Mark returns a pseudo-region representing the current bump pointer; the
+// instrumented classifier lays its activation scratch out above it.
 func (a *Arena) Mark() Region { return Region{Name: "<mark>", Base: a.next} }
-
-// ResetAll rewinds the arena to empty.
-func (a *Arena) ResetAll() {
-	a.regions = a.regions[:0]
-	a.next = a.base
-}
-
-// Used returns the number of bytes between the arena base and the bump
-// pointer (including alignment padding).
-func (a *Arena) Used() uint64 { return uint64(a.next - a.base) }
 
 // Align returns the arena's allocation alignment.
 func (a *Arena) Align() uint64 { return a.align }
-
-// Regions returns a copy of the live allocations in address order.
-func (a *Arena) Regions() []Region {
-	out := append([]Region(nil), a.regions...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
-
-// Find returns the region containing addr, if any.
-func (a *Arena) Find(addr Addr) (Region, bool) {
-	for _, r := range a.regions {
-		if r.Contains(addr) {
-			return r, true
-		}
-	}
-	return Region{}, false
-}

@@ -112,9 +112,3 @@ func (r *Ring) Drain() {
 	r.draining = false
 	r.onCo = false
 }
-
-// Detach removes the ring's hook from the engine. The ring must be
-// drained first.
-func (r *Ring) Detach() {
-	r.eng.SetQuantumYield(0, nil)
-}

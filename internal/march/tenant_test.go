@@ -45,7 +45,7 @@ func runTenantInterval(t *testing.T, quantum uint64) Counts {
 	tenantVictim(e, victimBase)
 	if ring != nil {
 		ring.Drain()
-		ring.Detach()
+		e.SetQuantumYield(0, nil)
 	}
 	return e.Counts()
 }
@@ -103,7 +103,7 @@ func TestRingDrainWithoutStart(t *testing.T) {
 	e.ColdReset()
 	e.Ops(10)
 	ring.Drain()
-	ring.Detach()
+	e.SetQuantumYield(0, nil)
 	if got := e.Counts()[EvInstructions]; got != 10 {
 		t.Fatalf("instructions = %d, want 10", got)
 	}
@@ -126,7 +126,7 @@ func TestRingRepeatedIntervals(t *testing.T) {
 			ring.Drain()
 			out = append(out, e.Counts())
 		}
-		ring.Detach()
+		e.SetQuantumYield(0, nil)
 		return out
 	}
 	ref := run()

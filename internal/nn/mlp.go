@@ -16,11 +16,6 @@ type MLPArch struct {
 	Classes       int
 }
 
-// MNISTMLPArch is a two-hidden-layer MLP for 28×28×1 images.
-func MNISTMLPArch() MLPArch {
-	return MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}
-}
-
 // BuildMLP constructs the network for an MLP architecture.
 func BuildMLP(a MLPArch, rng *rand.Rand) (*Network, error) {
 	if a.Classes <= 1 {
@@ -51,10 +46,4 @@ func BuildMLP(a MLPArch, rng *rand.Rand) (*Network, error) {
 	}
 	layers = append(layers, out)
 	return &Network{InShape: inShape, Layers: layers, Classes: a.Classes}, nil
-}
-
-// Validate checks an MLP architecture without building it.
-func (a MLPArch) Validate() error {
-	_, err := BuildMLP(a, rand.New(rand.NewSource(0)))
-	return err
 }

@@ -238,13 +238,6 @@ func (n *Network) Params() []Param {
 	return ps
 }
 
-// ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
-
 // ParamCount returns the total number of trainable scalars.
 func (n *Network) ParamCount() int {
 	total := 0
@@ -252,16 +245,6 @@ func (n *Network) ParamCount() int {
 		total += p.Value.Len()
 	}
 	return total
-}
-
-// LossGrad computes softmax cross-entropy loss for one sample and the
-// gradient with respect to the logits (probs - onehot).
-func LossGrad(logits *tensor.Tensor, label int) (float64, *tensor.Tensor, error) {
-	if label < 0 || label >= logits.Len() {
-		return 0, nil, fmt.Errorf("nn: label %d out of range for %d logits", label, logits.Len())
-	}
-	grad := tensor.New(logits.Shape...)
-	return lossGrad(grad.Data, logits.Data, label), grad, nil
 }
 
 // lossGrad writes dL/d(logits) to grad and returns the loss.

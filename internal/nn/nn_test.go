@@ -67,12 +67,12 @@ func numericalGrad(t *testing.T, n *Network, in *tensor.Tensor, label int, p *te
 	const eps = 1e-3
 	orig := p.Data[i]
 	p.Data[i] = orig + eps
-	lp, _, err := forwardLoss(n, in, label)
+	lp, err := forwardLoss(n, in, label)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Data[i] = orig - eps
-	lm, _, err := forwardLoss(n, in, label)
+	lm, err := forwardLoss(n, in, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,21 @@ func numericalGrad(t *testing.T, n *Network, in *tensor.Tensor, label int, p *te
 	return (lp - lm) / (2 * eps)
 }
 
-func forwardLoss(n *Network, in *tensor.Tensor, label int) (float64, *tensor.Tensor, error) {
+func forwardLoss(n *Network, in *tensor.Tensor, label int) (float64, error) {
 	logits, err := n.Forward(in)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	loss, grad, err := LossGrad(logits, label)
-	return loss, grad, err
+	return lossGrad(make([]float32, logits.Len()), logits.Data, label), nil
+}
+
+// sum32 returns the float64 sum of xs.
+func sum32(xs []float32) float64 {
+	s := 0.0
+	for _, v := range xs {
+		s += float64(v)
+	}
+	return s
 }
 
 // backprop runs one sample forward and backward on a fresh replica, the
@@ -116,7 +124,6 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	}
 	label := 1
 
-	n.ZeroGrads()
 	backprop(t, n, in, label)
 
 	for _, p := range n.Params() {
@@ -133,24 +140,18 @@ func TestGradientsMatchNumerical(t *testing.T) {
 }
 
 func TestLossGradProperties(t *testing.T) {
-	logits := tensor.MustFromSlice([]float32{2, -1, 0.5}, 3)
-	loss, grad, err := LossGrad(logits, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grad := make([]float32, 3)
+	loss := lossGrad(grad, []float32{2, -1, 0.5}, 0)
 	if loss <= 0 {
 		t.Fatalf("loss = %v, want > 0", loss)
 	}
 	// Gradient components sum to zero (probs sum 1, one-hot sums 1).
-	if s := grad.Sum(); math.Abs(s) > 1e-5 {
+	if s := sum32(grad); math.Abs(s) > 1e-5 {
 		t.Fatalf("grad sum = %v, want 0", s)
 	}
 	// Gradient at the true label is negative.
-	if grad.Data[0] >= 0 {
-		t.Fatalf("grad at true label = %v, want < 0", grad.Data[0])
-	}
-	if _, _, err := LossGrad(logits, 5); err == nil {
-		t.Fatal("LossGrad accepted out-of-range label")
+	if grad[0] >= 0 {
+		t.Fatalf("grad at true label = %v, want < 0", grad[0])
 	}
 }
 
@@ -190,7 +191,7 @@ func separableData(rng *rand.Rand, n int) ([]*tensor.Tensor, []int) {
 				if (cls == 0 && y < 6) || (cls == 1 && y >= 6) {
 					v += 0.8
 				}
-				img.Set(v, y, x, 0)
+				img.Data[y*12+x] = v
 			}
 		}
 		inputs = append(inputs, img)
@@ -242,7 +243,7 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := n.Params()[0].Value.Clone()
+	before := append([]float32(nil), n.Params()[0].Value.Data...)
 	in := tensor.New(12, 12, 1)
 	for i := range in.Data {
 		in.Data[i] = 0.5
@@ -251,8 +252,8 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 	NewSGD(0.1, 0.9, 0).Step(n, 1)
 	after := n.Params()[0].Value
 	moved := false
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
+	for i := range before {
+		if before[i] != after.Data[i] {
 			moved = true
 			break
 		}
@@ -365,8 +366,7 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = rng.Float32()
 		}
-		dIn := tensor.MustFromSlice(st.backward(0, g.Data, true), h, w, c)
-		return math.Abs(dIn.Sum()-g.Sum()) < 1e-3
+		return math.Abs(sum32(st.backward(0, g.Data, true))-sum32(g.Data)) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 }
 
 func TestBuildMLP(t *testing.T) {
-	n, err := BuildMLP(MNISTMLPArch(), testRNG())
+	n, err := BuildMLP(MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}, testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,15 +390,15 @@ func TestBuildMLP(t *testing.T) {
 		t.Fatalf("MLP layers = %d, want 6", len(n.Layers))
 	}
 	bad := MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Hidden: []int{0}, Classes: 3}
-	if bad.Validate() == nil {
+	if _, err := BuildMLP(bad, testRNG()); err == nil {
 		t.Fatal("zero hidden size accepted")
 	}
 	bad = MLPArch{Name: "bad", InH: 0, InW: 8, InC: 1, Classes: 3}
-	if bad.Validate() == nil {
+	if _, err := BuildMLP(bad, testRNG()); err == nil {
 		t.Fatal("zero input dim accepted")
 	}
 	bad = MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Classes: 1}
-	if bad.Validate() == nil {
+	if _, err := BuildMLP(bad, testRNG()); err == nil {
 		t.Fatal("single class accepted")
 	}
 }

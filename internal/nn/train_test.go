@@ -90,7 +90,7 @@ func TestTrainPinsDefaultScenarios(t *testing.T) {
 		// this test's full-size training would only add minutes.
 		t.Skip("full-size training is slow under -race; the bits do not depend on it")
 	}
-	mlp := MNISTMLPArch()
+	mlp := MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}
 	for _, tc := range []struct {
 		run  trainRun
 		want string

@@ -24,8 +24,8 @@ func TestNilRecorderHooksZeroAlloc(t *testing.T) {
 		"Span":      func() { r.Span("pipeline", "collect").End() },
 		"ShardSpan": func() { r.ShardSpan(3, 7, 2).End() },
 		// Phase/mark updates on stage transitions.
-		"SetPhase": func() { r.SetPhase("collect") },
-		"Mark":     func() { r.Mark("fabric", "tick") },
+		"SetPhase":  func() { r.SetPhase("collect") },
+		"MarkExtra": func() { r.MarkExtra(0, "fabric", "tick", "") },
 		// The per-shard hot-counter flush CollectShardProfiles defers.
 		"FlushHot": func() { r.FlushHot(&HotCounters{Loads: 10, Stores: 4}) },
 	}

@@ -1,7 +1,7 @@
 package obs
 
 // The exporters: a JSONL event log (one Event per line, streamed as
-// events are recorded or dumped at once), a Chrome trace_event timeline
+// events are recorded), a Chrome trace_event timeline
 // (load chrome://tracing or https://ui.perfetto.dev and open the file),
 // and the text counter dump behind the audit server's /metrics endpoint.
 
@@ -22,16 +22,6 @@ func writeJSONLine(w io.Writer, e Event) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// WriteJSONL dumps every recorded event as one JSON object per line.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, e := range r.Events() {
-		if err := writeJSONLine(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // traceEvent is the Chrome trace_event wire form of one Event. The

@@ -186,14 +186,6 @@ func New(cfg Config) *Recorder {
 	}
 }
 
-// Label returns the recorder's label ("" for nil).
-func (r *Recorder) Label() string {
-	if r == nil {
-		return ""
-	}
-	return r.label
-}
-
 // Clock returns the recorder's time source; a nil recorder returns the
 // system clock, so display-only timestamps (sweep WallMS, audit-server
 // submission times) route through obs whether or not telemetry is armed.
@@ -272,9 +264,6 @@ func (r *Recorder) ShardSpan(tid, shard, class int) *Span {
 	s.e.Class = class
 	return s
 }
-
-// Mark records an instant event on TID 0.
-func (r *Recorder) Mark(cat, name string) { r.MarkExtra(0, cat, name, "") }
 
 // MarkExtra records an instant event with a TID and free-form annotation.
 func (r *Recorder) MarkExtra(tid int, cat, name, extra string) {

@@ -29,7 +29,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(CShardsDone, 1)
 	r.SetPhase("collect")
-	r.Mark("x", "y")
+	r.MarkExtra(0, "x", "y", "")
 	r.MarkExtra(3, "x", "y", "z")
 	r.FlushHot(&HotCounters{Loads: 5})
 	r.Merge(Telemetry{Events: []Event{{Name: "e"}}})
@@ -162,7 +162,7 @@ func TestWriteTraceShape(t *testing.T) {
 func TestJSONLStreaming(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(Config{Clock: newFake(), JSONL: &buf})
-	r.Mark("a", "one")
+	r.MarkExtra(0, "a", "one", "")
 	r.Span("b", "two").End()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {

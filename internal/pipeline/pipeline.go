@@ -114,9 +114,6 @@ func New(ev *core.Evaluator, cfg Config) (*Pipeline, error) {
 	return &Pipeline{ev: ev, cfg: cfg.withDefaults()}, nil
 }
 
-// Config returns the pipeline's (defaults-applied) configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // planShards is the single planning call every stage goes through —
 // CollectProfilesByClass, Stream and WirePlans all shard one
 // campaign identically because they cannot plan any other way.

@@ -98,8 +98,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("nil evaluator accepted")
 	}
 	p := newPipeline(t, core.Config{}, Config{})
-	if p.Config().Workers <= 0 || p.Config().ShardRuns != DefaultShardRuns || p.Config().RootSeed != 1 {
-		t.Fatalf("defaults = %+v", p.Config())
+	if p.cfg.Workers <= 0 || p.cfg.ShardRuns != DefaultShardRuns || p.cfg.RootSeed != 1 {
+		t.Fatalf("defaults = %+v", p.cfg)
 	}
 	if _, err := p.Evaluate(context.Background(), "nil", nil, testPools(2, 3)); err == nil {
 		t.Fatal("nil factory accepted")

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hpc"
 	"repro/internal/obs"
 )
 
 // streamKey flattens one consumed window into a comparable record.
 type streamKey struct {
 	Shard, Class, Start int
-	Obs                 []float64
+	Obs                 []hpc.Profile
 }
 
 // collectStream runs Stream over the standard small campaign at the
@@ -24,13 +25,10 @@ func collectStream(t *testing.T, workers, batch int) []streamKey {
 	t.Helper()
 	p := newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: batch}, Config{Workers: workers, ShardRuns: 4})
 	pools := testPools(3, 3)
-	events := p.ev.Config().Events
 	var seq []streamKey
 	stopped, err := p.Stream(context.Background(), classAgnostic(testFactory(t, testNet(t))), pools, func(w core.Window) error {
 		k := streamKey{Shard: w.Shard, Class: w.Class, Start: w.Start}
-		for _, prof := range w.Profiles {
-			k.Obs = append(k.Obs, prof.Vector(events)...)
-		}
+		k.Obs = append(k.Obs, w.Profiles...)
 		seq = append(seq, k)
 		return nil
 	})
@@ -50,7 +48,7 @@ func collectStream(t *testing.T, workers, batch int) []streamKey {
 // a shard's tail (4-run shards at batch 3 → 3+1). The observations are
 // the same at every window size; only the cuts move.
 func TestStreamDeterministicOrderAcrossWorkers(t *testing.T) {
-	var refObs []float64
+	var refObs []hpc.Profile
 	for _, batch := range []int{2, 3} {
 		ref := collectStream(t, 1, batch)
 
@@ -71,7 +69,7 @@ func TestStreamDeterministicOrderAcrossWorkers(t *testing.T) {
 		if len(ref) != len(wantID) {
 			t.Fatalf("batch=%d: %d windows consumed, want %d", batch, len(ref), len(wantID))
 		}
-		var flat []float64
+		var flat []hpc.Profile
 		for i, k := range ref {
 			if k.Shard != wantID[i].Shard || k.Class != wantID[i].Class || k.Start != wantID[i].Start {
 				t.Fatalf("batch=%d: window %d identity (%d,%d,%d), want (%d,%d,%d)",
@@ -146,15 +144,12 @@ func TestStreamMatchesBatchCollection(t *testing.T) {
 	net := testNet(t)
 
 	p := newPipeline(t, evCfg, cfg)
-	events := p.ev.Config().Events
-	streamed := map[int][][]float64{}
+	streamed := map[int][]hpc.Profile{}
 	_, err := p.Stream(context.Background(), classAgnostic(testFactory(t, net)), pools, func(w core.Window) error {
 		if streamed[w.Class] == nil {
-			streamed[w.Class] = make([][]float64, p.ev.Config().RunsPerClass)
+			streamed[w.Class] = make([]hpc.Profile, p.ev.Config().RunsPerClass)
 		}
-		for i, prof := range w.Profiles {
-			streamed[w.Class][w.Start+i] = prof.Vector(events)
-		}
+		copy(streamed[w.Class][w.Start:], w.Profiles)
 		return nil
 	})
 	if err != nil {
@@ -166,14 +161,7 @@ func TestStreamMatchesBatchCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := map[int][][]float64{}
-	for cls, profs := range byClass {
-		batch[cls] = make([][]float64, len(profs))
-		for i, prof := range profs {
-			batch[cls][i] = prof.Vector(events)
-		}
-	}
-	if !reflect.DeepEqual(streamed, batch) {
+	if !reflect.DeepEqual(streamed, byClass) {
 		t.Fatal("streamed observations diverge from batch collection")
 	}
 }

@@ -13,9 +13,6 @@ type MannWhitneyResult struct {
 	P float64 // two-tailed p-value (normal approximation)
 }
 
-// Significant reports rejection of the null hypothesis at level alpha.
-func (r MannWhitneyResult) Significant(alpha float64) bool { return r.P < alpha }
-
 // MannWhitneyU runs the two-sample Mann-Whitney U test (Wilcoxon rank-sum)
 // with the tie-corrected normal approximation — the nonparametric
 // cross-check the evaluator can use when the Gaussian assumptions behind

@@ -34,7 +34,7 @@ func TestMannWhitneySeparatedSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Significant(0.001) {
+	if r.P >= 0.001 {
 		t.Fatalf("clearly separated samples not rejected: %+v", r)
 	}
 	if r.Z >= 0 {
@@ -57,7 +57,7 @@ func TestMannWhitneyNullRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Significant(0.05) {
+		if r.P < 0.05 {
 			rejections++
 		}
 	}
@@ -141,7 +141,7 @@ func TestQuickMannWhitneyAgreesWithTTestOnGaussians(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return tt.Significant(0.01) && mw.Significant(0.01)
+		return tt.Significant(0.01) && mw.P < 0.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

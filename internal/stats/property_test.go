@@ -168,41 +168,6 @@ func TestIdenticalSamplesNeverDistinguishable(t *testing.T) {
 	}
 }
 
-// TestKolmogorovSmirnovSymmetry: the KS statistic is a metric over
-// empirical CDFs, so it must be symmetric and in [0,1], and zero for a
-// sample against itself.
-func TestKolmogorovSmirnovSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	gens := generators()
-	for trial := 0; trial < 200; trial++ {
-		ga := gens[rng.Intn(len(gens))]
-		gb := gens[rng.Intn(len(gens))]
-		na, nb := sampleSizes(rng)
-		a, b := ga.gen(rng, na), gb.gen(rng, nb)
-		ab, err := KolmogorovSmirnov(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ba, err := KolmogorovSmirnov(b, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ab != ba {
-			t.Fatalf("trial %d: KS not symmetric: %v vs %v", trial, ab, ba)
-		}
-		if ab < 0 || ab > 1 {
-			t.Fatalf("trial %d: KS=%v outside [0,1]", trial, ab)
-		}
-		self, err := KolmogorovSmirnov(a, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if self != 0 {
-			t.Fatalf("trial %d: KS(x,x) = %v, want 0", trial, self)
-		}
-	}
-}
-
 // TestHolmBonferroniMonotone: Holm's step-down is uniformly more
 // conservative than the uncorrected test and monotone in the p-value
 // order — a rejected hypothesis must have p no larger than any accepted

@@ -204,6 +204,3 @@ func (as *AlphaSpender) Cross(p, t float64) bool {
 	as.spent = cum
 	return p < inc
 }
-
-// SpentSoFar returns the cumulative alpha consumed by past looks.
-func (as *AlphaSpender) SpentSoFar() float64 { return as.spent }

@@ -247,44 +247,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// KolmogorovSmirnov returns the two-sample KS statistic (sup distance
-// between empirical CDFs) — an extension test the evaluator can use as a
-// nonparametric cross-check of the t-test.
-func KolmogorovSmirnov(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, fmt.Errorf("stats: KS needs non-empty samples")
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var d float64
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sb[j] < sa[i]:
-			j++
-		default:
-			// Tie group: both CDFs step together past all equal values.
-			v := sa[i]
-			for i < len(sa) && sa[i] == v {
-				i++
-			}
-			for j < len(sb) && sb[j] == v {
-				j++
-			}
-		}
-		fa := float64(i) / float64(len(sa))
-		fb := float64(j) / float64(len(sb))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
-}
-
 // HolmBonferroni applies the Holm step-down correction to a set of
 // p-values at family-wise level alpha, returning a parallel slice of
 // reject decisions.
@@ -352,12 +314,6 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
 		h.Total++
 	}
 	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }
 
 // MaxCount returns the largest bin count.

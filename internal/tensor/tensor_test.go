@@ -9,6 +9,24 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// must is FromSlice for literals with statically known shapes.
+func must(data []float32, shape ...int) *Tensor {
+	t, err := FromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// sum returns the float64 sum of xs.
+func sum(xs []float32) float64 {
+	s := 0.0
+	for _, v := range xs {
+		s += float64(v)
+	}
+	return s
+}
+
 func TestNewZeroFilled(t *testing.T) {
 	tt := New(2, 3, 4)
 	if tt.Len() != 24 {
@@ -19,8 +37,8 @@ func TestNewZeroFilled(t *testing.T) {
 			t.Fatalf("element %d = %v, want 0", i, v)
 		}
 	}
-	if tt.Rank() != 3 {
-		t.Fatalf("Rank = %d, want 3", tt.Rank())
+	if len(tt.Shape) != 3 {
+		t.Fatalf("rank = %d, want 3", len(tt.Shape))
 	}
 }
 
@@ -42,53 +60,19 @@ func TestFromSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %v, want 3", tt.At(1, 0))
-	}
-}
-
-func TestAtSetRoundTrip(t *testing.T) {
-	tt := New(3, 4, 5)
-	tt.Set(7.5, 2, 1, 3)
-	if got := tt.At(2, 1, 3); got != 7.5 {
-		t.Fatalf("At = %v, want 7.5", got)
-	}
-	// Row-major offset: ((2*4)+1)*5+3 = 48.
-	if tt.Data[48] != 7.5 {
-		t.Fatalf("flat offset wrong: Data[48] = %v", tt.Data[48])
-	}
-}
-
-func TestAtOutOfBoundsPanics(t *testing.T) {
-	tt := New(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-bounds At did not panic")
-		}
-	}()
-	tt.At(2, 0)
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	b := a.Clone()
-	b.Data[0] = 99
-	if a.Data[0] != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !a.SameShape(b) {
-		t.Fatal("Clone changed shape")
+	if tt.Data[2] != 3 || tt.Shape[0] != 2 || tt.Shape[1] != 2 {
+		t.Fatalf("FromSlice = %v %v, want shape [2 2] over the data", tt.Shape, tt.Data)
 	}
 }
 
 func TestReshape(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	a := must([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, err := a.Reshape(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.At(2, 1) != 6 {
-		t.Fatalf("reshaped At(2,1) = %v, want 6", b.At(2, 1))
+	if len(b.Shape) != 2 || b.Shape[0] != 3 || b.Shape[1] != 2 || b.Data[5] != 6 {
+		t.Fatalf("reshaped = %v %v, want shape [3 2] over the same data", b.Shape, b.Data)
 	}
 	if _, err := a.Reshape(4, 2); err == nil {
 		t.Fatal("Reshape accepted wrong volume")
@@ -100,37 +84,11 @@ func TestReshape(t *testing.T) {
 	}
 }
 
-func TestScaleAddScaledSum(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3}, 3)
-	b := MustFromSlice([]float32{10, 20, 30}, 3)
-	a.AddScaled(b, 0.5)
-	want := []float32{6, 12, 18}
-	for i := range want {
-		if a.Data[i] != want[i] {
-			t.Fatalf("AddScaled[%d] = %v, want %v", i, a.Data[i], want[i])
-		}
-	}
-	a.Scale(2)
-	if !almostEq(a.Sum(), 72, 1e-6) {
-		t.Fatalf("Sum = %v, want 72", a.Sum())
-	}
-}
-
 func TestMaxIndex(t *testing.T) {
-	a := MustFromSlice([]float32{3, 9, 9, 1}, 4)
+	a := must([]float32{3, 9, 9, 1}, 4)
 	i, v := a.MaxIndex()
 	if i != 1 || v != 9 {
 		t.Fatalf("MaxIndex = (%d,%v), want (1,9) first-on-ties", i, v)
-	}
-}
-
-func TestCountNonZero(t *testing.T) {
-	a := MustFromSlice([]float32{0, 1e-9, -1e-9, 0.5, -2}, 5)
-	if n := a.CountNonZero(1e-6); n != 2 {
-		t.Fatalf("CountNonZero = %d, want 2", n)
-	}
-	if n := a.CountNonZero(0); n != 4 {
-		t.Fatalf("CountNonZero(0) = %d, want 4", n)
 	}
 }
 
@@ -440,10 +398,10 @@ func TestMaxPool2Errors(t *testing.T) {
 }
 
 func TestSoftmaxProperties(t *testing.T) {
-	in := MustFromSlice([]float32{1, 2, 3, 4}, 4)
+	in := must([]float32{1, 2, 3, 4}, 4)
 	out := Softmax(in)
-	if !almostEq(out.Sum(), 1, 1e-6) {
-		t.Fatalf("softmax sum = %v, want 1", out.Sum())
+	if !almostEq(sum(out.Data), 1, 1e-6) {
+		t.Fatalf("softmax sum = %v, want 1", sum(out.Data))
 	}
 	for i := 1; i < len(out.Data); i++ {
 		if out.Data[i] <= out.Data[i-1] {
@@ -451,7 +409,7 @@ func TestSoftmaxProperties(t *testing.T) {
 		}
 	}
 	// Shift invariance.
-	shifted := MustFromSlice([]float32{101, 102, 103, 104}, 4)
+	shifted := must([]float32{101, 102, 103, 104}, 4)
 	out2 := Softmax(shifted)
 	for i := range out.Data {
 		if !almostEq(float64(out.Data[i]), float64(out2.Data[i]), 1e-6) {
@@ -459,9 +417,9 @@ func TestSoftmaxProperties(t *testing.T) {
 		}
 	}
 	// Large logits must not overflow.
-	big := MustFromSlice([]float32{1000, 1000, 999}, 3)
+	big := must([]float32{1000, 1000, 999}, 3)
 	ob := Softmax(big)
-	if math.IsNaN(float64(ob.Data[0])) || !almostEq(ob.Sum(), 1, 1e-6) {
+	if math.IsNaN(float64(ob.Data[0])) || !almostEq(sum(ob.Data), 1, 1e-6) {
 		t.Fatalf("softmax unstable for large logits: %v", ob.Data)
 	}
 }
@@ -597,7 +555,7 @@ func TestQuickSoftmaxIsDistribution(t *testing.T) {
 				raw[i] = -50
 			}
 		}
-		in := MustFromSlice(raw, len(raw))
+		in := must(raw, len(raw))
 		out := Softmax(in)
 		sum := 0.0
 		for _, v := range out.Data {

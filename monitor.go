@@ -283,20 +283,14 @@ func (m *monitorRun) consume(w core.Window) error {
 	return nil
 }
 
-// Monitor runs a streaming leakage-monitor campaign against the
-// scenario.
-func (s *Scenario) Monitor(cfg MonitorConfig) (*MonitorReport, error) {
-	return s.MonitorCtx(context.Background(), cfg)
-}
-
-// MonitorCtx is Monitor with cancellation. Collection streams through
-// the sharded pipeline (cfg.Workers in-process workers, or
-// cfg.Processes shardworker OS processes via the audit fabric); the
-// consumed window stream — and with it every look, detection and trace
-// count — is identical across worker and process counts. A cancelled
-// campaign surfaces a *pipeline.Cancelled wrapping the context error,
-// distinguishable from an empty-budget misconfiguration at the CLI
-// layer.
+// MonitorCtx runs a streaming leakage-monitor campaign against the
+// scenario, with cancellation. Collection streams through the sharded
+// pipeline (cfg.Workers in-process workers, or cfg.Processes shardworker
+// OS processes via the audit fabric); the consumed window stream — and
+// with it every look, detection and trace count — is identical across
+// worker and process counts. A cancelled campaign surfaces a
+// *pipeline.Cancelled wrapping the context error, distinguishable from
+// an empty-budget misconfiguration at the CLI layer.
 func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorReport, error) {
 	cfg = cfg.withDefaults()
 	method := core.MethodWelch

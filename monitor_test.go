@@ -73,7 +73,7 @@ func TestMonitorExhaustionMatchesBatchEvaluate(t *testing.T) {
 		cfg := goldenMonitorConfig()
 		cfg.Workers = workers
 		cfg.NoStop = true
-		rep, err := s.Monitor(cfg)
+		rep, err := s.MonitorCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -99,7 +99,7 @@ func TestMonitorExhaustionByteInvariantAcrossProcesses(t *testing.T) {
 	s := monitorScenario(t)
 	cfg := goldenMonitorConfig()
 	cfg.NoStop = true
-	inproc, err := s.Monitor(cfg)
+	inproc, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMonitorExhaustionByteInvariantAcrossProcesses(t *testing.T) {
 	cfg.NoStop = true
 	cfg.Processes = 2
 	cfg.Fabric = fabricCfg(t)
-	rep, err := s.Monitor(cfg)
+	rep, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMonitorEarlyStopDeterministicAcrossParallelism(t *testing.T) {
 	s := monitorScenario(t)
 	run := func(cfg MonitorConfig) *MonitorReport {
 		t.Helper()
-		rep, err := s.Monitor(cfg)
+		rep, err := s.MonitorCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func toGoldenMonitor(rep *MonitorReport) goldenMonitor {
 //	go test -run TestGoldenMonitor -update .
 func TestGoldenMonitor(t *testing.T) {
 	s := monitorScenario(t)
-	rep, err := s.Monitor(goldenMonitorConfig())
+	rep, err := s.MonitorCtx(context.Background(), goldenMonitorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestMonitorMannWhitneyExhaustion(t *testing.T) {
 		cfg.Workers = workers
 		cfg.NoStop = true
 		cfg.MannWhitney = true
-		rep, err := s.Monitor(cfg)
+		rep, err := s.MonitorCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestMonitorTenantMode(t *testing.T) {
 		Tenants: 2,
 		NoStop:  true,
 	}
-	rep, err := s.Monitor(cfg)
+	rep, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestMonitorTenantMode(t *testing.T) {
 	}
 	want := mustJSON(t, rep)
 	cfg.Workers = 4
-	rep2, err := s.Monitor(cfg)
+	rep2, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestMonitorTenantMode(t *testing.T) {
 	solo := cfg
 	solo.Tenants = 0
 	solo.Workers = 1
-	soloRep, err := s.Monitor(solo)
+	soloRep, err := s.MonitorCtx(context.Background(), solo)
 	if err != nil {
 		t.Fatal(err)
 	}

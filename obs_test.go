@@ -109,7 +109,7 @@ func TestObsAttackByteInvariant(t *testing.T) {
 func TestObsMonitorByteInvariant(t *testing.T) {
 	s := monitorScenario(t)
 	cfg := goldenMonitorConfig()
-	off, err := s.Monitor(cfg)
+	off, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestObsMonitorByteInvariant(t *testing.T) {
 	rec, jsonl := armedRecorder()
 	cfg = goldenMonitorConfig()
 	cfg.Obs = rec
-	on, err := s.Monitor(cfg)
+	on, err := s.MonitorCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
