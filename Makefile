@@ -134,22 +134,31 @@ streamsmoke:
 	echo "streamsmoke: streamed-to-exhaustion and batch distributions are byte-identical"
 
 # Model-recovery determinism smoke: cmd/archid and cmd/topo are each run
-# at -workers 1 and -workers 2 with the same seed, and the JSON results
-# must be byte-identical — every recovery observation derives from the
-# seed, never from scheduling.
+# at -workers 1, 2 and 3 (3 splits the per-network reference
+# measurements unevenly) with the same seed, and cmd/archid -defense
+# constant-time (the envelope-padded victims) at -workers 1 and 3. The
+# JSON results must be byte-identical — every recovery observation
+# derives from the seed, never from scheduling.
 recoversmoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	$(GO) build -o $$tmp/archid ./cmd/archid; \
 	$(GO) build -o $$tmp/topo ./cmd/topo; \
-	for w in 1 2; do \
+	for w in 1 2 3; do \
 		$$tmp/archid -max-inputs 4 -profile-runs 4 -attack-runs 2 -workers $$w -seed 17 \
 			-json $$tmp/archid$$w.json >/dev/null; \
 		$$tmp/topo -train-zoo 4 -holdout 3 -runs 3 -max-inputs 4 -workers $$w -seed 17 \
 			-json $$tmp/topo$$w.json >/dev/null; \
 	done; \
-	cmp $$tmp/archid1.json $$tmp/archid2.json; \
-	cmp $$tmp/topo1.json $$tmp/topo2.json; \
-	echo "recoversmoke: workers=1 and workers=2 archid and topo results are byte-identical"
+	for w in 1 3; do \
+		$$tmp/archid -defense constant-time -max-inputs 4 -profile-runs 4 -attack-runs 2 -workers $$w -seed 17 \
+			-json $$tmp/archid-ct$$w.json >/dev/null; \
+	done; \
+	for w in 2 3; do \
+		cmp $$tmp/archid1.json $$tmp/archid$$w.json; \
+		cmp $$tmp/topo1.json $$tmp/topo$$w.json; \
+	done; \
+	cmp $$tmp/archid-ct1.json $$tmp/archid-ct3.json; \
+	echo "recoversmoke: archid (baseline, constant-time) and topo results are byte-identical across -workers 1, 2 and 3"
 
 # Telemetry smoke: a fully-traced multi-process campaign must emit a
 # schema-valid Chrome trace while leaving the distribution CSV

@@ -34,7 +34,9 @@ type ArchIDConfig struct {
 	ProfileRuns, AttackRuns int
 	// K is the kNN neighbourhood size; default 5.
 	K int
-	// Workers is the pipeline worker count; 0 → GOMAXPROCS.
+	// Workers is the pipeline worker count; 0 → GOMAXPROCS. It also fans
+	// out the per-architecture reference measurements (layer evidence,
+	// envelope footprints); results are byte-identical at any value.
 	Workers int
 	// Seed is the campaign root seed; 0 uses the scenario seed. Weight
 	// construction and observations derive from it in domains disjoint

@@ -12,7 +12,9 @@
 //	       [-seed 1] [-max-inputs 0] [-nopad] [-json out.json]
 //
 // All observations derive from -seed via per-shard seed derivation, so any
-// -workers value reproduces byte-identical confusion matrices. Under
+// -workers value reproduces byte-identical confusion matrices. -workers
+// also fans out the noise-free per-architecture reference measurements
+// (layer evidence, envelope footprints), one architecture per job. Under
 // -defense constant-time the deployments are envelope-padded (every
 // architecture tops up to the zoo-wide footprint envelope) unless -nopad
 // is set; the -nopad ablation shows that per-kernel constant time alone
@@ -46,7 +48,7 @@ func main() {
 		profileRuns = flag.Int("profile-runs", 40, "profiling observations per architecture (the adversary's training budget)")
 		attackRuns  = flag.Int("attack-runs", 20, "held-out observations per architecture the attackers are scored on")
 		k           = flag.Int("k", 5, "kNN neighbourhood size")
-		workers     = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
+		workers     = flag.Int("workers", 0, "pipeline workers, which also run the per-architecture reference measurements; 0 = GOMAXPROCS; results are byte-identical at any value")
 		seed        = flag.Int64("seed", 0, "campaign root seed; 0 = scenario seed")
 		maxInputs   = flag.Int("max-inputs", 0, "cap on the shared input pool; 0 = all test images")
 		noPad       = flag.Bool("nopad", false, "disable constant-time envelope padding (ablation)")

@@ -13,7 +13,10 @@
 //	     [-workers N] [-seed 1] [-max-inputs 0] [-json out.json]
 //
 // All observations derive from -seed via per-shard seed derivation, so
-// any -workers value reproduces byte-identical results. Under -defense
+// any -workers value reproduces byte-identical results. -workers also
+// fans out the noise-free per-network reference measurements (both
+// zoos' traces, envelope footprints, the rebuilt victims' footprint
+// checks), one network per job. Under -defense
 // padded-envelope every victim is padded to the holdout zoo's footprint
 // envelope and the reconstruction collapses to chance.
 package main
@@ -46,7 +49,7 @@ func main() {
 		holdout   = flag.Int("holdout", 6, "held-out victim count (never-profiled architectures)")
 		runs      = flag.Int("runs", 8, "measured pipeline observations per victim")
 		quantum   = flag.Uint64("quantum", 0, "trace-sampling quantum in instructions; 0 = default")
-		workers   = flag.Int("workers", 0, "pipeline workers; 0 = GOMAXPROCS")
+		workers   = flag.Int("workers", 0, "pipeline workers, which also run the per-network reference traces and footprint checks; 0 = GOMAXPROCS; results are byte-identical at any value")
 		seed      = flag.Int64("seed", 0, "campaign root seed; 0 = scenario seed")
 		maxInputs = flag.Int("max-inputs", 0, "cap on the shared input pool; 0 = all test images")
 		jsonPath  = flag.String("json", "", "write the result as JSON to this file")

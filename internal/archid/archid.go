@@ -71,7 +71,10 @@ type Config struct {
 	ProfileRuns, AttackRuns int
 	// K is the kNN neighbourhood size; default 5 (clamped by the attacker).
 	K int
-	// Workers is the pipeline worker count; 0 → GOMAXPROCS.
+	// Workers is the pipeline worker count; 0 → GOMAXPROCS. It also fans
+	// out the per-victim noise-free reference measurements (layer
+	// evidence, envelope footprints); results are byte-identical at any
+	// value.
 	Workers int
 	// Seed is the campaign root seed; default 1. Weights, shard seeds,
 	// noise and jitter all derive from it.
@@ -220,7 +223,7 @@ type Deployment struct {
 // switches the deployment to the PaddedEnvelope level, topping every
 // victim up to it (envelope member index = class).
 func (d *Deployment) Pad() error {
-	env, err := defense.NewEnvelope(d.Nets, d.Inputs[0])
+	env, err := defense.NewEnvelope(d.Nets, d.Inputs[0], d.Workers)
 	if err != nil {
 		return err
 	}
@@ -350,7 +353,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	case cfg.Level == defense.PaddedEnvelope:
 		c.Level = defense.ConstantTime
 	}
-	if c.evidence, err = evidenceForNets(cfg.Zoo, nets, cfg.Inputs[0]); err != nil {
+	if c.evidence, err = evidenceForNets(cfg.Zoo, nets, cfg.Inputs[0], cfg.Workers); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -404,22 +407,25 @@ type LayerProfile struct {
 
 // evidenceForNets computes the layer evidence for every zoo architecture
 // by replaying one attributed classification of input on a noise-free
-// baseline deployment of each already-built victim.
-func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor) ([]LayerEvidence, error) {
-	out := make([]LayerEvidence, 0, zoo.Len())
-	for _, s := range zoo.Specs() {
-		net := nets[s.ID]
+// baseline deployment of each already-built victim, one victim per job
+// over workers goroutines (pipeline.Each). Each job fills only its own
+// slot, so the evidence is identical at any worker count.
+func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor, workers int) ([]LayerEvidence, error) {
+	specs := zoo.Specs()
+	out := make([]LayerEvidence, len(specs))
+	err := pipeline.Each(workers, len(specs), func(_, i int) error {
+		s := specs[i]
 		engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cl, err := instrument.New(net, engine, instrument.Options{SparsitySkip: true})
+		cl, err := instrument.New(nets[s.ID], engine, instrument.Options{SparsitySkip: true})
 		if err != nil {
-			return nil, fmt.Errorf("archid: instrumenting %s: %w", s.Name, err)
+			return fmt.Errorf("archid: instrumenting %s: %w", s.Name, err)
 		}
 		_, attribution, err := cl.ClassifyWithAttribution(input)
 		if err != nil {
-			return nil, fmt.Errorf("archid: attributing %s: %w", s.Name, err)
+			return fmt.Errorf("archid: attributing %s: %w", s.Name, err)
 		}
 		layers, kinds := instrument.SummarizeAttribution(attribution)
 		ev := LayerEvidence{ArchID: s.ID, Name: s.Name, Layers: layers, Kinds: kinds}
@@ -434,7 +440,11 @@ func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor) ([]L
 				L1DLoads:     lc.Counts.Get(march.EvL1DLoads),
 			})
 		}
-		out = append(out, ev)
+		out[i] = ev
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ArchID < out[j].ArchID })
 	return out, nil

@@ -1,6 +1,7 @@
 package archid
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -181,32 +182,42 @@ func TestConstantTimeWithoutPadStillLeaks(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance: the campaign's serialized result must be
-// byte-identical at workers=1 and workers=8 (run under -race in CI).
+// TestWorkerInvariance: the serialized result is byte-identical at
+// workers 1, 2 and 5 (an uneven split of the 7 victims), for bare
+// baseline victims and for envelope-padded constant-time ones, so the
+// fanned-out layer evidence and envelope footprints are covered as well
+// as the collection (run under -race in CI).
 func TestWorkerInvariance(t *testing.T) {
-	run := func(workers int) []byte {
-		res, err := runCampaign(Config{
-			Name:        "test/invariance",
-			Zoo:         testZoo(t),
-			Inputs:      testInputs(t, 4),
-			ProfileRuns: 6,
-			AttackRuns:  3,
-			Workers:     workers,
-			Seed:        23,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, level := range []defense.Level{defense.Baseline, defense.ConstantTime} {
+		run := func(workers int) []byte {
+			res, err := runCampaign(Config{
+				Name:        "test/invariance",
+				Zoo:         testZoo(t),
+				Inputs:      testInputs(t, 4),
+				Level:       level,
+				ProfileRuns: 6,
+				AttackRuns:  3,
+				Workers:     workers,
+				Seed:        23,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := level == defense.ConstantTime; res.Padded != want {
+				t.Fatalf("%s: padded %v, want %v", level, res.Padded, want)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
+		one := run(1)
+		for _, workers := range []int{2, 5} {
+			if got := run(workers); !bytes.Equal(one, got) {
+				t.Fatalf("%s: archid results differ across worker counts:\n  workers=1: %s\n  workers=%d: %s", level, one, workers, got)
+			}
 		}
-		return data
-	}
-	one := run(1)
-	eight := run(8)
-	if !reflect.DeepEqual(one, eight) {
-		t.Fatalf("archid results differ across worker counts:\n  workers=1: %s\n  workers=8: %s", one, eight)
 	}
 }
 
@@ -253,7 +264,7 @@ func TestEvidenceMatchesSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := testInputs(t, 1)[0]
-	evidence, err := evidenceForNets(zoo, nets, input)
+	evidence, err := evidenceForNets(zoo, nets, input, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +290,9 @@ func TestEvidenceMatchesSpecs(t *testing.T) {
 			t.Fatalf("%s: evidence kinds %v, want %d conv layers", spec.Name, ev.Kinds, wantConv)
 		}
 	}
-	// Determinism: a second computation is identical.
-	again, err := evidenceForNets(zoo, nets, input)
+	// Determinism: a second computation, fanned out over workers, is
+	// identical.
+	again, err := evidenceForNets(zoo, nets, input, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestBatchInvarianceAcrossZooAndLevels(t *testing.T) {
 		}
 	}
 	imgs := batchInvarianceImages(4, 41)
-	env, err := NewEnvelope(nets, imgs[0])
+	env, err := NewEnvelope(nets, imgs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

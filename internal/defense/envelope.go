@@ -29,6 +29,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/nn"
+	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -159,11 +160,13 @@ type Envelope struct {
 }
 
 // NewEnvelope measures every hypothesis member's constant-time footprint
-// on the reference input and returns the envelope. Members deployed under
+// on the reference input, one member per job over workers goroutines
+// (pipeline.Each: 0 → GOMAXPROCS, 1 → a serial loop), and returns the
+// envelope, identical at any worker count. Members deployed under
 // PaddedEnvelope select their pad by index (Config.EnvelopeIndex); a
 // deployment whose network is not a hypothesis member must be included in
 // nets so its pad is well-defined and non-negative.
-func NewEnvelope(nets []*nn.Network, input *tensor.Tensor) (*Envelope, error) {
+func NewEnvelope(nets []*nn.Network, input *tensor.Tensor, workers int) (*Envelope, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("defense: envelope needs at least one hypothesis network")
 	}
@@ -171,14 +174,20 @@ func NewEnvelope(nets []*nn.Network, input *tensor.Tensor) (*Envelope, error) {
 		return nil, fmt.Errorf("defense: envelope needs a reference input")
 	}
 	comps := make([]components, len(nets))
-	var env components
-	for i, net := range nets {
-		delta, extra, err := kernelFootprint(net, input)
+	err := pipeline.Each(workers, len(nets), func(_, i int) error {
+		delta, extra, err := kernelFootprint(nets[i], input)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		comps[i] = decompose(delta, extra)
-		env = maxComponents(env, comps[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var env components
+	for _, c := range comps {
+		env = maxComponents(env, c)
 	}
 	pads := make([]march.PadSpec, len(nets))
 	for i, c := range comps {

@@ -43,7 +43,7 @@ func TestEnvelopePadsEqualizeExtendedFootprints(t *testing.T) {
 			input.Data[i] = rng.Float32()
 		}
 	}
-	env, err := NewEnvelope(nets, input)
+	env, err := NewEnvelope(nets, input, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPaddedEnvelopeNeedsEnvelope(t *testing.T) {
 	if _, err := New(nets[0], engine, Config{Level: PaddedEnvelope}); err == nil {
 		t.Fatal("PaddedEnvelope deployment without an envelope accepted")
 	}
-	env, err := NewEnvelope(nets[:1], tensor.New(12, 12, 1))
+	env, err := NewEnvelope(nets[:1], tensor.New(12, 12, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -479,7 +479,10 @@ func (p *ProcPool) dispatchTo(ctx context.Context, w *worker, plan pipeline.Plan
 }
 
 // ingestTelemetry merges one telemetry frame into the pool recorder. A
-// malformed payload is dropped — telemetry must never fail a campaign.
+// malformed payload is dropped — telemetry must never fail a campaign —
+// and so is every event no Recorder records (see recordable), so one bad
+// worker event cannot make the campaign's exported trace fail its schema
+// check.
 func (p *ProcPool) ingestTelemetry(f Frame) {
 	if p.cfg.Obs == nil {
 		return
@@ -488,7 +491,21 @@ func (p *ProcPool) ingestTelemetry(f Frame) {
 	if err := json.Unmarshal(f.Payload, &t); err != nil {
 		return
 	}
+	kept := t.Events[:0]
+	for _, e := range t.Events {
+		if recordable(e) {
+			kept = append(kept, e)
+		}
+	}
+	t.Events = kept
 	p.cfg.Obs.Merge(t)
+}
+
+// recordable reports whether e is an event a Recorder records: a named
+// span ("X") or instant ("i") with a non-negative timestamp and
+// duration — what cmd/obsview -check demands of every traced event.
+func recordable(e obs.Event) bool {
+	return e.Name != "" && e.TS >= 0 && e.Dur >= 0 && (e.Ph == "X" || e.Ph == "i")
 }
 
 // Procs reports the pool's process count.

@@ -125,7 +125,9 @@ func frameBytes(t testing.TB, f Frame) []byte {
 
 // FuzzReadFrame: arbitrary bytes on a worker transport give a frame or
 // an error, never a panic, and a frame that reads is one of this
-// protocol version.
+// protocol version. Reading allocates in proportion to the bytes the
+// peer actually sent, whatever length its header declares: at most
+// 2×len(input) + 1 MiB across the call.
 func FuzzReadFrame(f *testing.F) {
 	shard := frameBytes(f, Frame{Type: TypeShard, Plan: &pipeline.Plan{Index: 3, Class: 1, Start: 6, Count: 6, Seed: -42}})
 	f.Add(frameBytes(f, Frame{Type: TypeInit, Spec: json.RawMessage(`{"stage":"report"}`)}))
@@ -134,11 +136,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(shard[:len(shard)-3])                     // truncated body
 	f.Add([]byte{0, 0, 0, 0})                       // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{', '}'}) // length past maxFrame
+	f.Add([]byte{0x03, 0xff, 0xff, 0xff, '{'})      // declares ~64 MiB, sends 1 byte
 	f.Add(append([]byte{0, 0, 0, 16}, `{"v":9,"type":1}`...))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		fr, err := ReadFrame(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
 		if err == nil && fr.V != ProtocolVersion {
 			t.Fatalf("ReadFrame returned a version-%d frame", fr.V)
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*len(b)+1<<20); got > bound {
+			t.Fatalf("reading %d bytes allocated %d, want at most %d", len(b), got, bound)
 		}
 	})
 }

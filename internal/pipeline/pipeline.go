@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hpc"
@@ -312,8 +313,8 @@ func (p *Pipeline) ReportFromProfiles(ctx context.Context, name string, byClass 
 	return p.ev.BuildReport(name, d, tests), nil
 }
 
-// forEach runs fn(0..n-1) over the worker pool, stopping on the first
-// error or context cancellation and returning that first error. fn
+// forEach runs fn(0..n-1) over the worker pool (Each), stopping on the
+// first error or context cancellation and returning that first error. fn
 // additionally receives the worker index w (0..workers-1) running it —
 // telemetry uses it as the span's thread lane; nothing else may, since
 // which worker runs which job is scheduling-dependent.
@@ -321,52 +322,81 @@ func (p *Pipeline) forEach(ctx context.Context, n int, fn func(ctx context.Conte
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers := p.cfg.Workers
-	if workers > n {
-		workers = n
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	jobs := make(chan int)
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := fn(ctx, w, i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			i = n // stop feeding; workers drain and exit
+	err := Each(p.cfg.Workers, n, func(w, i int) error {
+		err := ctx.Err()
+		if err == nil {
+			err = fn(ctx, w, i)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
+		if err != nil {
+			errOnce.Do(func() {
+				firstErr = err
+				cancel()
+			})
+		}
+		return err
+	})
+	if err != nil {
+		// The first failure in time, not Each's lowest-index one: a
+		// failure cancels ctx, so lower-index jobs still running fail
+		// with the cancellation, which is not the cause.
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// Each runs fn(w, i) for every i in [0, n) over min(workers, n)
+// goroutines (workers 0 → GOMAXPROCS) and returns the lowest-index
+// error, the one a serial loop would have stopped at. w is the lane
+// (0..workers-1) running job i; it is scheduling-dependent, so a job may
+// use it only for telemetry. Each job must write only its own index's
+// slot of any shared output. Lanes claim indices in increasing order and
+// stop claiming once a job has failed, but every claimed job runs, so
+// every index below a failure runs too. At one worker Each is a plain
+// loop on the caller's goroutine: the sequential reference.
+func Each(workers, n int, fn func(w, i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var (
+		next   int64
+		failed int32
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for atomic.LoadInt32(&failed) == 0 {
+				i := int(atomic.AddInt64(&next, 1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(w, i); errs[i] != nil {
+					atomic.StoreInt32(&failed, 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

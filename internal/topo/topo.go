@@ -13,6 +13,7 @@ import (
 	"repro/internal/march"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -55,7 +56,10 @@ type Config struct {
 	Quantum uint64
 	// Segmenter tunes the change-point detector (zero value = defaults).
 	Segmenter SegmenterConfig
-	// Workers is the pipeline worker count; 0 → GOMAXPROCS.
+	// Workers is the pipeline worker count; 0 → GOMAXPROCS. It also fans
+	// out the per-network noise-free reference measurements (training
+	// and victim traces, envelope footprints, rebuilt-victim footprint
+	// checks); results are byte-identical at any value.
 	Workers int
 	// Seed is the campaign root seed; default 1. Zoo generation, weights,
 	// shard seeds and noise all derive from it.
@@ -250,24 +254,42 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	if err := c.fitModels(); err != nil {
+	traces, err := c.referenceTraces()
+	if err != nil {
 		return nil, err
 	}
-	if err := c.reconstructVictims(); err != nil {
+	if err := c.fitModels(traces[:len(c.trainNets)]); err != nil {
 		return nil, err
 	}
+	c.reconstructVictims(traces[len(c.trainNets):])
 	return c, nil
 }
 
-// fitModels extracts attributed training traces and fits the kind
-// classifier and hyper-parameter estimators on them.
-func (c *Campaign) fitModels() error {
+// referenceTraces extracts, in one fan-out over the campaign's workers
+// (pipeline.Each), the attributed trace of every training member and —
+// unless the victims are envelope-padded — of every held-out victim:
+// the victims' traces do not depend on the fitted models. The training
+// members' traces come first, then the victims'.
+func (c *Campaign) referenceTraces() ([]*Trace, error) {
+	nets := c.trainNets
+	if c.Env == nil {
+		nets = append(nets[:len(nets):len(nets)], c.Nets...)
+	}
+	traces := make([]*Trace, len(nets))
+	err := pipeline.Each(c.cfg.Workers, len(nets), func(_, i int) error {
+		var err error
+		traces[i], err = extractTrace(nets[i], c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
+		return err
+	})
+	return traces, err
+}
+
+// fitModels fits the kind classifier and hyper-parameter estimators on
+// the training members' attributed traces.
+func (c *Campaign) fitModels(traces []*Trace) error {
 	var segs []trainSegment
 	for id, net := range c.trainNets {
-		trace, err := extractTrace(net, c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
-		if err != nil {
-			return err
-		}
+		trace := traces[id]
 		truth := trueTopology(net)
 		if len(truth) != len(trace.Kinds) {
 			return fmt.Errorf("topo: training member %d: %d observable layers but %d traced segments",
@@ -298,9 +320,10 @@ func (c *Campaign) fitModels() error {
 	return nil
 }
 
-// reconstructVictims extracts every held-out victim's flat trace, segments
-// it, classifies each segment and regresses its hyper-parameters.
-func (c *Campaign) reconstructVictims() error {
+// reconstructVictims segments every held-out victim's flat trace (its
+// extracted one, or the envelope's when padded, where traces is empty),
+// classifies each segment and regresses its hyper-parameters.
+func (c *Campaign) reconstructVictims(traces []*Trace) {
 	c.truths = make([][]LayerTruth, len(c.Nets))
 	c.recovered = make([][]LayerGuess, len(c.Nets))
 	c.boundary = make([]bool, len(c.Nets))
@@ -310,16 +333,12 @@ func (c *Campaign) reconstructVictims() error {
 		if c.Env != nil {
 			trace = paddedTrace(c.Env, c.cfg.Quantum)
 		} else {
-			var err error
-			if trace, err = extractTrace(net, c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum); err != nil {
-				return err
-			}
+			trace = traces[id]
 		}
 		segs := SegmentTrace(trace.Samples, c.cfg.Segmenter)
 		c.boundary[id] = equalInts(boundariesOf(segs), trace.Boundaries)
 		c.recovered[id] = c.reconstruct(segs)
 	}
-	return nil
 }
 
 // reconstruct turns recovered segments into a layer stack: kinds first
@@ -428,6 +447,16 @@ func (c *Campaign) Score(events []march.Event, byVictim map[int][]hpc.Profile) (
 	}
 	res.ChanceKind = 1 / float64(len(res.Kinds))
 	verifyEvent, verifiable := verificationEvent(events)
+	footErr := make([]float64, len(c.Nets))
+	footOK := make([]bool, len(c.Nets))
+	if verifiable {
+		// One rebuild-and-measure per victim, fanned out; each job fills
+		// only its own slots.
+		pipeline.Each(c.cfg.Workers, len(c.Nets), func(_, id int) error {
+			footErr[id], footOK[id] = c.verifyFootprint(id, c.recovered[id], byVictim[id], verifyEvent)
+			return nil
+		})
+	}
 	var exact, kindSum, paramSum, footSum float64
 	paramN, footN := 0, 0
 	for id := range c.Nets {
@@ -448,12 +477,10 @@ func (c *Campaign) Score(events []march.Event, byVictim map[int][]hpc.Profile) (
 			paramSum += err
 			paramN++
 		}
-		if verifiable {
-			if err, ok := c.verifyFootprint(id, v.Recovered, byVictim[id], verifyEvent); ok {
-				v.FootprintRelErr = err
-				footSum += err
-				footN++
-			}
+		if footOK[id] {
+			v.FootprintRelErr = footErr[id]
+			footSum += footErr[id]
+			footN++
 		}
 		if v.ExactCount {
 			exact++

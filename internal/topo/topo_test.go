@@ -278,27 +278,35 @@ func TestPaddedTraceMatchesDeployedFootprint(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance: the campaign's serialized result must be
-// byte-identical at workers=1 and workers=8 (run under -race in CI).
+// TestWorkerInvariance: the campaign's serialized result is
+// byte-identical at workers 1, 2 and 5 (an uneven split of the 6+4
+// reference traces and the 4 rebuilt victims), at baseline and with the
+// victims envelope-padded, so the fanned-out traces, footprint checks
+// and envelope are covered as well as the collection (run under -race
+// in CI).
 func TestWorkerInvariance(t *testing.T) {
-	run := func(workers int) []byte {
-		cfg := testConfig(t, defense.Baseline)
-		cfg.Workers = workers
-		cfg.HoldoutSize = 4
-		cfg.TrainSize = 6
-		res, err := runCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, level := range []defense.Level{defense.Baseline, defense.PaddedEnvelope} {
+		run := func(workers int) []byte {
+			cfg := testConfig(t, level)
+			cfg.Workers = workers
+			cfg.HoldoutSize = 4
+			cfg.TrainSize = 6
+			res, err := runCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
+		one := run(1)
+		for _, workers := range []int{2, 5} {
+			if got := run(workers); string(one) != string(got) {
+				t.Fatalf("%s: topo results differ across worker counts:\n  workers=1: %s\n  workers=%d: %s", level, one, workers, got)
+			}
 		}
-		return data
-	}
-	one, eight := run(1), run(8)
-	if string(one) != string(eight) {
-		t.Fatalf("topo results differ across worker counts:\n  workers=1: %s\n  workers=8: %s", one, eight)
 	}
 }
 

@@ -207,7 +207,9 @@ func (s *Scenario) deploymentEnvelope() (*defense.Envelope, int, error) {
 		}
 		nets = append(nets, s.Net)
 		s.envIdx = len(nets) - 1
-		s.env, s.envErr = defense.NewEnvelope(nets, s.Test.Inputs()[0])
+		// GOMAXPROCS workers: the first shard to deploy measures the
+		// envelope while every other shard waits on envOnce.
+		s.env, s.envErr = defense.NewEnvelope(nets, s.Test.Inputs()[0], 0)
 	})
 	return s.env, s.envIdx, s.envErr
 }

@@ -38,7 +38,10 @@ type TopoConfig struct {
 	// Quantum is the trace-sampling quantum in instructions; default
 	// topo.DefaultQuantum.
 	Quantum uint64
-	// Workers is the pipeline worker count; 0 → GOMAXPROCS.
+	// Workers is the pipeline worker count; 0 → GOMAXPROCS. It also fans
+	// out the per-network reference measurements (zoo traces, envelope
+	// footprints, rebuilt-victim footprint checks); results are
+	// byte-identical at any value.
 	Workers int
 	// Seed is the campaign root seed; 0 uses the scenario seed. Zoo
 	// generation, weights and observations derive from it in domains
