@@ -46,7 +46,7 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 // the caller's goroutine — jobs run in index order, and a job's panic
 // unwinds into the caller, which only the caller's own goroutine allows.
 func TestEachSingleWorkerRunsInline(t *testing.T) {
-	var order []int // unsynchronized: -race flags any job off the caller's goroutine
+	var order []int
 	if err := Each(1, 6, func(w, i int) error {
 		if w != 0 {
 			t.Errorf("job %d ran on lane %d", i, w)

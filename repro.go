@@ -207,9 +207,9 @@ func (s *Scenario) deploymentEnvelope() (*defense.Envelope, int, error) {
 		}
 		nets = append(nets, s.Net)
 		s.envIdx = len(nets) - 1
-		// GOMAXPROCS workers: the first shard to deploy measures the
-		// envelope while every other shard waits on envOnce.
-		s.env, s.envErr = defense.NewEnvelope(nets, s.Test.Inputs()[0], 0)
+		// One worker: measured serially, because shards and fabric worker
+		// processes may each measure this set at the same time.
+		s.env, s.envErr = defense.NewEnvelope(nets, s.Test.Inputs()[0], 1)
 	})
 	return s.env, s.envIdx, s.envErr
 }
