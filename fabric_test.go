@@ -35,6 +35,9 @@ var (
 )
 
 func TestMain(m *testing.M) {
+	if out := os.Getenv(specCaptureEnv); out != "" {
+		captureSpec(out)
+	}
 	code := m.Run()
 	if workerBinDir != "" {
 		os.RemoveAll(workerBinDir)
