@@ -42,9 +42,6 @@ type ArchIDConfig struct {
 	// construction and observations derive from it in domains disjoint
 	// from the evaluation and input-recovery attack stages.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// MaxInputs caps the shared input pool taken from the scenario's test
 	// split; 0 uses every test image.
 	MaxInputs int
@@ -90,8 +87,8 @@ func (s *Scenario) ArchIDGrouped(ctx context.Context, level DefenseLevel, cfg Ar
 		events = []Event{EvCacheMisses, EvBranches}
 	}
 	spec := s.workerSpec(StageArchID, level, events)
-	spec.Seed, spec.ProfileRuns, spec.AttackRuns, spec.MaxInputs, spec.NoPad, spec.ShardRuns =
-		seed, cfg.ProfileRuns, cfg.AttackRuns, cfg.MaxInputs, cfg.NoPad, cfg.ShardRuns
+	spec.Seed, spec.ProfileRuns, spec.AttackRuns, spec.MaxInputs, spec.NoPad =
+		seed, cfg.ProfileRuns, cfg.AttackRuns, cfg.MaxInputs, cfg.NoPad
 	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, k: cfg.K})
 	if err != nil {
 		return nil, err

@@ -48,9 +48,6 @@ type AttackConfig struct {
 	// observations are derived in a separate seed domain from evaluation
 	// campaigns, so the adversary never replays the Evaluator's traces.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// Processes distributes shard execution over that many shardworker OS
 	// processes through the distributed audit fabric; 0 keeps execution
 	// in-process. Confusion matrices are byte-identical either way.
@@ -107,7 +104,7 @@ func (s *Scenario) AttackGrouped(ctx context.Context, level DefenseLevel, cfg At
 		root = s.Config.Seed
 	}
 	spec := s.workerSpec(StageAttack, level, cfg.Events)
-	spec.Classes, spec.RunsPerClass, spec.ShardRuns = cfg.Classes, cfg.ProfileRuns+cfg.AttackRuns, cfg.ShardRuns
+	spec.Classes, spec.RunsPerClass = cfg.Classes, cfg.ProfileRuns+cfg.AttackRuns
 	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs})
 	if err != nil {
 		return nil, err

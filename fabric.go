@@ -192,10 +192,6 @@ type WorkerSpec struct {
 	Holdout     int    `json:"holdout,omitempty"`
 	Runs        int    `json:"runs,omitempty"`
 	Quantum     uint64 `json:"quantum,omitempty"`
-
-	// ShardRuns bounds measured runs per shard (must match the
-	// coordinator's plan).
-	ShardRuns int `json:"shard_runs,omitempty"`
 }
 
 // specProto is the WorkerSpec layout version, checked independently of

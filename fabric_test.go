@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/obs"
 )
 
 var (
@@ -81,25 +82,41 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // smallEvalConfig is the shared small report campaign of the fault
-// tests: 2 classes × 30 runs in 8-run shards — 8 shards, enough to keep
-// several processes busy and to make partial completion observable.
+// tests: 2 classes × 200 runs in pipeline.DefaultShardRuns-run shards —
+// 8 shards, enough to keep several processes busy and to make partial
+// completion observable.
 func smallEvalConfig(procs int, fc FabricConfig) EvalConfig {
 	return EvalConfig{
 		Classes:      []int{1, 2},
-		RunsPerClass: 30,
+		RunsPerClass: 200,
 		Workers:      2,
 		Seed:         17,
-		ShardRuns:    8,
 		Processes:    procs,
 		Fabric:       fc,
 	}
 }
 
+// smallEvalShards is the shard count smallEvalConfig plans.
+const smallEvalShards = 8
+
+// smallEvalBytes runs the small campaign and serializes its report. The
+// in-process run, which every fault test takes as its reference, also
+// checks the planned shard count, so the fault tests cannot silently
+// shrink to a campaign of one shard per class.
 func smallEvalBytes(t *testing.T, procs int, fc FabricConfig) []byte {
 	t.Helper()
-	rep, err := attackScenario(t).Evaluate(smallEvalConfig(procs, fc))
+	cfg := smallEvalConfig(procs, fc)
+	if procs == 0 {
+		cfg.Obs = obs.New(obs.Config{})
+	}
+	rep, err := attackScenario(t).Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if procs == 0 {
+		if got := cfg.Obs.Get(obs.CShardsPlanned); got != smallEvalShards {
+			t.Fatalf("small campaign planned %d shards, want %d", got, smallEvalShards)
+		}
 	}
 	return mustJSON(t, toGolden(rep))
 }

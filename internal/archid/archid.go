@@ -79,9 +79,6 @@ type Config struct {
 	// Seed is the campaign root seed; default 1. Weights, shard seeds,
 	// noise and jitter all derive from it.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// DisableRuntime removes the simulated framework overhead.
 	DisableRuntime bool
 	// DisableNoise removes measurement noise (deterministic counts).
@@ -209,9 +206,8 @@ type Deployment struct {
 	// DeriveSeed(Seed, g, Domain).
 	Seed   int64
 	Domain int
-	// Workers is the pipeline worker count (0 → GOMAXPROCS); ShardRuns
-	// bounds measured runs per shard (0 → the pipeline default).
-	Workers, ShardRuns int
+	// Workers is the pipeline worker count (0 → GOMAXPROCS).
+	Workers int
 	// Obs, when non-nil, records session telemetry.
 	Obs *obs.Recorder
 	// DisableRuntime and DisableNoise remove the simulated framework
@@ -264,10 +260,9 @@ func (d *Deployment) Session(events []march.Event, session int) (*pipeline.Pipel
 		return nil, nil, err
 	}
 	p, err := pipeline.New(ev, pipeline.Config{
-		Workers:   d.Workers,
-		RootSeed:  core.DeriveSeed(d.Seed, session, d.Domain),
-		ShardRuns: d.ShardRuns,
-		Obs:       d.Obs,
+		Workers:  d.Workers,
+		RootSeed: core.DeriveSeed(d.Seed, session, d.Domain),
+		Obs:      d.Obs,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -340,7 +335,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		Seed:           cfg.Seed,
 		Domain:         seedDomainPipeline,
 		Workers:        cfg.Workers,
-		ShardRuns:      cfg.ShardRuns,
 		Obs:            cfg.Obs,
 		DisableRuntime: cfg.DisableRuntime,
 		DisableNoise:   cfg.DisableNoise,
@@ -415,11 +409,7 @@ func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor, work
 	out := make([]LayerEvidence, len(specs))
 	err := pipeline.Each(workers, len(specs), func(_, i int) error {
 		s := specs[i]
-		engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
-		if err != nil {
-			return err
-		}
-		cl, err := instrument.New(nets[s.ID], engine, instrument.Options{SparsitySkip: true})
+		cl, err := defense.Reference(nets[s.ID], defense.Baseline)
 		if err != nil {
 			return fmt.Errorf("archid: instrumenting %s: %w", s.Name, err)
 		}

@@ -69,8 +69,11 @@ type Config struct {
 	PerClassTest  int
 	Classes       int // ≤ 10; 0 means 10
 	Seed          int64
-	Noise         float64 // pixel noise std dev, default 0.05
 }
+
+// pixelNoise is the standard deviation of the Gaussian pixel noise added
+// to every generated image.
+const pixelNoise = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Classes <= 0 || c.Classes > 10 {
@@ -81,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerClassTest <= 0 {
 		c.PerClassTest = 20
-	}
-	if c.Noise <= 0 {
-		c.Noise = 0.05
 	}
 	return c
 }
@@ -96,7 +96,7 @@ func MNISTLike(cfg Config) (train, test *Set, err error) {
 		set := &Set{Name: name, Classes: cfg.Classes}
 		for cls := 0; cls < cfg.Classes; cls++ {
 			for i := 0; i < perClass; i++ {
-				set.Samples = append(set.Samples, Sample{Image: digitImage(cls, rng, cfg.Noise), Label: cls})
+				set.Samples = append(set.Samples, Sample{Image: digitImage(cls, rng), Label: cls})
 			}
 		}
 		rng.Shuffle(len(set.Samples), func(i, j int) {
@@ -116,7 +116,7 @@ func CIFARLike(cfg Config) (train, test *Set, err error) {
 		set := &Set{Name: name, Classes: cfg.Classes}
 		for cls := 0; cls < cfg.Classes; cls++ {
 			for i := 0; i < perClass; i++ {
-				set.Samples = append(set.Samples, Sample{Image: textureImage(cls, rng, cfg.Noise), Label: cls})
+				set.Samples = append(set.Samples, Sample{Image: textureImage(cls, rng), Label: cls})
 			}
 		}
 		rng.Shuffle(len(set.Samples), func(i, j int) {
@@ -144,7 +144,7 @@ var digitStrokes = [10][][]float64{
 }
 
 // digitImage renders one jittered 28×28 digit glyph.
-func digitImage(cls int, rng *rand.Rand, noise float64) *tensor.Tensor {
+func digitImage(cls int, rng *rand.Rand) *tensor.Tensor {
 	img := tensor.New(28, 28, 1)
 	dx := rng.Float64()*4 - 2 // translation jitter
 	dy := rng.Float64()*4 - 2
@@ -157,7 +157,7 @@ func digitImage(cls int, rng *rand.Rand, noise float64) *tensor.Tensor {
 			drawLine(img, x0, y0, x1, y1, thick)
 		}
 	}
-	addNoise(img, rng, noise)
+	addNoise(img, rng)
 	return img
 }
 
@@ -197,7 +197,7 @@ func drawLine(img *tensor.Tensor, x0, y0, x1, y1, thick float64) {
 }
 
 // textureImage renders one jittered 32×32×3 procedural texture for a class.
-func textureImage(cls int, rng *rand.Rand, noise float64) *tensor.Tensor {
+func textureImage(cls int, rng *rand.Rand) *tensor.Tensor {
 	img := tensor.New(32, 32, 3)
 	phase := rng.Float64() * 2 * math.Pi
 	freq := 0.55 + rng.Float64()*0.2
@@ -242,13 +242,13 @@ func textureImage(cls int, rng *rand.Rand, noise float64) *tensor.Tensor {
 			img.Data[idx+2] = float32(clamp01(baseB + 0.5*p))
 		}
 	}
-	addNoise(img, rng, noise)
+	addNoise(img, rng)
 	return img
 }
 
-func addNoise(img *tensor.Tensor, rng *rand.Rand, std float64) {
+func addNoise(img *tensor.Tensor, rng *rand.Rand) {
 	for i := range img.Data {
-		v := float64(img.Data[i]) + rng.NormFloat64()*std
+		v := float64(img.Data[i]) + rng.NormFloat64()*pixelNoise
 		img.Data[i] = float32(clamp01(v))
 	}
 }

@@ -42,8 +42,8 @@ func TestCIFARLikeShapesAndLabels(t *testing.T) {
 }
 
 func TestPixelsInUnitRange(t *testing.T) {
-	train, _, _ := MNISTLike(Config{PerClassTrain: 3, PerClassTest: 1, Seed: 3, Noise: 0.3})
-	ctrain, _, _ := CIFARLike(Config{PerClassTrain: 3, PerClassTest: 1, Seed: 3, Noise: 0.3})
+	train, _, _ := MNISTLike(Config{PerClassTrain: 3, PerClassTest: 1, Seed: 3})
+	ctrain, _, _ := CIFARLike(Config{PerClassTrain: 3, PerClassTest: 1, Seed: 3})
 	for _, set := range []*Set{train, ctrain} {
 		for _, sm := range set.Samples {
 			for i, v := range sm.Image.Data {
@@ -150,7 +150,7 @@ func TestFilterAndAccessors(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Classes != 10 || c.PerClassTrain != 100 || c.PerClassTest != 20 || c.Noise != 0.05 {
+	if c.Classes != 10 || c.PerClassTrain != 100 || c.PerClassTest != 20 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	c = Config{Classes: 99}.withDefaults()

@@ -66,9 +66,6 @@ func (l Level) String() string {
 // Config assembles a hardened classifier.
 type Config struct {
 	Level Level
-	// NoiseLines is the mean number of dummy cache lines touched per
-	// classification under NoiseInjection (default 2048).
-	NoiseLines int
 	// Seed drives the dummy-traffic randomness.
 	Seed int64
 	// Runtime is passed through to the instrumented classifier.
@@ -80,11 +77,15 @@ type Config struct {
 	EnvelopeIndex int
 }
 
-// KernelOptions returns the instrumented-kernel configuration a hardening
+// noiseLines is the mean number of dummy cache lines a NoiseInjection
+// deployment touches per classification.
+const noiseLines = 2048
+
+// kernelOptions returns the instrumented-kernel configuration a hardening
 // level implies (without runtime model or seed): which sparsity and
 // branchlessness story the deployed kernels execute. PaddedEnvelope runs
 // the constant-time kernels — the pad is applied on top by Hardened.
-func KernelOptions(level Level) (instrument.Options, error) {
+func kernelOptions(level Level) (instrument.Options, error) {
 	var opts instrument.Options
 	switch level {
 	case Baseline, NoiseInjection:
@@ -99,13 +100,36 @@ func KernelOptions(level Level) (instrument.Options, error) {
 	return opts, nil
 }
 
+// Reference deploys net the one way every noise-free reference
+// measurement does (envelope footprints, layer evidence, topology traces
+// and footprint checks): the level's kernels without the runtime model
+// and without any defense traffic, on a fresh cold-reset SimHierarchy
+// engine with no measurement noise. Its counters are exact and depend on
+// the network and the inputs alone.
+func Reference(net *nn.Network, level Level) (*instrument.Classifier, error) {
+	opts, err := kernelOptions(level)
+	if err != nil {
+		return nil, err
+	}
+	opts.Runtime = instrument.NoRuntime()
+	engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
+	if err != nil {
+		return nil, err
+	}
+	cl, err := instrument.New(net, engine, opts)
+	if err != nil {
+		return nil, err
+	}
+	engine.ColdReset()
+	return cl, nil
+}
+
 // Hardened wraps an instrumented classifier with a defense level. It
 // satisfies core.Target.
 type Hardened struct {
 	inner  *instrument.Classifier
 	level  Level
 	rng    *rand.Rand
-	lines  int
 	region mem.Region
 	pad    march.PadSpec
 	padded bool
@@ -113,7 +137,7 @@ type Hardened struct {
 
 // New builds a hardened classifier for net on engine.
 func New(net *nn.Network, engine *march.Engine, cfg Config) (*Hardened, error) {
-	opts, err := KernelOptions(cfg.Level)
+	opts, err := kernelOptions(cfg.Level)
 	if err != nil {
 		return nil, err
 	}
@@ -135,10 +159,6 @@ func New(net *nn.Network, engine *march.Engine, cfg Config) (*Hardened, error) {
 		h.pad, h.padded = pad, true
 	}
 	if cfg.Level == NoiseInjection {
-		h.lines = cfg.NoiseLines
-		if h.lines <= 0 {
-			h.lines = 2048
-		}
 		// A scratch buffer the dummy loads sweep over; sized at 4× the LLC
 		// so sweeps actually generate misses. It lands at the classifier's
 		// activation-scratch base and shares simulated addresses with it —
@@ -182,7 +202,7 @@ func (h *Hardened) Classify(img *tensor.Tensor) (int, error) {
 // buffer, decoupling total cache traffic from the input.
 func (h *Hardened) injectNoise() {
 	eng := h.inner.Engine()
-	n := h.lines/2 + h.rng.Intn(h.lines) // uniform in [lines/2, 3·lines/2)
+	n := noiseLines/2 + h.rng.Intn(noiseLines) // uniform in [noiseLines/2, 3·noiseLines/2)
 	span := int(h.region.Size / 64)
 	for i := 0; i < n; i++ {
 		line := h.rng.Intn(span)

@@ -26,7 +26,6 @@ package defense
 import (
 	"fmt"
 
-	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
@@ -117,25 +116,17 @@ func (env components) pad(c components) march.PadSpec {
 }
 
 // kernelFootprint measures the deterministic steady-state footprint of one
-// constant-time deployment: a noise-free engine, no runtime model,
-// warm-up, then one measured classification. Constant-time streams are
-// input-independent, so any input yields the same counts. The stall-cycle
-// residue is read from the engine directly (Engine.StallCycles), which is
-// exact under any timing model — reconstructing it from Counts would
-// alias the base-CPI truncation.
+// constant-time deployment: the Reference deployment, warm-up, then one
+// measured classification. Constant-time streams are input-independent,
+// so any input yields the same counts. The stall-cycle residue is read
+// from the engine directly (Engine.StallCycles): reconstructing it from
+// Counts would alias the base-CPI truncation.
 func kernelFootprint(net *nn.Network, input *tensor.Tensor) (march.Counts, uint64, error) {
-	engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
+	target, err := Reference(net, ConstantTime)
 	if err != nil {
 		return march.Counts{}, 0, err
 	}
-	target, err := New(net, engine, Config{
-		Level:   ConstantTime,
-		Runtime: instrument.NoRuntime(),
-	})
-	if err != nil {
-		return march.Counts{}, 0, err
-	}
-	engine.ColdReset()
+	engine := target.Engine()
 	for i := 0; i < padWarmup; i++ {
 		if _, err := target.Classify(input); err != nil {
 			return march.Counts{}, 0, fmt.Errorf("defense: envelope warm-up: %w", err)

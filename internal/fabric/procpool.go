@@ -72,8 +72,6 @@ func (t *tailBuffer) Dropped() int64 {
 type PoolConfig struct {
 	// Bin is the shardworker binary to launch.
 	Bin string
-	// Args are extra arguments passed to every worker.
-	Args []string
 	// Env are extra environment variables (the fault-injection hooks in
 	// tests); workers inherit the parent environment plus these.
 	Env []string
@@ -272,9 +270,9 @@ func handshakeErr(errs []error) error {
 // launch starts worker id, connects its transport and sends it the init
 // frame; awaitReady completes the handshake.
 func (p *ProcPool) launch(id int, ln net.Listener) (*worker, error) {
-	args := append([]string(nil), p.cfg.Args...)
+	var args []string
 	if ln != nil {
-		args = append(args, "-connect", ln.Addr().String())
+		args = []string{"-connect", ln.Addr().String()}
 	}
 	cmd := exec.Command(p.cfg.Bin, args...)
 	cmd.Env = append(os.Environ(), p.cfg.Env...)

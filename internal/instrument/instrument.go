@@ -101,9 +101,6 @@ type Options struct {
 	// max) in addition to disabling the skip — the paper's "CNN with
 	// indistinguishable CPU footprint" countermeasure direction.
 	ConstantTime bool
-	// ColdStart flushes the simulated caches and predictors before every
-	// classification (process-per-query deployment).
-	ColdStart bool
 	// Runtime is the framework overhead model.
 	Runtime RuntimeModel
 	// Seed drives the runtime jitter.
@@ -318,18 +315,11 @@ func (c *Classifier) Classify(img *tensor.Tensor) (int, error) {
 	return pred, nil
 }
 
-// begin validates the input, applies cold-start semantics and streams the
-// input image into its (preallocated) simulated region.
+// begin validates the input and streams the input image into its
+// (preallocated) simulated region.
 func (c *Classifier) begin(img *tensor.Tensor) (*tensor.Tensor, mem.Region, error) {
 	if img.Len() != tensor.Volume(c.net.InShape) {
 		return nil, mem.Region{}, fmt.Errorf("instrument: input volume %d, want %d", img.Len(), tensor.Volume(c.net.InShape))
-	}
-	if c.opts.ColdStart {
-		// Drop micro-architectural state but preserve event counters: a
-		// fresh process has cold caches, yet the observing PMU keeps
-		// counting across the measurement interval.
-		c.engine.Hierarchy().Invalidate()
-		c.engine.Predictor().Reset()
 	}
 	// The input arrives from the user: stream it into simulated memory.
 	c.engine.Store(c.input.Base, c.input.Size)

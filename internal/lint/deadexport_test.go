@@ -179,7 +179,10 @@ func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
 	return false
 }
 
-func TestNoTestOnlyExports(t *testing.T) {
+// loadModule loads every non-test package of the module and of the
+// perfbench module, which compiles against the repro API.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +195,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs = append(pkgs, bench...)
+	return append(pkgs, bench...)
+}
+
+func TestNoTestOnlyExports(t *testing.T) {
+	pkgs := loadModule(t)
 
 	const internal = "repro/internal/"
 	refs := map[string][]string{}     // declaration key → keys it references

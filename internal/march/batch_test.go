@@ -96,6 +96,13 @@ func TestLoadRangeMatchesIndividualLoads(t *testing.T) {
 	}
 }
 
+// invalidate drops every cache level's contents, keeping the counters.
+func invalidate(e *Engine) {
+	for _, lv := range e.Hierarchy().Levels {
+		lv.Invalidate()
+	}
+}
+
 func TestLoadRangeAfterInvalidate(t *testing.T) {
 	// Invalidating mid-stream must not let the batched path replay hits on
 	// dropped lines.
@@ -104,8 +111,8 @@ func TestLoadRangeAfterInvalidate(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		b.Load(0x1000+mem.Addr(i*4), 4)
 	}
-	a.Hierarchy().Invalidate()
-	b.Hierarchy().Invalidate()
+	invalidate(a)
+	invalidate(b)
 	a.LoadRange(0x1000, 4, 64)
 	for i := 0; i < 64; i++ {
 		b.Load(0x1000+mem.Addr(i*4), 4)
@@ -134,7 +141,7 @@ func TestSameLineFastPathCounters(t *testing.T) {
 		t.Fatalf("TLB loads/misses = %d/%d, want %d/1", c.Get(EvDTLBLoads), c.Get(EvDTLBLoadMisses), n)
 	}
 	// Invalidation must force the fast path to re-miss.
-	e.Hierarchy().Invalidate()
+	invalidate(e)
 	e.Load(0x9000, 4)
 	if got := e.Counts().Get(EvL1DLoadMisses); got != 2 {
 		t.Fatalf("post-invalidate L1 misses = %d, want 2", got)

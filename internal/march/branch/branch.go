@@ -415,8 +415,6 @@ type BTB struct {
 	tags    []uint64
 	targets []uint64
 	mask    uint64
-	hits    uint64
-	misses  uint64
 }
 
 // NewBTB builds a 2^bits-entry BTB.
@@ -435,24 +433,15 @@ func NewBTB(bits uint) *BTB {
 func (b *BTB) Lookup(pc, target uint64) bool {
 	idx := (pc >> 2) & b.mask
 	if b.tags[idx] == pc && b.targets[idx] == target {
-		b.hits++
 		return true
 	}
 	b.tags[idx] = pc
 	b.targets[idx] = target
-	b.misses++
 	return false
 }
-
-// HitN accounts n guaranteed BTB hits without lookups — used by the
-// engine's branch-run replay after the first lookup has installed (or
-// confirmed) the target, which makes the remaining lookups of an identical
-// run provable hits.
-func (b *BTB) HitN(n uint64) { b.hits += n }
 
 // Reset clears the BTB.
 func (b *BTB) Reset() {
 	clear(b.tags)
 	clear(b.targets)
-	b.hits, b.misses = 0, 0
 }

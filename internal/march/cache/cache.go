@@ -14,8 +14,8 @@
 //
 //   - set/tag decomposition uses shifts precomputed at construction
 //     (tagShift) instead of recomputing log2(sets) per access;
-//   - replacement policies are bound as a method table at construction, so
-//     there is no per-access policy switch;
+//   - the two replacement policies (LRU, tree-PLRU) are updated inline
+//     behind one precomputed flag, so there is no per-access policy switch;
 //   - a one-line memo remembers the last-touched (line, way): consecutive
 //     accesses to the same line skip the way scan entirely. The memo is
 //     maintained on every hit and install and invalidated by
@@ -40,8 +40,6 @@ type Policy int
 const (
 	LRU Policy = iota
 	TreePLRU
-	FIFO
-	Random
 )
 
 // String implements fmt.Stringer.
@@ -51,10 +49,6 @@ func (p Policy) String() string {
 		return "lru"
 	case TreePLRU:
 		return "tree-plru"
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -67,10 +61,6 @@ type Config struct {
 	LineSize uint64 // bytes per line, power of two
 	Assoc    int    // ways per set
 	Policy   Policy
-	// NextLinePrefetch enables a simple sequential prefetcher: on a miss,
-	// the following line is installed as well (without counting as a
-	// reference).
-	NextLinePrefetch bool
 	// AltLineMemo enables the second touched-line memo entry. It pays for
 	// access streams that strictly alternate between two lines — the dTLB
 	// under the conv kernels' weight-page/output-page ping-pong — and
@@ -119,11 +109,10 @@ type Cache struct {
 	// of a tag word plus a validity byte.
 	tags  []uint64 // sets × assoc
 	dirty []bool
-	// LRU: age counters; FIFO: insertion order; PLRU: tree bits per set.
+	// LRU: age counters; PLRU: tree bits per set.
 	age      []uint32
 	clock    uint32
 	plruTree []uint64 // one bit-tree word per set (supports assoc ≤ 64)
-	rng      uint64   // xorshift state for Random policy
 	// Precomputed PLRU updates: pointing the tree away from way w is
 	// tree = (tree &^ plruClr[w]) | plruSet[w] — the walk depends only on
 	// the way, so it is folded into masks at construction. For assoc ≤ 8
@@ -142,15 +131,9 @@ type Cache struct {
 	// a probe order.
 	mru []uint8
 
-	// Replacement policy method table, bound once at construction so the
-	// access path carries no per-access policy switch.
-	hitFn    func(set uint64, way int)
-	fillFn   func(set uint64, way int)
-	victimFn func(set uint64) int
-	// memoTouch is true when a repeat hit on the last-touched way must
-	// restamp recency state (LRU's global clock). TreePLRU hits instead
-	// take the mask-folded repoint (idempotent when the way was already the
-	// set's last touch); FIFO and Random never update on hits.
+	// memoTouch is true for LRU: every touch restamps recency state (the
+	// global clock). TreePLRU touches instead take the mask-folded repoint
+	// (idempotent when the way was already the set's last touch).
 	memoTouch bool
 
 	// Two-entry touched-line memo (most recent + previous). Invariant: when
@@ -194,24 +177,14 @@ func New(cfg Config) (*Cache, error) {
 		plruTree: make([]uint64, sets),
 		fill:     make([]uint8, sets),
 		mru:      make([]uint8, sets),
-		rng:      0x9e3779b97f4a7c15,
 	}
 	c.tagShift = c.lineBits + c.setBits
 	c.memo2On = cfg.AltLineMemo
-	if cfg.Policy == TreePLRU {
-		c.buildPLRUTables()
-	}
 	switch cfg.Policy {
 	case LRU:
-		c.hitFn, c.fillFn, c.victimFn = c.ageTouch, c.ageTouch, c.ageVictim
 		c.memoTouch = true
 	case TreePLRU:
-		c.hitFn, c.fillFn, c.victimFn = c.plruPoint, c.plruPoint, c.plruVictim
-	case FIFO:
-		// FIFO ignores recency: hits do not refresh, fills set the order.
-		c.hitFn, c.fillFn, c.victimFn = c.nopTouch, c.ageTouch, c.ageVictim
-	case Random:
-		c.hitFn, c.fillFn, c.victimFn = c.nopTouch, c.nopTouch, c.randVictim
+		c.buildPLRUTables()
 	default:
 		return nil, fmt.Errorf("cache: %s has unknown policy %d", cfg.Name, int(cfg.Policy))
 	}
@@ -291,7 +264,7 @@ func (c *Cache) Access(addr mem.Addr, write bool) bool {
 		if c.memoTouch { // LRU: bump the global clock and restamp the way
 			c.clock++
 			c.age[c.memoIdx] = c.clock
-		} else if c.plruSet != nil {
+		} else {
 			w := c.memoWay
 			c.plruTree[c.memoSet] = (c.plruTree[c.memoSet] &^ c.plruClr[w]) | c.plruSet[w]
 		}
@@ -316,10 +289,8 @@ func (c *Cache) Access(addr mem.Addr, write bool) bool {
 		if c.memoTouch {
 			c.clock++
 			c.age[i] = c.clock
-		} else if c.plruSet != nil {
-			c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 		} else {
-			c.hitFn(set, w)
+			c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 		}
 		if write {
 			c.dirty[i] = true
@@ -346,10 +317,8 @@ func (c *Cache) Access(addr mem.Addr, write bool) bool {
 			if c.memoTouch {
 				c.clock++
 				c.age[i] = c.clock
-			} else if c.plruSet != nil {
-				c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 			} else {
-				c.hitFn(set, w)
+				c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 			}
 			if write {
 				c.dirty[i] = true
@@ -360,30 +329,20 @@ func (c *Cache) Access(addr mem.Addr, write bool) bool {
 	}
 	c.stats.Misses++
 	c.installLine(line, set, probe, write)
-	if c.cfg.NextLinePrefetch {
-		next := addr + mem.Addr(c.cfg.LineSize)
-		if !c.present(next) {
-			nl := uint64(next) >> c.lineBits
-			c.installLine(nl, nl&c.setMask, (nl>>c.setBits)+1, false)
-		}
-	}
 	return false
 }
 
 // hitUpdate applies replacement metadata and the dirty bit for a hit at
-// (set, way); the caller accounts the hit itself. Hot policies are handled
-// inline (LRU clock stamp, PLRU mask fold); everything else goes through
-// the bound method table. The same ladder is manually inlined in Access's
+// (set, way); the caller accounts the hit itself: an LRU clock stamp or a
+// PLRU mask fold. The same ladder is manually inlined in Access's
 // memo-promote and way-scan hit paths — the call is not inlined by the
 // compiler and is measurable there; keep the copies in sync.
 func (c *Cache) hitUpdate(set uint64, w int, i uint64, write bool) {
 	if c.memoTouch {
 		c.clock++
 		c.age[i] = c.clock
-	} else if c.plruSet != nil {
-		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 	} else {
-		c.hitFn(set, w)
+		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[w]) | c.plruSet[w]
 	}
 	if write {
 		c.dirty[i] = true
@@ -418,10 +377,9 @@ func (c *Cache) MemoIs(addr mem.Addr) bool {
 // end up exactly as n individual hitting Access calls would leave them:
 // LRU advances the clock n times and restamps the way (uint32 wraparound
 // matches n increments); tree-PLRU repoints away from the way once (n
-// identical repoints fold into one — the mask update is idempotent); FIFO
-// and Random never update on hits. The caller must have touched the line
-// via Access since the last Invalidate/Flush (checked: panics on a
-// cleared memo).
+// identical repoints fold into one — the mask update is idempotent). The
+// caller must have touched the line via Access since the last
+// Invalidate/Flush (checked: panics on a cleared memo).
 func (c *Cache) HitLastN(n uint64, write bool) {
 	if n == 0 {
 		return
@@ -437,24 +395,10 @@ func (c *Cache) HitLastN(n uint64, write bool) {
 	if c.memoTouch { // LRU: n clock bumps, final stamp on the way
 		c.clock += uint32(n)
 		c.age[c.memoIdx] = c.clock
-	} else if c.plruSet != nil {
+	} else {
 		w := c.memoWay
 		c.plruTree[c.memoSet] = (c.plruTree[c.memoSet] &^ c.plruClr[w]) | c.plruSet[w]
 	}
-}
-
-// present reports whether the line holding addr is cached, without
-// updating any replacement or stats state.
-func (c *Cache) present(addr mem.Addr) bool {
-	set, tag := c.index(addr)
-	probe := tag + 1
-	base := set * c.assoc
-	for w := uint64(0); w < c.assoc; w++ {
-		if c.tags[base+w] == probe {
-			return true
-		}
-	}
-	return false
 }
 
 // installLine places a line into its set, evicting a victim per the
@@ -472,10 +416,13 @@ func (c *Cache) installLine(line, set, probe uint64, write bool) {
 		}
 	}
 	if victim < 0 {
-		if c.plruVict != nil {
+		switch {
+		case c.plruVict != nil:
 			victim = int(c.plruVict[c.plruTree[set]&c.plruVMask])
-		} else {
-			victim = c.victimFn(set)
+		case c.memoTouch:
+			victim = c.ageVictim(set)
+		default:
+			victim = c.plruVictim(set)
 		}
 		c.stats.Evictions++
 	}
@@ -485,10 +432,8 @@ func (c *Cache) installLine(line, set, probe uint64, write bool) {
 	if c.memoTouch {
 		c.clock++
 		c.age[i] = c.clock
-	} else if c.plruSet != nil {
-		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[victim]) | c.plruSet[victim]
 	} else {
-		c.fillFn(set, victim)
+		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[victim]) | c.plruSet[victim]
 	}
 	c.mru[set] = uint8(victim)
 	c.shiftMemo(line, set, victim, i)
@@ -499,17 +444,7 @@ func (c *Cache) installLine(line, set, probe uint64, write bool) {
 	}
 }
 
-// ageTouch bumps the global clock and stamps the way — the LRU hit/fill
-// update and the FIFO fill update.
-func (c *Cache) ageTouch(set uint64, way int) {
-	c.clock++
-	c.age[set*c.assoc+uint64(way)] = c.clock
-}
-
-func (c *Cache) nopTouch(set uint64, way int) {}
-
-// ageVictim selects the way with the smallest stamp (LRU and FIFO share
-// the mechanism; they differ in when ageTouch runs).
+// ageVictim selects the LRU way: the one with the smallest stamp.
 func (c *Cache) ageVictim(set uint64) int {
 	base := set * c.assoc
 	best, bestAge := 0, c.age[base]
@@ -519,14 +454,6 @@ func (c *Cache) ageVictim(set uint64) int {
 		}
 	}
 	return best
-}
-
-// randVictim draws from the xorshift stream.
-func (c *Cache) randVictim(set uint64) int {
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	return int(c.rng % c.assoc)
 }
 
 // buildPLRUTables folds the per-way tree walks into masks (and, for small
@@ -571,11 +498,6 @@ func (c *Cache) buildPLRUTables() {
 			c.plruVict[tree] = uint8(lo)
 		}
 	}
-}
-
-// plruPoint makes every tree node point away from way (mask-folded walk).
-func (c *Cache) plruPoint(set uint64, way int) {
-	c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[way]) | c.plruSet[way]
 }
 
 // plruVictim follows the pointer bits to the pseudo-LRU way.
@@ -630,13 +552,6 @@ func (h *Hierarchy) Last() *Cache { return h.Levels[len(h.Levels)-1] }
 func (h *Hierarchy) Flush() {
 	for _, lv := range h.Levels {
 		lv.Flush()
-	}
-}
-
-// Invalidate drops contents at every level, keeping counters.
-func (h *Hierarchy) Invalidate() {
-	for _, lv := range h.Levels {
-		lv.Invalidate()
 	}
 }
 

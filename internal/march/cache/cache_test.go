@@ -37,7 +37,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	names := map[Policy]string{LRU: "lru", TreePLRU: "tree-plru", FIFO: "fifo", Random: "random", Policy(9): "policy(9)"}
+	names := map[Policy]string{LRU: "lru", TreePLRU: "tree-plru", Policy(9): "policy(9)"}
 	for p, want := range names {
 		if p.String() != want {
 			t.Errorf("Policy(%d).String() = %q, want %q", int(p), p.String(), want)
@@ -92,21 +92,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEvictsInsertionOrder(t *testing.T) {
-	c, err := New(Config{Name: "f", Size: 256, LineSize: 64, Assoc: 2, Policy: FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, d := mem.Addr(0), mem.Addr(128), mem.Addr(256)
-	c.Access(a, false)
-	c.Access(b, false)
-	c.Access(a, false) // hit must NOT refresh FIFO order
-	c.Access(d, false) // evicts a (first in)
-	if c.Access(a, false) {
-		t.Fatal("FIFO should have evicted a despite its recent hit")
-	}
-}
-
 func TestTreePLRUSingleSetCyclesThroughWays(t *testing.T) {
 	c, err := New(Config{Name: "p", Size: 64 * 4, LineSize: 64, Assoc: 4, Policy: TreePLRU})
 	if err != nil {
@@ -122,24 +107,6 @@ func TestTreePLRUSingleSetCyclesThroughWays(t *testing.T) {
 	c.Access(mem.Addr(4*64), false) // new line, evicts someone
 	if !c.Access(0, false) {
 		t.Fatal("tree-PLRU evicted the most recently used line")
-	}
-}
-
-func TestRandomPolicyStillCorrectSet(t *testing.T) {
-	c, err := New(Config{Name: "r", Size: 512, LineSize: 64, Assoc: 2, Policy: Random})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		c.Access(mem.Addr(rng.Intn(4096)), false)
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses != st.Accesses {
-		t.Fatal("random policy broke the accounting invariant")
-	}
-	if st.Hits == 0 {
-		t.Fatal("random policy produced no hits on a reused working set")
 	}
 }
 
@@ -188,21 +155,6 @@ func TestFlushAndResetStats(t *testing.T) {
 	c.Flush()
 	if c.Access(0, false) {
 		t.Fatal("Flush must drop contents")
-	}
-}
-
-func TestNextLinePrefetch(t *testing.T) {
-	c, err := New(Config{Name: "pf", Size: 4096, LineSize: 64, Assoc: 4, Policy: LRU, NextLinePrefetch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(0, false) // miss, prefetches line 1
-	if !c.Access(64, false) {
-		t.Fatal("next line was not prefetched")
-	}
-	// Prefetch must not inflate the access count.
-	if c.Stats().Accesses != 2 {
-		t.Fatalf("accesses = %d, want 2", c.Stats().Accesses)
 	}
 }
 
@@ -316,7 +268,7 @@ func TestQuickDeterminism(t *testing.T) {
 
 func TestQuickAllPoliciesAccounting(t *testing.T) {
 	f := func(seed int64, policyRaw uint8) bool {
-		pol := Policy(int(policyRaw) % 4)
+		pol := Policy(int(policyRaw) % 2)
 		c, err := New(Config{Name: "q", Size: 1024, LineSize: 64, Assoc: 4, Policy: pol})
 		if err != nil {
 			return false

@@ -28,7 +28,6 @@ type refCache struct {
 	age      []uint32
 	clock    uint32
 	plruTree []uint64
-	rng      uint64
 	stats    Stats
 }
 
@@ -44,7 +43,6 @@ func newRef(cfg Config) *refCache {
 		dirty:    make([]bool, sets*uint64(cfg.Assoc)),
 		age:      make([]uint32, sets*uint64(cfg.Assoc)),
 		plruTree: make([]uint64, sets),
-		rng:      0x9e3779b97f4a7c15,
 	}
 }
 
@@ -73,23 +71,6 @@ func (c *refCache) access(addr mem.Addr, write bool) bool {
 	}
 	c.install(addr, write)
 	c.stats.Misses++
-	if c.cfg.NextLinePrefetch {
-		next := addr + mem.Addr(c.cfg.LineSize)
-		if !c.present(next) {
-			c.install(next, false)
-		}
-	}
-	return false
-}
-
-func (c *refCache) present(addr mem.Addr) bool {
-	set, tag := c.index(addr)
-	base := set * uint64(c.cfg.Assoc)
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+uint64(w)] && c.tags[base+uint64(w)] == tag {
-			return true
-		}
-	}
 	return false
 }
 
@@ -126,7 +107,7 @@ func (c *refCache) onHit(set uint64, way int) {
 
 func (c *refCache) onFill(set uint64, way int) {
 	switch c.cfg.Policy {
-	case LRU, FIFO:
+	case LRU:
 		c.clock++
 		c.age[set*uint64(c.cfg.Assoc)+uint64(way)] = c.clock
 	case TreePLRU:
@@ -136,7 +117,7 @@ func (c *refCache) onFill(set uint64, way int) {
 
 func (c *refCache) victim(set uint64) int {
 	switch c.cfg.Policy {
-	case LRU, FIFO:
+	case LRU:
 		base := set * uint64(c.cfg.Assoc)
 		best, bestAge := 0, c.age[base]
 		for w := 1; w < c.cfg.Assoc; w++ {
@@ -147,11 +128,6 @@ func (c *refCache) victim(set uint64) int {
 		return best
 	case TreePLRU:
 		return c.plruVictim(set)
-	case Random:
-		c.rng ^= c.rng << 13
-		c.rng ^= c.rng >> 7
-		c.rng ^= c.rng << 17
-		return int(c.rng % uint64(c.cfg.Assoc))
 	default:
 		return 0
 	}
@@ -237,9 +213,6 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 	cfgs := []Config{
 		{Name: "lru", Size: 2048, LineSize: 64, Assoc: 4, Policy: LRU},
 		{Name: "plru", Size: 2048, LineSize: 64, Assoc: 4, Policy: TreePLRU},
-		{Name: "fifo", Size: 2048, LineSize: 64, Assoc: 4, Policy: FIFO},
-		{Name: "rand", Size: 2048, LineSize: 64, Assoc: 4, Policy: Random},
-		{Name: "pf", Size: 1024, LineSize: 64, Assoc: 2, Policy: LRU, NextLinePrefetch: true},
 		{Name: "oneSet", Size: 64 * 4, LineSize: 64, Assoc: 4, Policy: TreePLRU},
 		{Name: "altmemo", Size: 2048, LineSize: 64, Assoc: 4, Policy: LRU, AltLineMemo: true},
 		{Name: "altplru", Size: 2048, LineSize: 64, Assoc: 4, Policy: TreePLRU, AltLineMemo: true},
@@ -273,7 +246,7 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 				if rng.Intn(997) == 0 {
 					c.Invalidate()
 					ref2 := newRef(cfg)
-					ref2.clock, ref2.rng, ref2.stats = 0, ref.rng, ref.stats
+					ref2.stats = ref.stats
 					ref = ref2
 				}
 			}
@@ -297,7 +270,7 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 // counters and replacement state exactly as n individual hitting Access
 // calls would, for every policy.
 func TestHitLastNMatchesIndividualHits(t *testing.T) {
-	for _, pol := range []Policy{LRU, TreePLRU, FIFO, Random} {
+	for _, pol := range []Policy{LRU, TreePLRU} {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := Config{Name: "h", Size: 1024, LineSize: 64, Assoc: 4, Policy: pol}
 			a, err := New(cfg)

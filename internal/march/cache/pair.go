@@ -12,7 +12,7 @@
 // LRU stamps are written in last-touch order with the clock advanced by
 // the exact event count, tree-PLRU repoints are applied in event order
 // (consecutive repoints of the same way fold into one: the mask update is
-// idempotent), and FIFO/Random never mutate on hits. Validity is checked
+// idempotent). Validity is checked
 // against the live tags arrays, so an install or Invalidate anywhere
 // self-invalidates stale placements with zero bookkeeping.
 package cache
@@ -42,8 +42,8 @@ type Pair struct {
 
 // Resolve captures addr's placement after a full Access walked both
 // levels, i.e. while both touched-line memos point at addr's line/page.
-// When they do not (a prefetching level moved the memo), the placement is
-// left untouched and the block simply stays on the slow path.
+// When they do not, the placement is left untouched and the block simply
+// stays on the slow path.
 //
 //detlint:allocpath
 func (p Pair) Resolve(pl *Placement, addr uint64) {
@@ -70,17 +70,15 @@ func (p Pair) live(pl *Placement) bool {
 // hitTouchN applies n same-placement hits' replacement updates in O(1):
 // LRU advances the clock n times and stamps once (the final value is the
 // only observable one), a tree-PLRU repoint is idempotent across identical
-// repeats, FIFO/Random hits never mutate.
+// repeats.
 //
 //detlint:allocpath
 func (c *Cache) hitTouchN(n uint64, set uint64, way int32, idx uint64) {
 	if c.memoTouch {
 		c.clock += uint32(n)
 		c.age[idx] = c.clock
-	} else if c.plruSet != nil {
-		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[way]) | c.plruSet[way]
 	} else {
-		c.hitFn(set, int(way))
+		c.plruTree[set] = (c.plruTree[set] &^ c.plruClr[way]) | c.plruSet[way]
 	}
 }
 
@@ -98,10 +96,8 @@ func (p Pair) Touch(pl *Placement, addr uint64, write bool) bool {
 	if t.memoTouch {
 		t.clock++
 		t.age[pl.tIdx] = t.clock
-	} else if t.plruSet != nil {
-		t.plruTree[pl.tSet] = (t.plruTree[pl.tSet] &^ t.plruClr[pl.tWay]) | t.plruSet[pl.tWay]
 	} else {
-		t.hitFn(pl.tSet, int(pl.tWay))
+		t.plruTree[pl.tSet] = (t.plruTree[pl.tSet] &^ t.plruClr[pl.tWay]) | t.plruSet[pl.tWay]
 	}
 	d.stats.Accesses++
 	if write {
@@ -111,10 +107,8 @@ func (p Pair) Touch(pl *Placement, addr uint64, write bool) bool {
 	if d.memoTouch {
 		d.clock++
 		d.age[pl.dIdx] = d.clock
-	} else if d.plruSet != nil {
-		d.plruTree[pl.dSet] = (d.plruTree[pl.dSet] &^ d.plruClr[pl.dWay]) | d.plruSet[pl.dWay]
 	} else {
-		d.hitFn(pl.dSet, int(pl.dWay))
+		d.plruTree[pl.dSet] = (d.plruTree[pl.dSet] &^ d.plruClr[pl.dWay]) | d.plruSet[pl.dWay]
 	}
 	return true
 }
@@ -175,13 +169,9 @@ func (p Pair) MacSpan(touch []Placement, mask, w, o, wStep, size uint64, n int) 
 			t.clock += 3
 			t.age[pw.tIdx] = t.clock - 2
 			t.age[po.tIdx] = t.clock
-		} else if t.plruSet != nil {
+		} else {
 			t.plruTree[pw.tSet] = (t.plruTree[pw.tSet] &^ t.plruClr[pw.tWay]) | t.plruSet[pw.tWay]
 			t.plruTree[po.tSet] = (t.plruTree[po.tSet] &^ t.plruClr[po.tWay]) | t.plruSet[po.tWay]
-		} else {
-			t.hitFn(pw.tSet, int(pw.tWay))
-			t.hitFn(po.tSet, int(po.tWay))
-			t.hitFn(po.tSet, int(po.tWay))
 		}
 		// Data cache: weight load hit, output load hit, output store hit.
 		d.stats.Accesses += 3
@@ -191,13 +181,9 @@ func (p Pair) MacSpan(touch []Placement, mask, w, o, wStep, size uint64, n int) 
 			d.clock += 3
 			d.age[pw.dIdx] = d.clock - 2
 			d.age[po.dIdx] = d.clock
-		} else if d.plruSet != nil {
+		} else {
 			d.plruTree[pw.dSet] = (d.plruTree[pw.dSet] &^ d.plruClr[pw.dWay]) | d.plruSet[pw.dWay]
 			d.plruTree[po.dSet] = (d.plruTree[po.dSet] &^ d.plruClr[po.dWay]) | d.plruSet[po.dWay]
-		} else {
-			d.hitFn(pw.dSet, int(pw.dWay))
-			d.hitFn(po.dSet, int(po.dWay))
-			d.hitFn(po.dSet, int(po.dWay))
 		}
 		w += wStep
 		o -= size
@@ -247,10 +233,8 @@ func (c *Cache) TouchSolo(pl *Solo, addr uint64, write bool) bool {
 	if c.memoTouch {
 		c.clock++
 		c.age[pl.idx] = c.clock
-	} else if c.plruSet != nil {
-		c.plruTree[pl.set] = (c.plruTree[pl.set] &^ c.plruClr[pl.way]) | c.plruSet[pl.way]
 	} else {
-		c.hitFn(pl.set, int(pl.way))
+		c.plruTree[pl.set] = (c.plruTree[pl.set] &^ c.plruClr[pl.way]) | c.plruSet[pl.way]
 	}
 	return true
 }
@@ -280,13 +264,9 @@ func (p Pair) MacRow(w, o *Placement, wa, oa uint64) bool {
 		t.clock += 3
 		t.age[w.tIdx] = t.clock - 2
 		t.age[o.tIdx] = t.clock
-	} else if t.plruSet != nil {
+	} else {
 		t.plruTree[w.tSet] = (t.plruTree[w.tSet] &^ t.plruClr[w.tWay]) | t.plruSet[w.tWay]
 		t.plruTree[o.tSet] = (t.plruTree[o.tSet] &^ t.plruClr[o.tWay]) | t.plruSet[o.tWay]
-	} else {
-		t.hitFn(w.tSet, int(w.tWay))
-		t.hitFn(o.tSet, int(o.tWay))
-		t.hitFn(o.tSet, int(o.tWay))
 	}
 	// Data cache: weight load hit, output load hit, output store hit.
 	d.stats.Accesses += 3
@@ -296,13 +276,9 @@ func (p Pair) MacRow(w, o *Placement, wa, oa uint64) bool {
 		d.clock += 3
 		d.age[w.dIdx] = d.clock - 2
 		d.age[o.dIdx] = d.clock
-	} else if d.plruSet != nil {
+	} else {
 		d.plruTree[w.dSet] = (d.plruTree[w.dSet] &^ d.plruClr[w.dWay]) | d.plruSet[w.dWay]
 		d.plruTree[o.dSet] = (d.plruTree[o.dSet] &^ d.plruClr[o.dWay]) | d.plruSet[o.dWay]
-	} else {
-		d.hitFn(w.dSet, int(w.dWay))
-		d.hitFn(o.dSet, int(o.dWay))
-		d.hitFn(o.dSet, int(o.dWay))
 	}
 	return true
 }

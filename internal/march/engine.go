@@ -191,15 +191,13 @@ func (n *NoiseModel) Apply(c *Counts) {
 	}
 }
 
-// Config assembles an Engine.
+// Config assembles an Engine. Every engine also gets a 512-entry BTB, the
+// DefaultTLB data-side TLB, the DefaultTiming model and an arena at
+// mem.DefaultBase with 64-byte alignment.
 type Config struct {
 	Hierarchy *cache.Hierarchy // nil → cache.DefaultHierarchy()
 	Predictor branch.Predictor // nil → tournament
-	BTB       *branch.BTB      // nil → 512-entry
-	TLB       *cache.Cache     // nil → DefaultTLB(); data-side TLB
-	Timing    TimingModel      // zero → DefaultTiming()
 	Noise     *NoiseModel      // nil → no noise
-	Arena     *mem.Arena       // nil → arena at mem.DefaultBase, 64B lines
 }
 
 // DefaultTLB models a 64-entry 4-way data TLB with 4 KiB pages. A TLB is
@@ -284,36 +282,24 @@ func (e *Engine) SetHotCounters(h *obs.HotCounters) { e.hot = h }
 
 // NewEngine builds an engine, filling defaults for nil fields.
 func NewEngine(cfg Config) (*Engine, error) {
+	arena, err := mem.NewArena(mem.DefaultBase, 64)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		caches: cfg.Hierarchy,
 		pred:   cfg.Predictor,
-		btb:    cfg.BTB,
-		tlb:    cfg.TLB,
-		timing: cfg.Timing,
+		btb:    branch.NewBTB(9),
+		tlb:    DefaultTLB(),
+		timing: DefaultTiming(),
 		noise:  cfg.Noise,
-		arena:  cfg.Arena,
+		arena:  arena,
 	}
 	if e.caches == nil {
 		e.caches = cache.DefaultHierarchy()
 	}
 	if e.pred == nil {
 		e.pred = branch.New(branch.Config{Kind: branch.Tournament})
-	}
-	if e.btb == nil {
-		e.btb = branch.NewBTB(9)
-	}
-	if e.tlb == nil {
-		e.tlb = DefaultTLB()
-	}
-	if e.timing == (TimingModel{}) {
-		e.timing = DefaultTiming()
-	}
-	if e.arena == nil {
-		a, err := mem.NewArena(mem.DefaultBase, 64)
-		if err != nil {
-			return nil, err
-		}
-		e.arena = a
 	}
 	e.l1 = e.caches.Levels[0]
 	e.pair = cache.Pair{Data: e.l1, TLB: e.tlb}
@@ -332,9 +318,6 @@ func (e *Engine) Arena() *mem.Arena { return e.arena }
 
 // Hierarchy exposes the cache levels (for per-level stats in reports).
 func (e *Engine) Hierarchy() *cache.Hierarchy { return e.caches }
-
-// Predictor exposes the branch predictor.
-func (e *Engine) Predictor() branch.Predictor { return e.pred }
 
 // SetQuantumYield installs (or, with quantum 0 or a nil fn, removes)
 // the scheduling hook: after every quantum retired instructions the
@@ -766,7 +749,7 @@ func (e *Engine) Branch(pc uint64, taken bool) {
 // individual Branch(pc, taken) calls would leave them: the predictor
 // replays the run with early fixpoint detection (RecordRun), and after the
 // first BTB lookup installs the target, the remaining n-1 lookups are
-// guaranteed hits.
+// guaranteed hits, which change no state.
 //
 //detlint:allocpath
 func (e *Engine) BranchRun(pc uint64, taken bool, n uint64) {
@@ -786,7 +769,6 @@ func (e *Engine) BranchRun(pc uint64, taken bool, n uint64) {
 		if !e.btb.Lookup(pc, pc+64) {
 			e.extraCycles += 2
 		}
-		e.btb.HitN(n - 1)
 	}
 	e.maybeYield()
 }

@@ -291,20 +291,22 @@ func TestEngineCustomComponents(t *testing.T) {
 	e, err := NewEngine(Config{
 		Hierarchy: h,
 		Predictor: branch.New(branch.Config{Kind: branch.Bimodal}),
-		Timing:    TimingModel{BaseCPI: 1, MemPenalty: 10, RefCycleRatio: 1, BusCycleRatio: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Predictor().Kind() != branch.Bimodal {
+	if e.pred.Kind() != branch.Bimodal {
 		t.Fatal("custom predictor not used")
 	}
 	if len(e.Hierarchy().Levels) != 1 {
 		t.Fatal("custom hierarchy not used")
 	}
+	// One load that misses the only level (and the TLB): the memory and
+	// page-walk penalties of the default timing, on one instruction.
 	e.Load(0, 4)
-	if e.Counts().Get(EvCycles) != 1+10 {
-		t.Fatalf("custom timing cycles = %d, want 11", e.Counts().Get(EvCycles))
+	tm := DefaultTiming()
+	if want := uint64(tm.BaseCPI) + tm.MemPenalty + tm.TLBMissPenalty; e.Counts().Get(EvCycles) != want {
+		t.Fatalf("cycles = %d, want %d", e.Counts().Get(EvCycles), want)
 	}
 }
 

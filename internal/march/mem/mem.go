@@ -25,10 +25,8 @@ type Region struct {
 // are aligned to cache-line boundaries so a tensor's footprint in the cache
 // simulator matches what an aligned malloc would produce.
 type Arena struct {
-	base    Addr
-	next    Addr
-	align   uint64
-	regions []Region
+	next  Addr
+	align uint64
 }
 
 // DefaultBase mirrors a typical Linux mmap region base so printed addresses
@@ -41,7 +39,7 @@ func NewArena(base Addr, align uint64) (*Arena, error) {
 	if align == 0 || align&(align-1) != 0 {
 		return nil, fmt.Errorf("mem: alignment %d is not a power of two", align)
 	}
-	return &Arena{base: base, next: base, align: align}, nil
+	return &Arena{next: base, align: align}, nil
 }
 
 // Alloc reserves size bytes and returns the region. Zero-size allocations
@@ -53,7 +51,6 @@ func (a *Arena) Alloc(name string, size uint64) (Region, error) {
 	aligned := (uint64(a.next) + a.align - 1) &^ (a.align - 1)
 	r := Region{Name: name, Base: Addr(aligned), Size: size}
 	a.next = Addr(aligned + size)
-	a.regions = append(a.regions, r)
 	return r, nil
 }
 

@@ -31,25 +31,14 @@ type Segment struct {
 	Counts     march.Counts
 }
 
-// SegmenterConfig tunes the change-point detector.
-type SegmenterConfig struct {
-	// RelThreshold is the relative rate change that declares a boundary
-	// (default 0.25: a 25% shift in any per-instruction rate).
-	RelThreshold float64
-	// AbsThreshold is the absolute rate change floor (default 0.002):
-	// changes smaller than this are quantization wobble, never boundaries.
-	AbsThreshold float64
-}
-
-func (c SegmenterConfig) withDefaults() SegmenterConfig {
-	if c.RelThreshold <= 0 {
-		c.RelThreshold = 0.25
-	}
-	if c.AbsThreshold <= 0 {
-		c.AbsThreshold = 0.002
-	}
-	return c
-}
+// The change-point thresholds. relThreshold is the relative rate change
+// that declares a boundary (a 25% shift in any per-instruction rate);
+// absThreshold is the absolute rate change floor: changes smaller than it
+// are quantization wobble, never boundaries.
+const (
+	relThreshold = 0.25
+	absThreshold = 0.002
+)
 
 // signature returns the per-instruction rates of one sample.
 func signature(c march.Counts) []float64 {
@@ -66,20 +55,20 @@ func signature(c march.Counts) []float64 {
 
 // boundary reports whether two consecutive sample signatures belong to
 // different layers.
-func boundary(a, b []float64, cfg SegmenterConfig) bool {
+func boundary(a, b []float64) bool {
 	for i := range a {
 		diff := a[i] - b[i]
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff < cfg.AbsThreshold {
+		if diff < absThreshold {
 			continue
 		}
 		hi := a[i]
 		if b[i] > hi {
 			hi = b[i]
 		}
-		if diff > cfg.RelThreshold*hi {
+		if diff > relThreshold*hi {
 			return true
 		}
 	}
@@ -90,8 +79,7 @@ func boundary(a, b []float64, cfg SegmenterConfig) bool {
 // recovered segments with summed footprints. An empty trace yields no
 // segments; a homogeneous trace (an envelope-padded deployment) yields
 // exactly one.
-func SegmentTrace(samples []march.Counts, cfg SegmenterConfig) []Segment {
-	cfg = cfg.withDefaults()
+func SegmentTrace(samples []march.Counts) []Segment {
 	if len(samples) == 0 {
 		return nil
 	}
@@ -100,7 +88,7 @@ func SegmentTrace(samples []march.Counts, cfg SegmenterConfig) []Segment {
 	prev := signature(samples[0])
 	for i := 1; i < len(samples); i++ {
 		cur := signature(samples[i])
-		if boundary(prev, cur, cfg) {
+		if boundary(prev, cur) {
 			segs = append(segs, finishSegment(samples, start, i))
 			start = i
 		}

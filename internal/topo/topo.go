@@ -54,8 +54,6 @@ type Config struct {
 	// Quantum is the trace-sampling quantum in instructions; default
 	// DefaultQuantum.
 	Quantum uint64
-	// Segmenter tunes the change-point detector (zero value = defaults).
-	Segmenter SegmenterConfig
 	// Workers is the pipeline worker count; 0 → GOMAXPROCS. It also fans
 	// out the per-network noise-free reference measurements (training
 	// and victim traces, envelope footprints, rebuilt-victim footprint
@@ -64,9 +62,6 @@ type Config struct {
 	// Seed is the campaign root seed; default 1. Zoo generation, weights,
 	// shard seeds and noise all derive from it.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// DisableRuntime removes the simulated framework overhead.
 	DisableRuntime bool
 	// DisableNoise removes measurement noise (deterministic counts).
@@ -244,7 +239,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		Seed:           cfg.Seed,
 		Domain:         seedDomainPipeline,
 		Workers:        cfg.Workers,
-		ShardRuns:      cfg.ShardRuns,
 		Obs:            cfg.Obs,
 		DisableRuntime: cfg.DisableRuntime,
 		DisableNoise:   cfg.DisableNoise,
@@ -335,7 +329,7 @@ func (c *Campaign) reconstructVictims(traces []*Trace) {
 		} else {
 			trace = traces[id]
 		}
-		segs := SegmentTrace(trace.Samples, c.cfg.Segmenter)
+		segs := SegmentTrace(trace.Samples)
 		c.boundary[id] = equalInts(boundariesOf(segs), trace.Boundaries)
 		c.recovered[id] = c.reconstruct(segs)
 	}
@@ -624,20 +618,11 @@ func (c *Campaign) verifyFootprint(victim int, rec []LayerGuess, profiles []hpc.
 // one event over the pipeline's input cycle (kernel region plus the
 // runtime model's mean contribution when the campaign runs with runtime).
 func (c *Campaign) expectedFootprint(net *nn.Network, event march.Event) (float64, error) {
-	opts, err := defense.KernelOptions(c.cfg.Level)
+	cl, err := defense.Reference(net, c.cfg.Level)
 	if err != nil {
 		return 0, err
 	}
-	opts.Runtime = instrument.NoRuntime()
-	engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
-	if err != nil {
-		return 0, err
-	}
-	cl, err := instrument.New(net, engine, opts)
-	if err != nil {
-		return 0, err
-	}
-	engine.ColdReset()
+	engine := cl.Engine()
 	for i := 0; i < traceWarmup; i++ {
 		if _, err := cl.Classify(c.cfg.Inputs[0]); err != nil {
 			return 0, err

@@ -116,7 +116,7 @@ func TestSegmenterRecoversKnownBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs := SegmentTrace(trace.Samples, c.cfg.Segmenter)
+		segs := SegmentTrace(trace.Samples)
 		if got, want := boundariesOf(segs), trace.Boundaries; !reflect.DeepEqual(got, want) {
 			t.Fatalf("victim %d: segment boundaries %v, attribution boundaries %v", id, got, want)
 		}
@@ -129,7 +129,7 @@ func TestSegmenterRecoversKnownBoundaries(t *testing.T) {
 // TestSegmentTraceDegenerate: the segmenter must survive the inputs the
 // padded deployment produces.
 func TestSegmentTraceDegenerate(t *testing.T) {
-	if segs := SegmentTrace(nil, SegmenterConfig{}); segs != nil {
+	if segs := SegmentTrace(nil); segs != nil {
 		t.Fatalf("empty trace produced %d segments", len(segs))
 	}
 	// A homogeneous stream — identical samples — must yield one segment.
@@ -137,7 +137,7 @@ func TestSegmentTraceDegenerate(t *testing.T) {
 	s[march.EvInstructions] = 5000
 	s[march.EvL1DLoads] = 1200
 	uniform := []march.Counts{s, s, s, s}
-	segs := SegmentTrace(uniform, SegmenterConfig{})
+	segs := SegmentTrace(uniform)
 	if len(segs) != 1 || segs[0].Start != 0 || segs[0].End != 4 {
 		t.Fatalf("uniform trace segments = %+v, want one [0,4) segment", segs)
 	}

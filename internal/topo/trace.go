@@ -68,20 +68,10 @@ type Trace struct {
 // them. Counter totals are preserved exactly: per-sample integer division
 // pushes each remainder onto the leading samples.
 func extractTrace(net *nn.Network, level defense.Level, input *tensor.Tensor, quantum uint64) (*Trace, error) {
-	opts, err := defense.KernelOptions(level)
-	if err != nil {
-		return nil, err
-	}
-	opts.Runtime = instrument.NoRuntime()
-	engine, err := march.NewEngine(march.Config{Hierarchy: instrument.SimHierarchy()})
-	if err != nil {
-		return nil, err
-	}
-	cl, err := instrument.New(net, engine, opts)
+	cl, err := defense.Reference(net, level)
 	if err != nil {
 		return nil, fmt.Errorf("topo: instrumenting victim: %w", err)
 	}
-	engine.ColdReset()
 	for i := 0; i < traceWarmup; i++ {
 		if _, err := cl.Classify(input); err != nil {
 			return nil, fmt.Errorf("topo: trace warm-up: %w", err)

@@ -47,9 +47,6 @@ type MonitorConfig struct {
 	Workers int
 	// Seed is the pipeline root seed; 0 uses the scenario seed.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// Batch is the window size (core.Config.Batch): the stream cuts each
 	// delivered shard into windows of Batch measured runs, and the
 	// monitor looks at this cadence. Observations are identical at any value; only when the
@@ -306,8 +303,8 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 		seed = s.Config.Seed
 	}
 	spec := s.workerSpec(StageMonitor, s.Config.Defense, events)
-	spec.Classes, spec.RunsPerClass, spec.RootSeed, spec.ShardRuns, spec.Batch, spec.Tenants, spec.Quantum =
-		cfg.Classes, cfg.Budget, seed, cfg.ShardRuns, cfg.Batch, cfg.Tenants, cfg.Quantum
+	spec.Classes, spec.RunsPerClass, spec.RootSeed, spec.Batch, spec.Tenants, spec.Quantum =
+		cfg.Classes, cfg.Budget, seed, cfg.Batch, cfg.Tenants, cfg.Quantum
 	c, err := s.newCollector(spec, runOpts{
 		workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, alpha: cfg.Alpha, method: method,
 	})

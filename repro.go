@@ -343,9 +343,6 @@ type EvalConfig struct {
 	// Seed is the pipeline's root seed, from which every shard's RNG seed
 	// is derived; 0 uses the scenario seed.
 	Seed int64
-	// ShardRuns bounds measured runs per shard in the pipeline; 0 uses
-	// pipeline.DefaultShardRuns.
-	ShardRuns int
 	// Processes distributes shard execution over that many shardworker OS
 	// processes through the distributed audit fabric (internal/fabric);
 	// 0 keeps execution in-process. The shard plan, derived seeds and

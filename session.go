@@ -115,7 +115,6 @@ func (s *Scenario) newCollector(spec WorkerSpec, x runOpts) (*collector, error) 
 			K:              x.k,
 			Workers:        x.workers,
 			Seed:           spec.Seed,
-			ShardRuns:      spec.ShardRuns,
 			DisableRuntime: s.Config.DisableRuntime,
 			DisableNoise:   s.Config.DisableNoise,
 			NoPad:          spec.NoPad,
@@ -138,7 +137,6 @@ func (s *Scenario) newCollector(spec WorkerSpec, x runOpts) (*collector, error) 
 			Quantum:        spec.Quantum,
 			Workers:        x.workers,
 			Seed:           spec.Seed,
-			ShardRuns:      spec.ShardRuns,
 			DisableRuntime: s.Config.DisableRuntime,
 			DisableNoise:   s.Config.DisableNoise,
 			Obs:            x.obs,
@@ -186,10 +184,9 @@ func (c *collector) session(spec WorkerSpec) (*session, error) {
 		return nil, err
 	}
 	ss.p, err = pipeline.New(ss.ev, pipeline.Config{
-		Workers:   c.x.workers,
-		RootSeed:  spec.RootSeed,
-		ShardRuns: spec.ShardRuns,
-		Obs:       c.x.obs,
+		Workers:  c.x.workers,
+		RootSeed: spec.RootSeed,
+		Obs:      c.x.obs,
 	})
 	ss.pools = c.pools
 	ss.factory = func(_ int, seed int64) (core.Target, error) { return c.target(seed) }

@@ -375,7 +375,7 @@ func (s *Scenario) evaluate(ctx context.Context, level DefenseLevel, cfg EvalCon
 		root = s.Config.Seed
 	}
 	spec := s.workerSpec(StageReport, level, events)
-	spec.Classes, spec.RunsPerClass, spec.ShardRuns = cfg.Classes, cfg.RunsPerClass, cfg.ShardRuns
+	spec.Classes, spec.RunsPerClass = cfg.Classes, cfg.RunsPerClass
 	c, err := s.newCollector(spec, runOpts{
 		workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs, alpha: cfg.Alpha,
 	})

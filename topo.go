@@ -47,9 +47,6 @@ type TopoConfig struct {
 	// generation, weights and observations derive from it in domains
 	// disjoint from every other stage.
 	Seed int64
-	// ShardRuns bounds measured runs per shard; 0 uses the pipeline
-	// default.
-	ShardRuns int
 	// MaxInputs caps the shared input pool taken from the scenario's test
 	// split; 0 uses every test image.
 	MaxInputs int
@@ -86,8 +83,8 @@ func (s *Scenario) TopoGrouped(ctx context.Context, level DefenseLevel, cfg Topo
 		events = []Event{EvInstructions, march.EvL1DLoads}
 	}
 	spec := s.workerSpec(StageTopo, level, events)
-	spec.Seed, spec.MaxInputs, spec.TrainZoo, spec.Holdout, spec.Runs, spec.Quantum, spec.ShardRuns =
-		seed, cfg.MaxInputs, cfg.TrainZoo, cfg.Holdout, cfg.Runs, cfg.Quantum, cfg.ShardRuns
+	spec.Seed, spec.MaxInputs, spec.TrainZoo, spec.Holdout, spec.Runs, spec.Quantum =
+		seed, cfg.MaxInputs, cfg.TrainZoo, cfg.Holdout, cfg.Runs, cfg.Quantum
 	c, err := s.newCollector(spec, runOpts{workers: cfg.Workers, procs: cfg.Processes, fabric: cfg.Fabric, obs: cfg.Obs})
 	if err != nil {
 		return nil, err
