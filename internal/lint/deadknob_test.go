@@ -74,8 +74,11 @@ func namedKey(t types.Type) string {
 // struct nested in a named one is "pkgpath.Type.Outer.Field". It
 // returns "" for fields of structs that no named type declares.
 func fieldKey(recv types.Type, index []int) string {
+	owner := namedKey(recv)
+	if owner == "" {
+		return ""
+	}
 	t := recv
-	owner := namedKey(t)
 	for i, idx := range index {
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
@@ -85,9 +88,6 @@ func fieldKey(recv types.Type, index []int) string {
 			return ""
 		}
 		f := st.Field(idx)
-		if owner == "" {
-			return ""
-		}
 		if i == len(index)-1 {
 			return owner + "." + f.Name()
 		}

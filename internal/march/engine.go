@@ -431,8 +431,8 @@ func (e *Engine) slowPiece(a mem.Addr, write bool) {
 	}
 	if e.touchOn {
 		// Capture a's now-resident placement into the resolved-touch cache
-		// (skipped when a prefetching level moved the memo off a's line —
-		// then the line simply stays on the slow path).
+		// (skipped when a memo is not on a's line — then the line simply
+		// stays on the slow path).
 		e.pair.Resolve(&e.touch[(uint64(a)>>6)&(touchSlots-1)], uint64(a))
 	}
 }
@@ -577,8 +577,8 @@ func (e *Engine) rangeAccess(base mem.Addr, elem uint64, count int, write bool) 
 				e.tlb.HitLastN(k, false)
 				e.l1.HitLastN(k, write)
 			} else {
-				// A level with prefetching (or an exotic config) moved the
-				// memo: fall back to exact per-element replay.
+				// A memo is not on a's line (an exotic hierarchy): fall
+				// back to exact per-element replay.
 				for j := 1; j < n; j++ {
 					e.access(a+mem.Addr(uint64(j)*elem), elem, write)
 				}
