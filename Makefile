@@ -75,9 +75,12 @@ bench-json:
 # cached line, PMU.MeasureOnceInto steady state, the core's measured-run
 # loop into a shard's preallocated profiles, the nil-Recorder telemetry
 # hooks, and a warm training replica's per-sample pass) must stay at 0
-# allocs/op.
+# allocs/op. Networks that are never trained must allocate only what
+# they use: the default zoo's victims their weights (AllocBound in
+# archid), and an unrealizable recovered stack almost nothing, since
+# it is refused before any weight is drawn (AllocBound in topo).
 allocgate:
-	$(GO) test -run 'ZeroAlloc' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs ./internal/nn
+	$(GO) test -run 'ZeroAlloc|AllocBound' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs ./internal/nn ./internal/archid ./internal/topo
 
 # Fast hot-path smoke: catches order-of-magnitude regressions in seconds.
 benchsmoke:

@@ -271,7 +271,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 		for _, kind := range kinds {
 			eng, err := march.NewEngine(march.Config{
 				Hierarchy: instrument.SimHierarchy(),
-				Predictor: branch.New(branch.Config{Kind: kind}),
+				Predictor: branch.New(kind),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -646,7 +646,7 @@ func BenchmarkEngineLoadRange(b *testing.B) {
 // BenchmarkBranchPredict measures the tournament predictor's per-branch
 // cost.
 func BenchmarkBranchPredict(b *testing.B) {
-	p := branch.New(branch.Config{Kind: branch.Tournament})
+	p := branch.New(branch.Tournament)
 	rng := rand.New(rand.NewSource(2))
 	pattern := make([]bool, 4096)
 	for i := range pattern {

@@ -30,19 +30,18 @@ import (
 // "pkgpath.Type" for a wire type that a JSON decoder fills field by
 // field; values give the reason.
 var keptKnobs = map[string]string{
-	"repro/internal/pipeline.Config.ShardRuns":     "the pipeline package's own test seam: its tests cut many small shards from small campaigns",
-	"repro.FabricConfig.Env":                       "the shardworker fault-injection hooks are set through the environment, by the fabric fault tests only",
-	"repro/internal/march.Config.Predictor":        "BenchmarkAblationPredictors compares branch predictors on one engine",
-	"repro/internal/core.Config.HolmCorrection":    "perfbench serializes core.Report with its Config, and perfbench/refs.json pins those bytes",
-	"repro/internal/core.Config.WarmupRuns":        "pinned by perfbench/refs.json, as HolmCorrection; tests also shorten or drop the warm-up",
-	"repro/internal/core.Config.Registers":         "pinned by perfbench/refs.json, as HolmCorrection",
-	"repro/internal/dataset.Config.Classes":        "the dataset tests generate 1- to 5-class sets to check per-class structure cheaply",
-	"repro/internal/march/branch.Config.TableBits": "the predictor tests train 256- and 1024-entry tables on short patterns",
-	"repro/cmd/audit-server.CampaignRequest":       "JSON request body, decoded from each POST",
-	"repro/cmd/detlint.vetConfig":                  "JSON config file that go vet hands a -vettool",
-	"repro/cmd/obsview.rawTraceFile":               "JSON trace file that obsview validates",
-	"repro/cmd/obsview.rawTraceEvent":              "JSON trace event that obsview validates",
-	"repro/internal/lint.listedPkg":                "JSON package record decoded from go list -json",
+	"repro/internal/pipeline.Config.ShardRuns":  "the pipeline package's own test seam: its tests cut many small shards from small campaigns",
+	"repro.FabricConfig.Env":                    "the shardworker fault-injection hooks are set through the environment, by the fabric fault tests only",
+	"repro/internal/march.Config.Predictor":     "BenchmarkAblationPredictors compares branch predictors on one engine",
+	"repro/internal/core.Config.HolmCorrection": "perfbench serializes core.Report with its Config, and perfbench/refs.json pins those bytes",
+	"repro/internal/core.Config.WarmupRuns":     "pinned by perfbench/refs.json, as HolmCorrection; tests also shorten or drop the warm-up",
+	"repro/internal/core.Config.Registers":      "pinned by perfbench/refs.json, as HolmCorrection",
+	"repro/internal/dataset.Config.Classes":     "the dataset tests generate 1- to 5-class sets to check per-class structure cheaply",
+	"repro/cmd/audit-server.CampaignRequest":    "JSON request body, decoded from each POST",
+	"repro/cmd/detlint.vetConfig":               "JSON config file that go vet hands a -vettool",
+	"repro/cmd/obsview.rawTraceFile":            "JSON trace file that obsview validates",
+	"repro/cmd/obsview.rawTraceEvent":           "JSON trace event that obsview validates",
+	"repro/internal/lint.listedPkg":             "JSON package record decoded from go list -json",
 }
 
 // keptKnob returns the keptKnobs entry covering field key, or "".

@@ -61,46 +61,27 @@ type Predictor interface {
 	Kind() Kind
 }
 
-// Config sizes a predictor.
-type Config struct {
-	Kind Kind
-	// TableBits is the log2 of the pattern table size (default 12 → 4096
-	// two-bit counters).
-	TableBits uint
-	// HistoryBits is the global history length for GShare (default =
-	// TableBits).
-	HistoryBits uint
-}
+// tableBits is the log2 of every pattern table's size (4096 two-bit
+// counters); GShare's global history is as long.
+const tableBits = 12
 
-func (c Config) withDefaults() Config {
-	if c.TableBits == 0 {
-		c.TableBits = 12
-	}
-	if c.TableBits > 20 {
-		c.TableBits = 20
-	}
-	if c.HistoryBits == 0 || c.HistoryBits > c.TableBits {
-		c.HistoryBits = c.TableBits
-	}
-	return c
-}
+// btbBits is the log2 of the BTB's entry count (512 entries).
+const btbBits = 9
 
-// New constructs a predictor.
-func New(cfg Config) Predictor {
-	cfg = cfg.withDefaults()
-	switch cfg.Kind {
-	case StaticTaken:
-		return &static{}
+// New constructs a predictor of the given kind; an unknown kind is
+// static-taken.
+func New(kind Kind) Predictor {
+	switch kind {
 	case Bimodal:
-		return newBimodal(cfg.TableBits)
+		return newBimodal()
 	case GShare:
-		return newGShare(cfg.TableBits, cfg.HistoryBits)
+		return newGShare()
 	case Tournament:
 		return &tournament{
-			bim:     newBimodal(cfg.TableBits),
-			gsh:     newGShare(cfg.TableBits, cfg.HistoryBits),
-			chooser: make([]uint8, 1<<cfg.TableBits),
-			mask:    (1 << cfg.TableBits) - 1,
+			bim:     newBimodal(),
+			gsh:     newGShare(),
+			chooser: make([]uint8, 1<<tableBits),
+			mask:    (1 << tableBits) - 1,
 		}
 	default:
 		return &static{}
@@ -138,8 +119,8 @@ type bimodal struct {
 	stats Stats
 }
 
-func newBimodal(bits uint) *bimodal {
-	b := &bimodal{table: make([]uint8, 1<<bits), mask: (1 << bits) - 1}
+func newBimodal() *bimodal {
+	b := &bimodal{table: make([]uint8, 1<<tableBits), mask: (1 << tableBits) - 1}
 	for i := range b.table {
 		b.table[i] = 1 // weakly not-taken
 	}
@@ -204,8 +185,8 @@ type gshare struct {
 	stats   Stats
 }
 
-func newGShare(bits, hbits uint) *gshare {
-	g := &gshare{table: make([]uint8, 1<<bits), mask: (1 << bits) - 1, hmask: (1 << hbits) - 1}
+func newGShare() *gshare {
+	g := &gshare{table: make([]uint8, 1<<tableBits), mask: (1 << tableBits) - 1, hmask: (1 << tableBits) - 1}
 	for i := range g.table {
 		g.table[i] = 1
 	}
@@ -417,15 +398,9 @@ type BTB struct {
 	mask    uint64
 }
 
-// NewBTB builds a 2^bits-entry BTB.
-func NewBTB(bits uint) *BTB {
-	if bits == 0 {
-		bits = 9
-	}
-	if bits > 16 {
-		bits = 16
-	}
-	return &BTB{tags: make([]uint64, 1<<bits), targets: make([]uint64, 1<<bits), mask: (1 << bits) - 1}
+// NewBTB builds a 512-entry BTB.
+func NewBTB() *BTB {
+	return &BTB{tags: make([]uint64, 1<<btbBits), targets: make([]uint64, 1<<btbBits), mask: (1 << btbBits) - 1}
 }
 
 // Lookup checks for pc's target; on miss (or target change) it installs

@@ -27,7 +27,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestStaticTaken(t *testing.T) {
-	p := New(Config{Kind: StaticTaken})
+	p := New(StaticTaken)
 	p.Record(0x40, true)
 	p.Record(0x40, false)
 	st := p.Stats()
@@ -40,7 +40,7 @@ func TestStaticTaken(t *testing.T) {
 }
 
 func TestBimodalLearnsConstantBranch(t *testing.T) {
-	p := New(Config{Kind: Bimodal, TableBits: 8})
+	p := New(Bimodal)
 	// Always-taken branch: after warm-up, no more mispredicts.
 	for i := 0; i < 100; i++ {
 		p.Record(0x1000, true)
@@ -52,7 +52,7 @@ func TestBimodalLearnsConstantBranch(t *testing.T) {
 }
 
 func TestBimodalAlternatingWorstCase(t *testing.T) {
-	p := New(Config{Kind: Bimodal, TableBits: 8})
+	p := New(Bimodal)
 	for i := 0; i < 1000; i++ {
 		p.Record(0x2000, i%2 == 0)
 	}
@@ -63,7 +63,7 @@ func TestBimodalAlternatingWorstCase(t *testing.T) {
 }
 
 func TestGShareLearnsAlternation(t *testing.T) {
-	p := New(Config{Kind: GShare, TableBits: 10, HistoryBits: 8})
+	p := New(GShare)
 	for i := 0; i < 2000; i++ {
 		p.Record(0x2000, i%2 == 0)
 	}
@@ -74,7 +74,7 @@ func TestGShareLearnsAlternation(t *testing.T) {
 }
 
 func TestGShareLearnsLongerPattern(t *testing.T) {
-	p := New(Config{Kind: GShare, TableBits: 12, HistoryBits: 10})
+	p := New(GShare)
 	pattern := []bool{true, true, false, true, false, false}
 	for i := 0; i < 6000; i++ {
 		p.Record(0x3000, pattern[i%len(pattern)])
@@ -88,7 +88,7 @@ func TestTournamentBeatsOrMatchesComponents(t *testing.T) {
 	// Mixed workload: one biased branch (bimodal-friendly) + one patterned
 	// branch (gshare-friendly).
 	run := func(kind Kind) float64 {
-		p := New(Config{Kind: kind, TableBits: 10})
+		p := New(kind)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 8000; i++ {
 			p.Record(0x100, rng.Float64() < 0.95)
@@ -106,7 +106,7 @@ func TestTournamentBeatsOrMatchesComponents(t *testing.T) {
 
 func TestPredictorReset(t *testing.T) {
 	for _, kind := range []Kind{StaticTaken, Bimodal, GShare, Tournament} {
-		p := New(Config{Kind: kind, TableBits: 8})
+		p := New(kind)
 		for i := 0; i < 50; i++ {
 			p.Record(uint64(i*4), i%3 == 0)
 		}
@@ -120,26 +120,30 @@ func TestPredictorReset(t *testing.T) {
 	}
 }
 
-func TestConfigDefaultsClamped(t *testing.T) {
-	c := Config{Kind: GShare, TableBits: 40, HistoryBits: 99}.withDefaults()
-	if c.TableBits != 20 || c.HistoryBits != 20 {
-		t.Fatalf("defaults not clamped: %+v", c)
+// TestBimodalTableSize: the pattern table has 4096 counters, so PCs
+// 4096×4 apart share one and PCs 2048×4 apart do not.
+func TestBimodalTableSize(t *testing.T) {
+	p := New(Bimodal)
+	for i := 0; i < 4; i++ {
+		p.Record(0x1000, true)
 	}
-	c = Config{Kind: Bimodal}.withDefaults()
-	if c.TableBits != 12 {
-		t.Fatalf("default TableBits = %d, want 12", c.TableBits)
+	if !p.Record(0x1000+4096*4, true) {
+		t.Fatal("a PC 4096 entries away missed the trained counter it aliases")
+	}
+	if p.Record(0x1000+2048*4, true) {
+		t.Fatal("a PC 2048 entries away hit on an untrained counter")
 	}
 }
 
 func TestUnknownKindFallsBackToStatic(t *testing.T) {
-	p := New(Config{Kind: Kind(42)})
+	p := New(Kind(42))
 	if p.Kind() != StaticTaken {
 		t.Fatalf("unknown kind produced %v", p.Kind())
 	}
 }
 
 func TestBTB(t *testing.T) {
-	b := NewBTB(4)
+	b := NewBTB()
 	if b.Lookup(0x40, 0x100) {
 		t.Fatal("cold BTB lookup hit")
 	}
@@ -153,25 +157,24 @@ func TestBTB(t *testing.T) {
 	if !b.Lookup(0x40, 0x200) {
 		t.Fatal("retrained target missed")
 	}
+	// 512 entries: a PC 256 entries away has its own entry, one 512
+	// entries away evicts it.
+	if b.Lookup(0x40+256*4, 0x300) || !b.Lookup(0x40, 0x200) {
+		t.Fatal("PCs 256 entries apart share a BTB entry")
+	}
+	if b.Lookup(0x40+512*4, 0x300) || b.Lookup(0x40, 0x200) {
+		t.Fatal("PCs 512 entries apart do not share a BTB entry")
+	}
 	b.Reset()
 	if b.Lookup(0x40, 0x200) {
 		t.Fatal("Reset kept a BTB entry")
 	}
 }
 
-func TestBTBDefaultAndClamp(t *testing.T) {
-	if got := len(NewBTB(0).tags); got != 1<<9 {
-		t.Fatalf("default BTB size = %d, want 512", got)
-	}
-	if got := len(NewBTB(30).tags); got != 1<<16 {
-		t.Fatalf("clamped BTB size = %d, want 65536", got)
-	}
-}
-
 func TestQuickStatsInvariant(t *testing.T) {
 	// branches == number of Record calls; mispredicts <= branches.
 	f := func(seed int64, kindRaw uint8) bool {
-		p := New(Config{Kind: Kind(int(kindRaw) % 4), TableBits: 8})
+		p := New(Kind(int(kindRaw) % 4))
 		rng := rand.New(rand.NewSource(seed))
 		n := 500 + rng.Intn(500)
 		for i := 0; i < n; i++ {
@@ -188,7 +191,7 @@ func TestQuickStatsInvariant(t *testing.T) {
 func TestQuickDeterminism(t *testing.T) {
 	f := func(seed int64) bool {
 		run := func() Stats {
-			p := New(Config{Kind: Tournament, TableBits: 9})
+			p := New(Tournament)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 1500; i++ {
 				p.Record(uint64(rng.Intn(128)*4), rng.Float64() < 0.7)

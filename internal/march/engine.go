@@ -289,7 +289,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		caches: cfg.Hierarchy,
 		pred:   cfg.Predictor,
-		btb:    branch.NewBTB(9),
+		btb:    branch.NewBTB(),
 		tlb:    DefaultTLB(),
 		timing: DefaultTiming(),
 		noise:  cfg.Noise,
@@ -299,7 +299,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.caches = cache.DefaultHierarchy()
 	}
 	if e.pred == nil {
-		e.pred = branch.New(branch.Config{Kind: branch.Tournament})
+		e.pred = branch.New(branch.Tournament)
 	}
 	e.l1 = e.caches.Levels[0]
 	e.pair = cache.Pair{Data: e.l1, TLB: e.tlb}

@@ -290,7 +290,7 @@ func TestEngineCustomComponents(t *testing.T) {
 	}
 	e, err := NewEngine(Config{
 		Hierarchy: h,
-		Predictor: branch.New(branch.Config{Kind: branch.Bimodal}),
+		Predictor: branch.New(branch.Bimodal),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestReplicaSampleZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := reps[0]
+		r, g := reps[0], newGradients(n)
 		in := make([]float32, arch.InH*arch.InW*arch.InC)
 		rng := rand.New(rand.NewSource(5))
 		for i := range in {
@@ -33,7 +33,7 @@ func TestReplicaSampleZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
 			r.sample(1, in, 3)
-			r.accumulate(1)
+			r.accumulate(1, g)
 			r.predict(in)
 		}); allocs != 0 {
 			t.Fatalf("%s: per-sample training pass allocates %v times, want 0", arch.Name, allocs)

@@ -17,15 +17,16 @@ import (
 )
 
 // Layer is one stage of a sequential network. A layer holds its
-// parameters and their gradient accumulators only: every buffer one
-// sample's forward and backward pass writes belongs to a step, one per
-// replica, so replicas that share a network's weights run concurrently.
+// parameters only. The gradient accumulators belong to a Train call, and
+// every buffer one sample's forward and backward pass writes belongs to a
+// step, one per replica, so replicas that share a network's weights run
+// concurrently.
 type Layer interface {
 	// Name returns a short identifier used in diagnostics and model files.
 	Name() string
 	// OutShape returns the output shape for the configured input shape.
 	OutShape() []int
-	// Params returns parameter/gradient pairs; empty for stateless layers.
+	// Params returns the layer's parameters; empty for stateless layers.
 	Params() []Param
 	// inVolume returns the input length the layer is built for.
 	inVolume() int
@@ -46,15 +47,14 @@ type step interface {
 	// input gradient; the step may then skip it and return nil.
 	backward(k int, gradOut []float32, needIn bool) []float32
 	// accumulate adds record slot k's contribution to the layer's
-	// gradient accumulators.
-	accumulate(k int)
+	// gradient accumulators g, one per parameter in Params() order.
+	accumulate(k int, g [][]float32)
 }
 
-// Param couples a parameter tensor with its accumulated gradient.
+// Param is one named parameter tensor of a layer.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
 }
 
 // slotBufs returns slots buffers of n values each, cut from one block.
@@ -74,9 +74,6 @@ type Conv2D struct {
 	Geom   tensor.ConvGeom
 	Filter *tensor.Tensor // {K*K*InC, OutC}
 	Bias   *tensor.Tensor // {OutC}
-
-	gFilter *tensor.Tensor
-	gBias   *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He-initialized weights
@@ -91,13 +88,7 @@ func NewConv2D(g tensor.ConvGeom, rng *rand.Rand) (*Conv2D, error) {
 	for i := range filt.Data {
 		filt.Data[i] = float32(rng.NormFloat64() * std)
 	}
-	return &Conv2D{
-		Geom:    g,
-		Filter:  filt,
-		Bias:    tensor.New(g.OutC),
-		gFilter: tensor.New(fanIn, g.OutC),
-		gBias:   tensor.New(g.OutC),
-	}, nil
+	return &Conv2D{Geom: g, Filter: filt, Bias: tensor.New(g.OutC)}, nil
 }
 
 // Name implements Layer.
@@ -167,13 +158,13 @@ func (s *convStep) backward(k int, gradOut []float32, needIn bool) []float32 {
 // to dBias.
 //
 //detlint:allocpath
-func (s *convStep) accumulate(k int) {
-	gf := s.c.gFilter.Data
+func (s *convStep) accumulate(k int, g [][]float32) {
+	gf := g[0]
 	for i, v := range s.df[k] {
 		gf[i] += v
 	}
 	outC := s.c.Geom.OutC
-	gb, grad := s.c.gBias.Data, s.grad[k]
+	gb, grad := g[1], s.grad[k]
 	for i := 0; i < s.rows; i++ {
 		row := grad[i*outC : (i+1)*outC]
 		for ch, v := range row {
@@ -185,8 +176,8 @@ func (s *convStep) accumulate(k int) {
 // Params implements Layer.
 func (c *Conv2D) Params() []Param {
 	return []Param{
-		{Name: c.Name() + ".filter", Value: c.Filter, Grad: c.gFilter},
-		{Name: c.Name() + ".bias", Value: c.Bias, Grad: c.gBias},
+		{Name: c.Name() + ".filter", Value: c.Filter},
+		{Name: c.Name() + ".bias", Value: c.Bias},
 	}
 }
 
@@ -195,8 +186,6 @@ type Dense struct {
 	In, Out int
 	W       *tensor.Tensor // {In, Out}
 	B       *tensor.Tensor // {Out}
-
-	gW, gB *tensor.Tensor
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -209,7 +198,7 @@ func NewDense(in, out int, rng *rand.Rand) (*Dense, error) {
 	for i := range w.Data {
 		w.Data[i] = float32(rng.NormFloat64() * std)
 	}
-	return &Dense{In: in, Out: out, W: w, B: tensor.New(out), gW: tensor.New(in, out), gB: tensor.New(out)}, nil
+	return &Dense{In: in, Out: out, W: w, B: tensor.New(out)}, nil
 }
 
 // Name implements Layer.
@@ -267,29 +256,30 @@ func (s *denseStep) backward(k int, gradOut []float32, needIn bool) []float32 {
 // gradOut to dB.
 //
 //detlint:allocpath
-func (s *denseStep) accumulate(k int) {
+func (s *denseStep) accumulate(k int, g [][]float32) {
 	d := s.d
 	in, grad := s.in[k], s.grad[k]
+	gw, gb := g[0], g[1]
 	for i := 0; i < d.In; i++ {
 		iv := in[i]
 		if iv == 0 {
 			continue
 		}
-		row := d.gW.Data[i*d.Out : (i+1)*d.Out]
+		row := gw[i*d.Out : (i+1)*d.Out]
 		for j, gv := range grad {
 			row[j] += iv * gv
 		}
 	}
 	for j, gv := range grad {
-		d.gB.Data[j] += gv
+		gb[j] += gv
 	}
 }
 
 // Params implements Layer.
 func (d *Dense) Params() []Param {
 	return []Param{
-		{Name: d.Name() + ".w", Value: d.W, Grad: d.gW},
-		{Name: d.Name() + ".b", Value: d.B, Grad: d.gB},
+		{Name: d.Name() + ".w", Value: d.W},
+		{Name: d.Name() + ".b", Value: d.B},
 	}
 }
 
@@ -351,7 +341,7 @@ func (s *reluStep) backward(_ int, gradOut []float32, _ bool) []float32 {
 	return s.dIn
 }
 
-func (s *reluStep) accumulate(int) {}
+func (s *reluStep) accumulate(int, [][]float32) {}
 
 // MaxPool2 is 2×2/stride-2 max pooling over HWC input.
 type MaxPool2 struct {
@@ -408,7 +398,7 @@ func (s *poolStep) backward(_ int, gradOut []float32, _ bool) []float32 {
 	return s.dIn
 }
 
-func (s *poolStep) accumulate(int) {}
+func (s *poolStep) accumulate(int, [][]float32) {}
 
 // Flatten reshapes an HWC tensor to rank-1. It exists so the network's
 // layer list mirrors the textbook CNN architecture.
@@ -441,4 +431,4 @@ func (flattenStep) forward(in []float32) []float32 { return in }
 
 func (flattenStep) backward(_ int, gradOut []float32, _ bool) []float32 { return gradOut }
 
-func (flattenStep) accumulate(int) {}
+func (flattenStep) accumulate(int, [][]float32) {}

@@ -189,12 +189,13 @@ func (r *replica) sample(k int, in []float32, label int) (float64, bool) {
 	return loss, hit
 }
 
-// accumulate adds record slot k's gradients into the network's.
+// accumulate adds record slot k's gradients into the network's
+// accumulators g.
 //
 //detlint:allocpath
-func (r *replica) accumulate(k int) {
-	for _, s := range r.steps[r.first:] {
-		s.accumulate(k)
+func (r *replica) accumulate(k int, g gradients) {
+	for i := r.first; i < len(r.steps); i++ {
+		r.steps[i].accumulate(k, g[i])
 	}
 }
 
@@ -229,7 +230,7 @@ func chunk(n, workers, w int) (lo, hi int) {
 	return lo, min(lo+per, n)
 }
 
-// Params returns all parameter/gradient pairs in layer order.
+// Params returns all parameters in layer order.
 func (n *Network) Params() []Param {
 	var ps []Param
 	for _, l := range n.Layers {
@@ -258,42 +259,58 @@ func lossGrad(grad, logits []float32, label int) float64 {
 	return -math.Log(p)
 }
 
-// SGD is stochastic gradient descent with classical momentum and optional
+// gradients are a network's gradient accumulators while it trains: per
+// layer, one buffer per parameter in Params() order. Only Train
+// allocates them, so a network that is never trained holds its weights
+// alone.
+type gradients [][][]float32
+
+func newGradients(n *Network) gradients {
+	g := make(gradients, len(n.Layers))
+	for i, l := range n.Layers {
+		for _, p := range l.Params() {
+			g[i] = append(g[i], make([]float32, p.Value.Len()))
+		}
+	}
+	return g
+}
+
+// sgd is stochastic gradient descent with classical momentum and optional
 // L2 weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[*tensor.Tensor][]float32
+type sgd struct {
+	lr, momentum, weightDecay float64
+	velocity                  map[*tensor.Tensor][]float32
 }
 
-// NewSGD constructs the optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: map[*tensor.Tensor][]float32{}}
+func newSGD(lr, momentum, weightDecay float64) *sgd {
+	return &sgd{lr: lr, momentum: momentum, weightDecay: weightDecay, velocity: map[*tensor.Tensor][]float32{}}
 }
 
-// Step applies one update to every parameter given its accumulated
-// gradient scaled by 1/batchSize, then zeroes the gradients.
-func (o *SGD) Step(n *Network, batchSize int) {
+// step applies one update to every parameter given its accumulated
+// gradient in g scaled by 1/batchSize, then zeroes the gradients.
+func (o *sgd) step(n *Network, g gradients, batchSize int) {
 	if batchSize < 1 {
 		batchSize = 1
 	}
 	inv := float32(1.0 / float64(batchSize))
-	lr := float32(o.LR)
-	mu := float32(o.Momentum)
-	wd := float32(o.WeightDecay)
-	for _, p := range n.Params() {
-		vel, ok := o.velocity[p.Value]
-		if !ok {
-			vel = make([]float32, p.Value.Len())
-			o.velocity[p.Value] = vel
+	lr := float32(o.lr)
+	mu := float32(o.momentum)
+	wd := float32(o.weightDecay)
+	for li, l := range n.Layers {
+		for pi, p := range l.Params() {
+			vel, ok := o.velocity[p.Value]
+			if !ok {
+				vel = make([]float32, p.Value.Len())
+				o.velocity[p.Value] = vel
+			}
+			grad := g[li][pi]
+			for i := range p.Value.Data {
+				gi := grad[i]*inv + wd*p.Value.Data[i]
+				vel[i] = mu*vel[i] - lr*gi
+				p.Value.Data[i] += vel[i]
+			}
+			clear(grad)
 		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i]*inv + wd*p.Value.Data[i]
-			vel[i] = mu*vel[i] - lr*g
-			p.Value.Data[i] += vel[i]
-		}
-		p.Grad.Zero()
 	}
 }
 
@@ -315,9 +332,10 @@ type TrainConfig struct {
 // minibatch is cut into contiguous runs of samples, one per replica
 // (min(GOMAXPROCS, BatchSize) of them), and the replicas compute every
 // sample's gradient inputs concurrently. The caller then adds them into
-// the shared gradients, and sums the loss, in sample order: float32
+// the gradient accumulators, and sums the loss, in sample order: float32
 // addition is not associative, so per-replica partial sums would change
-// the weights' bits.
+// the weights' bits. The accumulators, like the optimizer's velocity,
+// live for one call.
 func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) error {
 	if len(inputs) == 0 || len(inputs) != len(labels) {
 		return fmt.Errorf("nn: Train needs parallel non-empty inputs/labels, got %d/%d", len(inputs), len(labels))
@@ -345,7 +363,7 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 			return fmt.Errorf("nn: label %d of sample %d out of range for %d logits", l, i, classes)
 		}
 	}
-	opt := NewSGD(cfg.LR, cfg.Momentum, 0)
+	grads, opt := newGradients(n), newSGD(cfg.LR, cfg.Momentum, 0)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(inputs))
 	for i := range order {
@@ -367,14 +385,14 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 			for w, r := range reps {
 				lo, hi := chunk(len(batch), workers, w)
 				for pos := lo; pos < hi; pos++ {
-					r.accumulate(pos - lo)
+					r.accumulate(pos-lo, grads)
 					totalLoss += losses[pos]
 					if hits[pos] {
 						correct++
 					}
 				}
 			}
-			opt.Step(n, len(batch))
+			opt.step(n, grads, len(batch))
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, totalLoss/float64(len(order)), float64(correct)/float64(len(order)))
@@ -549,8 +567,8 @@ func DecodeModel(b []byte) (Arch, *Network, error) {
 		return Arch{}, nil, r.err
 	}
 	// Check the architecture's size before building it: Build allocates
-	// every parameter (and its gradient), so a blob too short to hold
-	// them, or an architecture past the bound, is refused first.
+	// every parameter, so a blob too short to hold them, or an
+	// architecture past the bound, is refused first.
 	total, peak := a.tensorSizes()
 	if peak > maxModelTensor {
 		return Arch{}, nil, fmt.Errorf("nn: model architecture %+v implies a %d-element tensor, over the %d bound", a, peak, maxModelTensor)

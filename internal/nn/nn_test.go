@@ -98,15 +98,17 @@ func sum32(xs []float32) float64 {
 }
 
 // backprop runs one sample forward and backward on a fresh replica, the
-// way Train does, and adds its gradients into the network's.
-func backprop(t *testing.T, n *Network, in *tensor.Tensor, label int) {
+// way Train does, and returns its gradients.
+func backprop(t *testing.T, n *Network, in *tensor.Tensor, label int) gradients {
 	t.Helper()
 	reps, err := n.replicas(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := newGradients(n)
 	reps[0].sample(0, in.Data, label)
-	reps[0].accumulate(0)
+	reps[0].accumulate(0, g)
+	return g
 }
 
 // TestGradientsMatchNumerical is the core correctness check for backprop: a
@@ -124,16 +126,18 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	}
 	label := 1
 
-	backprop(t, n, in, label)
+	g := backprop(t, n, in, label)
 
-	for _, p := range n.Params() {
-		// Spot-check a handful of indices per parameter tensor.
-		idxs := []int{0, p.Value.Len() / 2, p.Value.Len() - 1}
-		for _, i := range idxs {
-			want := numericalGrad(t, n, in, label, p.Value, i)
-			got := float64(p.Grad.Data[i])
-			if math.Abs(got-want) > 2e-2*(1+math.Abs(want)) {
-				t.Errorf("%s grad[%d] = %v, numerical %v", p.Name, i, got, want)
+	for li, l := range n.Layers {
+		for pi, p := range l.Params() {
+			// Spot-check a handful of indices per parameter tensor.
+			idxs := []int{0, p.Value.Len() / 2, p.Value.Len() - 1}
+			for _, i := range idxs {
+				want := numericalGrad(t, n, in, label, p.Value, i)
+				got := float64(g[li][pi][i])
+				if math.Abs(got-want) > 2e-2*(1+math.Abs(want)) {
+					t.Errorf("%s grad[%d] = %v, numerical %v", p.Name, i, got, want)
+				}
 			}
 		}
 	}
@@ -248,8 +252,8 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 0.5
 	}
-	backprop(t, n, in, 0)
-	NewSGD(0.1, 0.9, 0).Step(n, 1)
+	g := backprop(t, n, in, 0)
+	newSGD(0.1, 0.9, 0).step(n, g, 1)
 	after := n.Params()[0].Value
 	moved := false
 	for i := range before {
@@ -262,10 +266,12 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 		t.Fatal("SGD step did not change parameters")
 	}
 	// Gradients are zeroed after a step.
-	for _, p := range n.Params() {
-		for _, g := range p.Grad.Data {
-			if g != 0 {
-				t.Fatal("gradient not zeroed after Step")
+	for _, layer := range g {
+		for _, grad := range layer {
+			for _, v := range grad {
+				if v != 0 {
+					t.Fatal("gradient not zeroed after step")
+				}
 			}
 		}
 	}

@@ -67,11 +67,6 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}, nil
 }
 
-// Zero sets every element to zero.
-func (t *Tensor) Zero() {
-	clear(t.Data)
-}
-
 // MaxIndex returns the index of the maximum element (first on ties) and its
 // value. It panics on an empty tensor.
 func (t *Tensor) MaxIndex() (int, float32) {

@@ -182,16 +182,17 @@ type Result struct {
 
 // Campaign is the precomputed per-campaign state: the two disjoint zoos,
 // the held-out victims' archid.Deployment (envelope-padded at
-// PaddedEnvelope), the training networks and fitted attacker models, the
-// victim traces and their reconstructions. Multi-session campaigns reuse
-// one Campaign so the zoos are generated (and the models fitted) exactly
-// once; only the pipeline collection is per-session.
+// PaddedEnvelope), the fitted attacker models, the victim traces and
+// their reconstructions. The training networks are not kept: each is
+// built, traced and dropped inside its reference-trace job.
+// Multi-session campaigns reuse one Campaign so the zoos are generated
+// (and the models fitted) exactly once; only the pipeline collection is
+// per-session.
 type Campaign struct {
 	archid.Deployment
 	cfg       Config
 	trainZoo  *nn.Zoo
 	holdZoo   *nn.Zoo
-	trainNets []*nn.Network
 	kindModel *KindModel
 	est       estimators
 	truths    [][]LayerTruth
@@ -224,9 +225,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topo: holdout zoo: %w", err)
 	}
-	if c.trainNets, err = archid.Nets(c.trainZoo, cfg.Seed, seedDomainTrainWeights); err != nil {
-		return nil, err
-	}
 	holdNets, err := archid.Nets(c.holdZoo, cfg.Seed, seedDomainHoldoutWeights)
 	if err != nil {
 		return nil, err
@@ -248,14 +246,14 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	traces, err := c.referenceTraces()
+	traces, truths, err := c.referenceTraces()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.fitModels(traces[:len(c.trainNets)]); err != nil {
+	if err := c.fitModels(traces[:len(truths)], truths); err != nil {
 		return nil, err
 	}
-	c.reconstructVictims(traces[len(c.trainNets):])
+	c.reconstructVictims(traces[len(truths):])
 	return c, nil
 }
 
@@ -263,28 +261,41 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 // (pipeline.Each), the attributed trace of every training member and —
 // unless the victims are envelope-padded — of every held-out victim:
 // the victims' traces do not depend on the fitted models. The training
-// members' traces come first, then the victims'.
-func (c *Campaign) referenceTraces() ([]*Trace, error) {
-	nets := c.trainNets
+// members' traces come first, then the victims'; truths holds each
+// training member's true topology. A training member is built inside its
+// own job, from DeriveSeed(seed, id, seedDomainTrainWeights) alone, so
+// it is dropped once its trace and topology exist.
+func (c *Campaign) referenceTraces() (traces []*Trace, truths [][]LayerTruth, err error) {
+	train := c.trainZoo.Len()
+	n := train
 	if c.Env == nil {
-		nets = append(nets[:len(nets):len(nets)], c.Nets...)
+		n += len(c.Nets)
 	}
-	traces := make([]*Trace, len(nets))
-	err := pipeline.Each(c.cfg.Workers, len(nets), func(_, i int) error {
-		var err error
-		traces[i], err = extractTrace(nets[i], c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
+	traces = make([]*Trace, n)
+	truths = make([][]LayerTruth, train)
+	err = pipeline.Each(c.cfg.Workers, n, func(_, i int) error {
+		if i >= train {
+			var err error
+			traces[i], err = extractTrace(c.Nets[i-train], c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
+			return err
+		}
+		net, err := c.trainZoo.Build(i, core.DeriveSeed(c.cfg.Seed, i, seedDomainTrainWeights))
+		if err != nil {
+			return fmt.Errorf("topo: building training member %d: %w", i, err)
+		}
+		truths[i] = trueTopology(net)
+		traces[i], err = extractTrace(net, c.cfg.Level, c.cfg.Inputs[0], c.cfg.Quantum)
 		return err
 	})
-	return traces, err
+	return traces, truths, err
 }
 
 // fitModels fits the kind classifier and hyper-parameter estimators on
-// the training members' attributed traces.
-func (c *Campaign) fitModels(traces []*Trace) error {
+// the training members' attributed traces and true topologies.
+func (c *Campaign) fitModels(traces []*Trace, truths [][]LayerTruth) error {
 	var segs []trainSegment
-	for id, net := range c.trainNets {
+	for id, truth := range truths {
 		trace := traces[id]
-		truth := trueTopology(net)
 		if len(truth) != len(trace.Kinds) {
 			return fmt.Errorf("topo: training member %d: %d observable layers but %d traced segments",
 				id, len(truth), len(trace.Kinds))
@@ -679,75 +690,99 @@ func runtimeMean(cfg Config, event march.Event) float64 {
 	}
 }
 
-// buildRecovered materializes a recovered layer stack as a network with
-// fresh deterministic weights — the candidate the attacker profiles to
-// validate the reconstruction. Stacks that are not realizable (a conv
-// after a dense collapse, pooling a degenerate map, an unknown kind)
-// fail, which the scorer reports as an unverifiable reconstruction.
-func buildRecovered(guesses []LayerGuess, inH, inW, inC, classes int, seed int64) (*nn.Network, error) {
+// shapedLayer is one layer of a recovered stack as the shape walk
+// planned it: its kind and what its constructor takes, with no weights.
+type shapedLayer struct {
+	kind    string
+	geom    tensor.ConvGeom // conv
+	shape   []int           // relu, pool, flatten: the input shape
+	in, out int             // dense
+}
+
+// shapeRecovered walks a recovered stack's geometry from the input shape
+// and plans its layers, inserting the flatten before the first dense
+// layer. It is the one place the realizability rules live: a stack is
+// not realizable when it is empty, when a conv or pool follows the dense
+// collapse, when a conv does not fit its map (tensor.ConvGeom.Validate,
+// the check nn.NewConv2D makes), when a dense layer has no inputs (a map
+// pooled to nothing) or no width, or when a kind is unknown.
+func shapeRecovered(guesses []LayerGuess, inH, inW, inC int) ([]shapedLayer, error) {
 	if len(guesses) == 0 {
 		return nil, fmt.Errorf("topo: empty recovered stack")
 	}
-	rng := rand.New(rand.NewSource(seed))
 	h, w, ch := inH, inW, inC
 	flat := false
-	var layers []nn.Layer
+	plan := make([]shapedLayer, 0, len(guesses)+1)
 	for i, g := range guesses {
 		switch g.Kind {
 		case "conv":
 			if flat {
 				return nil, fmt.Errorf("topo: recovered conv at %d after dense collapse", i)
 			}
-			k := g.Kernel
-			if k < 1 {
-				k = 1
+			geom := tensor.ConvGeom{InH: h, InW: w, InC: ch, K: max(g.Kernel, 1), Stride: 1, Pad: 0, OutC: g.Param}
+			if err := geom.Validate(); err != nil {
+				return nil, fmt.Errorf("topo: recovered conv at %d does not fit %dx%d: %w", i, h, w, err)
 			}
-			if h-k+1 < 1 || w-k+1 < 1 || g.Param < 1 {
-				return nil, fmt.Errorf("topo: recovered conv at %d does not fit %dx%d", i, h, w)
-			}
-			conv, err := nn.NewConv2D(tensor.ConvGeom{InH: h, InW: w, InC: ch, K: k, Stride: 1, Pad: 0, OutC: g.Param}, rng)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, conv)
-			s := conv.OutShape()
-			h, w, ch = s[0], s[1], s[2]
+			plan = append(plan, shapedLayer{kind: "conv", geom: geom})
+			h, w, ch = geom.OutH(), geom.OutW(), geom.OutC
 		case "relu":
+			shape := []int{h, w, ch}
 			if flat {
-				layers = append(layers, nn.NewReLU([]int{ch}))
-			} else {
-				layers = append(layers, nn.NewReLU([]int{h, w, ch}))
+				shape = []int{ch}
 			}
+			plan = append(plan, shapedLayer{kind: "relu", shape: shape})
 		case "pool":
 			if flat {
 				return nil, fmt.Errorf("topo: recovered pool at %d after dense collapse", i)
 			}
-			p, err := nn.NewMaxPool2([]int{h, w, ch})
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, p)
-			s := p.OutShape()
-			h, w, ch = s[0], s[1], s[2]
+			plan = append(plan, shapedLayer{kind: "pool", shape: []int{h, w, ch}})
+			h, w = h/2, w/2
 		case "dense":
 			in := ch
 			if !flat {
-				fl := nn.NewFlatten([]int{h, w, ch})
-				layers = append(layers, fl)
-				in = fl.OutShape()[0]
-				flat = true
+				plan = append(plan, shapedLayer{kind: "flatten", shape: []int{h, w, ch}})
+				in, flat = h*w*ch, true
 			}
-			if g.Param < 1 {
-				return nil, fmt.Errorf("topo: recovered dense at %d has width %d", i, g.Param)
+			if in < 1 || g.Param < 1 {
+				return nil, fmt.Errorf("topo: recovered dense at %d maps %d inputs to width %d", i, in, g.Param)
 			}
-			d, err := nn.NewDense(in, g.Param, rng)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, d)
+			plan = append(plan, shapedLayer{kind: "dense", in: in, out: g.Param})
 			h, w, ch = 1, 1, g.Param
 		default:
 			return nil, fmt.Errorf("topo: recovered unknown layer kind %q at %d", g.Kind, i)
+		}
+	}
+	return plan, nil
+}
+
+// buildRecovered materializes a recovered layer stack as a network with
+// fresh deterministic weights — the candidate the attacker profiles to
+// validate the reconstruction. The whole stack is shaped first
+// (shapeRecovered), so a stack that is not realizable fails, which the
+// scorer reports as an unverifiable reconstruction, before any weight is
+// drawn. A realizable stack draws its weights layer by layer from seed.
+func buildRecovered(guesses []LayerGuess, inH, inW, inC, classes int, seed int64) (*nn.Network, error) {
+	plan, err := shapeRecovered(guesses, inH, inW, inC)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	layers := make([]nn.Layer, len(plan))
+	for i, p := range plan {
+		switch p.kind {
+		case "conv":
+			layers[i], err = nn.NewConv2D(p.geom, rng)
+		case "relu":
+			layers[i] = nn.NewReLU(p.shape)
+		case "pool":
+			layers[i], err = nn.NewMaxPool2(p.shape)
+		case "flatten":
+			layers[i] = nn.NewFlatten(p.shape)
+		case "dense":
+			layers[i], err = nn.NewDense(p.in, p.out, rng)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return &nn.Network{InShape: []int{inH, inW, inC}, Layers: layers, Classes: classes}, nil

@@ -310,11 +310,10 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestBuildRecoveredDegenerate: unrealizable recovered stacks must fail
-// to rebuild (and therefore report an unverifiable reconstruction)
-// instead of panicking or silently building something else.
-func TestBuildRecoveredDegenerate(t *testing.T) {
-	cases := []struct {
+// degenerateStacks are recovered stacks that are not realizable on a
+// 12×12×1 input, and saneStack one that is.
+var (
+	degenerateStacks = []struct {
 		name    string
 		guesses []LayerGuess
 	}{
@@ -325,7 +324,17 @@ func TestBuildRecoveredDegenerate(t *testing.T) {
 		{"oversized kernel", []LayerGuess{{Kind: "conv", Param: 4, Kernel: 31}}},
 		{"zero width dense", []LayerGuess{{Kind: "dense", Param: 0}}},
 	}
-	for _, tc := range cases {
+	saneStack = []LayerGuess{
+		{Kind: "conv", Param: 4, Kernel: 3}, {Kind: "relu"}, {Kind: "pool"},
+		{Kind: "dense", Param: 4}, {Kind: "relu"}, {Kind: "dense", Param: 2},
+	}
+)
+
+// TestBuildRecoveredDegenerate: unrealizable recovered stacks must fail
+// to rebuild (and therefore report an unverifiable reconstruction)
+// instead of panicking or silently building something else.
+func TestBuildRecoveredDegenerate(t *testing.T) {
+	for _, tc := range degenerateStacks {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := buildRecovered(tc.guesses, 12, 12, 1, 4, 1); err == nil {
 				t.Fatalf("degenerate stack %q built successfully", tc.name)
@@ -333,16 +342,12 @@ func TestBuildRecoveredDegenerate(t *testing.T) {
 		})
 	}
 	// A sane stack must build.
-	ok := []LayerGuess{
-		{Kind: "conv", Param: 4, Kernel: 3}, {Kind: "relu"}, {Kind: "pool"},
-		{Kind: "dense", Param: 4}, {Kind: "relu"}, {Kind: "dense", Param: 2},
-	}
-	net, err := buildRecovered(ok, 12, 12, 1, 4, 1)
+	net, err := buildRecovered(saneStack, 12, 12, 1, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(trueTopology(net)); got != len(ok) {
-		t.Fatalf("rebuilt stack has %d observable layers, want %d", got, len(ok))
+	if got := len(trueTopology(net)); got != len(saneStack) {
+		t.Fatalf("rebuilt stack has %d observable layers, want %d", got, len(saneStack))
 	}
 }
 
