@@ -79,6 +79,8 @@ bench-json:
 # they use: the default zoo's victims their weights (AllocBound in
 # archid), and an unrealizable recovered stack almost nothing, since
 # it is refused before any weight is drawn (AllocBound in topo).
+# Registering a zoo plans its stacks and draws no weights (AllocBound
+# in nn).
 allocgate:
 	$(GO) test -run 'ZeroAlloc|AllocBound' ./internal/march/... ./internal/hpc ./internal/core ./internal/obs ./internal/nn ./internal/archid ./internal/topo
 

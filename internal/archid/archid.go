@@ -131,8 +131,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// SpecInfo is the serializable metadata of one zoo architecture (the
-// Spec minus its build closure), as reported in results and goldens.
+// SpecInfo is the metadata of one zoo architecture, derived from its
+// stack, as reported in results and goldens.
 type SpecInfo = nn.SpecInfo
 
 // Result is the outcome of one fingerprinting campaign.
@@ -169,7 +169,7 @@ func Nets(zoo *nn.Zoo, seed int64, domain int) ([]*nn.Network, error) {
 		return nil, fmt.Errorf("archid: nil zoo")
 	}
 	nets := make([]*nn.Network, zoo.Len())
-	for _, s := range zoo.Specs() {
+	for _, s := range zoo.Infos() {
 		net, err := zoo.Build(s.ID, core.DeriveSeed(seed, s.ID, domain))
 		if err != nil {
 			return nil, fmt.Errorf("archid: building %s: %w", s.Name, err)
@@ -405,7 +405,7 @@ type LayerProfile struct {
 // over workers goroutines (pipeline.Each). Each job fills only its own
 // slot, so the evidence is identical at any worker count.
 func evidenceForNets(zoo *nn.Zoo, nets []*nn.Network, input *tensor.Tensor, workers int) ([]LayerEvidence, error) {
-	specs := zoo.Specs()
+	specs := zoo.Infos()
 	out := make([]LayerEvidence, len(specs))
 	err := pipeline.Each(workers, len(specs), func(_, i int) error {
 		s := specs[i]

@@ -67,18 +67,19 @@ func (s *Set) ByClass() map[int][]int {
 type Config struct {
 	PerClassTrain int
 	PerClassTest  int
-	Classes       int // ≤ 10; 0 means 10
 	Seed          int64
 }
 
-// pixelNoise is the standard deviation of the Gaussian pixel noise added
-// to every generated image.
-const pixelNoise = 0.05
+const (
+	// classes is the number of classes of every generated set: the ten
+	// digits, or the ten CIFAR-10 categories.
+	classes = 10
+	// pixelNoise is the standard deviation of the Gaussian pixel noise
+	// added to every generated image.
+	pixelNoise = 0.05
+)
 
 func (c Config) withDefaults() Config {
-	if c.Classes <= 0 || c.Classes > 10 {
-		c.Classes = 10
-	}
 	if c.PerClassTrain <= 0 {
 		c.PerClassTrain = 100
 	}
@@ -93,8 +94,8 @@ func MNISTLike(cfg Config) (train, test *Set, err error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := func(name string, perClass int) *Set {
-		set := &Set{Name: name, Classes: cfg.Classes}
-		for cls := 0; cls < cfg.Classes; cls++ {
+		set := &Set{Name: name, Classes: classes}
+		for cls := 0; cls < classes; cls++ {
 			for i := 0; i < perClass; i++ {
 				set.Samples = append(set.Samples, Sample{Image: digitImage(cls, rng), Label: cls})
 			}
@@ -113,8 +114,8 @@ func CIFARLike(cfg Config) (train, test *Set, err error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := func(name string, perClass int) *Set {
-		set := &Set{Name: name, Classes: cfg.Classes}
-		for cls := 0; cls < cfg.Classes; cls++ {
+		set := &Set{Name: name, Classes: classes}
+		for cls := 0; cls < classes; cls++ {
 			for i := 0; i < perClass; i++ {
 				set.Samples = append(set.Samples, Sample{Image: textureImage(cls, rng), Label: cls})
 			}

@@ -9,25 +9,25 @@ import (
 )
 
 func TestMNISTLikeShapesAndLabels(t *testing.T) {
-	train, test, err := MNISTLike(Config{PerClassTrain: 5, PerClassTest: 3, Classes: 4, Seed: 1})
+	train, test, err := MNISTLike(Config{PerClassTrain: 5, PerClassTest: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(train.Samples) != 20 || len(test.Samples) != 12 {
-		t.Fatalf("split sizes = %d/%d, want 20/12", len(train.Samples), len(test.Samples))
+	if len(train.Samples) != 50 || len(test.Samples) != 30 {
+		t.Fatalf("split sizes = %d/%d, want 50/30", len(train.Samples), len(test.Samples))
 	}
 	for _, sm := range train.Samples {
 		if sm.Image.Shape[0] != 28 || sm.Image.Shape[1] != 28 || sm.Image.Shape[2] != 1 {
 			t.Fatalf("mnist-like shape = %v", sm.Image.Shape)
 		}
-		if sm.Label < 0 || sm.Label >= 4 {
+		if sm.Label < 0 || sm.Label >= 10 {
 			t.Fatalf("label %d out of range", sm.Label)
 		}
 	}
 }
 
 func TestCIFARLikeShapesAndLabels(t *testing.T) {
-	train, _, err := CIFARLike(Config{PerClassTrain: 4, PerClassTest: 2, Classes: 10, Seed: 2})
+	train, _, err := CIFARLike(Config{PerClassTrain: 4, PerClassTest: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +87,9 @@ func TestDeterminismBySeed(t *testing.T) {
 func TestClassesAreStatisticallyDistinct(t *testing.T) {
 	// Mean images of different digit classes must differ substantially;
 	// this is the property the whole paper depends on.
-	train, _, _ := MNISTLike(Config{PerClassTrain: 20, PerClassTest: 1, Classes: 4, Seed: 7})
-	means := make([][]float64, 4)
-	counts := make([]int, 4)
+	train, _, _ := MNISTLike(Config{PerClassTrain: 20, PerClassTest: 1, Seed: 7})
+	means := make([][]float64, 10)
+	counts := make([]int, 10)
 	for i := range means {
 		means[i] = make([]float64, 28*28)
 	}
@@ -99,13 +99,13 @@ func TestClassesAreStatisticallyDistinct(t *testing.T) {
 		}
 		counts[sm.Label]++
 	}
-	for c := 0; c < 4; c++ {
+	for c := 0; c < 10; c++ {
 		for j := range means[c] {
 			means[c][j] /= float64(counts[c])
 		}
 	}
-	for a := 0; a < 4; a++ {
-		for b := a + 1; b < 4; b++ {
+	for a := 0; a < 10; a++ {
+		for b := a + 1; b < 10; b++ {
 			var dist float64
 			for j := range means[a] {
 				d := means[a][j] - means[b][j]
@@ -121,8 +121,9 @@ func TestClassesAreStatisticallyDistinct(t *testing.T) {
 func TestWithinClassVariation(t *testing.T) {
 	// Jitter must make samples within a class differ (otherwise there is no
 	// within-class distribution for the t-test).
-	train, _, _ := MNISTLike(Config{PerClassTrain: 2, PerClassTest: 1, Classes: 1, Seed: 9})
-	a, b := train.Samples[0].Image, train.Samples[1].Image
+	train, _, _ := MNISTLike(Config{PerClassTrain: 2, PerClassTest: 1, Seed: 9})
+	zeros := train.ByClass()[0]
+	a, b := train.Samples[zeros[0]].Image, train.Samples[zeros[1]].Image
 	diff := 0.0
 	for j := range a.Data {
 		d := float64(a.Data[j] - b.Data[j])
@@ -134,7 +135,7 @@ func TestWithinClassVariation(t *testing.T) {
 }
 
 func TestFilterAndAccessors(t *testing.T) {
-	train, _, _ := MNISTLike(Config{PerClassTrain: 3, PerClassTest: 1, Classes: 5, Seed: 4})
+	train, _, _ := MNISTLike(Config{PerClassTrain: 3, PerClassTest: 1, Seed: 4})
 	if len(train.Inputs()) != len(train.Labels()) {
 		t.Fatal("Inputs/Labels length mismatch")
 	}
@@ -143,24 +144,29 @@ func TestFilterAndAccessors(t *testing.T) {
 	for _, idxs := range by {
 		total += len(idxs)
 	}
-	if total != len(train.Samples) {
-		t.Fatal("ByClass does not partition the set")
+	if total != len(train.Samples) || len(by) != 10 {
+		t.Fatalf("ByClass splits %d samples into %d classes, want a partition into 10", len(train.Samples), len(by))
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Classes != 10 || c.PerClassTrain != 100 || c.PerClassTest != 20 {
+	if c.PerClassTrain != 100 || c.PerClassTest != 20 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	c = Config{Classes: 99}.withDefaults()
-	if c.Classes != 10 {
-		t.Fatalf("Classes=99 not clamped: %d", c.Classes)
+	train, test, err := CIFARLike(Config{PerClassTrain: 1, PerClassTest: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []*Set{train, test} {
+		if set.Classes != 10 || len(set.ByClass()) != 10 {
+			t.Fatalf("%s has %d classes, %d of them sampled, want 10", set.Name, set.Classes, len(set.ByClass()))
+		}
 	}
 }
 
 func TestDescribe(t *testing.T) {
-	train, _, _ := MNISTLike(Config{PerClassTrain: 2, PerClassTest: 1, Classes: 2, Seed: 1})
+	train, _, _ := MNISTLike(Config{PerClassTrain: 2, PerClassTest: 1, Seed: 1})
 	s := Describe(train)
 	if s == "" {
 		t.Fatal("empty description")
@@ -168,8 +174,8 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestQuickDigitImagesAlwaysValid(t *testing.T) {
-	f := func(seed int64, cls uint8) bool {
-		train, _, err := MNISTLike(Config{PerClassTrain: 1, PerClassTest: 1, Classes: 1 + int(cls%10), Seed: seed})
+	f := func(seed int64) bool {
+		train, _, err := MNISTLike(Config{PerClassTrain: 1, PerClassTest: 1, Seed: seed})
 		if err != nil {
 			return false
 		}

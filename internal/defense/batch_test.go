@@ -49,7 +49,7 @@ func TestBatchInvarianceAcrossZooAndLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := zoo.Specs()
+	specs := zoo.Infos()
 	nets := make([]*nn.Network, len(specs))
 	for _, s := range specs {
 		if nets[s.ID], err = zoo.Build(s.ID, int64(300+s.ID)); err != nil {

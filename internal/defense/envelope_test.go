@@ -19,7 +19,7 @@ func envelopeZooNets(t *testing.T) []*nn.Network {
 		t.Fatal(err)
 	}
 	nets := make([]*nn.Network, zoo.Len())
-	for _, s := range zoo.Specs() {
+	for _, s := range zoo.Infos() {
 		if nets[s.ID], err = zoo.Build(s.ID, int64(100+s.ID)); err != nil {
 			t.Fatal(err)
 		}

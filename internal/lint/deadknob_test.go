@@ -36,7 +36,6 @@ var keptKnobs = map[string]string{
 	"repro/internal/core.Config.HolmCorrection": "perfbench serializes core.Report with its Config, and perfbench/refs.json pins those bytes",
 	"repro/internal/core.Config.WarmupRuns":     "pinned by perfbench/refs.json, as HolmCorrection; tests also shorten or drop the warm-up",
 	"repro/internal/core.Config.Registers":      "pinned by perfbench/refs.json, as HolmCorrection",
-	"repro/internal/dataset.Config.Classes":     "the dataset tests generate 1- to 5-class sets to check per-class structure cheaply",
 	"repro/cmd/audit-server.CampaignRequest":    "JSON request body, decoded from each POST",
 	"repro/cmd/detlint.vetConfig":               "JSON config file that go vet hands a -vettool",
 	"repro/cmd/obsview.rawTraceFile":            "JSON trace file that obsview validates",

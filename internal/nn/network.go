@@ -42,47 +42,10 @@ func CIFARArch() Arch {
 }
 
 // Build constructs the conv-relu-pool ×2 + dense network for the
-// architecture, with weights drawn from rng.
+// architecture, with weights drawn from rng: the architecture lowers to
+// its Stack, two pooled conv blocks of Conv1 and Conv2 channels.
 func Build(a Arch, rng *rand.Rand) (*Network, error) {
-	if a.Classes <= 1 {
-		return nil, fmt.Errorf("nn: architecture needs at least 2 classes, got %d", a.Classes)
-	}
-	var layers []Layer
-
-	g1 := tensor.ConvGeom{InH: a.InH, InW: a.InW, InC: a.InC, K: a.Kernel, Stride: 1, Pad: 0, OutC: a.Conv1}
-	c1, err := NewConv2D(g1, rng)
-	if err != nil {
-		return nil, fmt.Errorf("nn: conv1: %w", err)
-	}
-	layers = append(layers, c1, NewReLU(c1.OutShape()))
-	p1, err := NewMaxPool2(c1.OutShape())
-	if err != nil {
-		return nil, fmt.Errorf("nn: pool1: %w", err)
-	}
-	layers = append(layers, p1)
-
-	s1 := p1.OutShape()
-	g2 := tensor.ConvGeom{InH: s1[0], InW: s1[1], InC: s1[2], K: a.Kernel, Stride: 1, Pad: 0, OutC: a.Conv2}
-	c2, err := NewConv2D(g2, rng)
-	if err != nil {
-		return nil, fmt.Errorf("nn: conv2: %w", err)
-	}
-	layers = append(layers, c2, NewReLU(c2.OutShape()))
-	p2, err := NewMaxPool2(c2.OutShape())
-	if err != nil {
-		return nil, fmt.Errorf("nn: pool2: %w", err)
-	}
-	layers = append(layers, p2)
-
-	flat := NewFlatten(p2.OutShape())
-	layers = append(layers, flat)
-	d, err := NewDense(flat.OutShape()[0], a.Classes, rng)
-	if err != nil {
-		return nil, fmt.Errorf("nn: dense: %w", err)
-	}
-	layers = append(layers, d)
-
-	return &Network{InShape: []int{a.InH, a.InW, a.InC}, Layers: layers, Classes: a.Classes}, nil
+	return convStack(a.InH, a.InW, a.InC, a.Classes, a.Kernel, true, []int{a.Conv1, a.Conv2}).Build(rng)
 }
 
 // Forward runs the network on one sample and returns the logits.

@@ -380,7 +380,7 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 }
 
 func TestBuildMLP(t *testing.T) {
-	n, err := BuildMLP(MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}, testRNG())
+	n, err := mlpStack(28, 28, 1, 10, []int{128, 64}).Build(testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,24 +395,11 @@ func TestBuildMLP(t *testing.T) {
 	if len(n.Layers) != 6 {
 		t.Fatalf("MLP layers = %d, want 6", len(n.Layers))
 	}
-	bad := MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Hidden: []int{0}, Classes: 3}
-	if _, err := BuildMLP(bad, testRNG()); err == nil {
-		t.Fatal("zero hidden size accepted")
-	}
-	bad = MLPArch{Name: "bad", InH: 0, InW: 8, InC: 1, Classes: 3}
-	if _, err := BuildMLP(bad, testRNG()); err == nil {
-		t.Fatal("zero input dim accepted")
-	}
-	bad = MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Classes: 1}
-	if _, err := BuildMLP(bad, testRNG()); err == nil {
-		t.Fatal("single class accepted")
-	}
 }
 
 func TestMLPLearnsSeparableProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	arch := MLPArch{Name: "t", InH: 12, InW: 12, InC: 1, Hidden: []int{16}, Classes: 2}
-	n, err := BuildMLP(arch, rng)
+	n, err := mlpStack(12, 12, 1, 2, []int{16}).Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,36 +38,21 @@ func RandomSpec(rng *rand.Rand, inH, inW, inC, classes int) Spec {
 }
 
 func randomMLPSpec(rng *rand.Rand, inH, inW, inC, classes int) Spec {
-	depth := 1 + rng.Intn(3)
-	hidden := make([]int, depth)
-	parts := make([]string, depth)
-	width := 0
+	hidden := make([]int, 1+rng.Intn(3))
+	parts := make([]string, len(hidden))
 	for i := range hidden {
 		hidden[i] = randMLPWidths[rng.Intn(len(randMLPWidths))]
 		parts[i] = fmt.Sprintf("%d", hidden[i])
-		if hidden[i] > width {
-			width = hidden[i]
-		}
 	}
-	a := MLPArch{Name: "mlp-r-" + strings.Join(parts, "-"), InH: inH, InW: inW, InC: inC,
-		Hidden: hidden, Classes: classes}
-	return Spec{
-		Name: a.Name, Family: "mlp", Depth: depth + 1, Width: width,
-		Build: func(rng *rand.Rand) (*Network, error) { return BuildMLP(a, rng) },
-	}
+	return Spec{Name: "mlp-r-" + strings.Join(parts, "-"), Stack: mlpStack(inH, inW, inC, classes, hidden)}
 }
 
 func randomCNNSpec(rng *rand.Rand, inH, inW, inC, classes int) Spec {
-	blocks := 1 + rng.Intn(3)
-	channels := make([]int, blocks)
-	parts := make([]string, blocks)
-	width := 0
+	channels := make([]int, 1+rng.Intn(3))
+	parts := make([]string, len(channels))
 	for i := range channels {
 		channels[i] = randCNNChannels[rng.Intn(len(randCNNChannels))]
 		parts[i] = fmt.Sprintf("%d", channels[i])
-		if channels[i] > width {
-			width = channels[i]
-		}
 	}
 	kernel := randCNNKernels[rng.Intn(len(randCNNKernels))]
 	pool := rng.Intn(2) == 0
@@ -75,14 +60,9 @@ func randomCNNSpec(rng *rand.Rand, inH, inW, inC, classes int) Spec {
 	if pool {
 		suffix = "pool"
 	}
-	a := ConvNetArch{
-		Name: fmt.Sprintf("cnn-r-k%d-%s-%s", kernel, strings.Join(parts, "-"), suffix),
-		InH:  inH, InW: inW, InC: inC,
-		Channels: channels, Kernel: kernel, Pool: pool, Classes: classes,
-	}
 	return Spec{
-		Name: a.Name, Family: "cnn", Depth: blocks + 1, Width: width, Pool: pool,
-		Build: func(rng *rand.Rand) (*Network, error) { return BuildConvNet(a, rng) },
+		Name:  fmt.Sprintf("cnn-r-k%d-%s-%s", kernel, strings.Join(parts, "-"), suffix),
+		Stack: convStack(inH, inW, inC, classes, kernel, pool, channels),
 	}
 }
 
@@ -100,12 +80,12 @@ type ZooGenConfig struct {
 }
 
 // GenerateZoo registers Size distinct random architectures drawn from
-// ZooGenConfig.Seed. Specs whose geometry does not build (e.g. a deep
-// pooled kernel-5 CNN on a small input) are resampled, as are name
-// collisions with the zoo itself or with cfg.Avoid. When Size ≥ 2 the
-// first two slots are forced to a pooled CNN and an MLP respectively, so
-// any generated training zoo covers all four observable layer kinds
-// (conv, relu, pool, dense).
+// ZooGenConfig.Seed. Specs whose stack is not realizable on the input
+// (e.g. a deep pooled kernel-5 CNN on a small input) are resampled, as
+// are name collisions with the zoo itself or with cfg.Avoid. When
+// Size ≥ 2 the first two slots are forced to a pooled CNN and an MLP
+// respectively, so any generated training zoo covers all four
+// observable layer kinds (conv, relu, pool, dense).
 func GenerateZoo(cfg ZooGenConfig) (*Zoo, error) {
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("nn: zoo size must be positive, got %d", cfg.Size)
@@ -119,7 +99,7 @@ func GenerateZoo(cfg ZooGenConfig) (*Zoo, error) {
 		switch {
 		case slot == 0 && cfg.Size >= 2:
 			s := randomCNNSpec(rng, cfg.InH, cfg.InW, cfg.InC, cfg.Classes)
-			for !s.Pool {
+			for !s.Stack.has("pool") {
 				s = randomCNNSpec(rng, cfg.InH, cfg.InW, cfg.InC, cfg.Classes)
 			}
 			return s
@@ -142,7 +122,7 @@ func GenerateZoo(cfg ZooGenConfig) (*Zoo, error) {
 				continue
 			}
 			if err := z.Register(s); err != nil {
-				continue // unbuildable geometry for this input shape: resample
+				continue // not realizable on this input shape: resample
 			}
 			registered = true
 			break
@@ -159,7 +139,7 @@ func GenerateZoo(cfg ZooGenConfig) (*Zoo, error) {
 // disjoint second zoo is generated against.
 func (z *Zoo) Names() map[string]bool {
 	out := make(map[string]bool, z.Len())
-	for _, s := range z.specs {
+	for _, s := range z.infos {
 		out[s.Name] = true
 	}
 	return out

@@ -12,7 +12,7 @@ func genNames(t *testing.T, cfg ZooGenConfig) []string {
 		t.Fatal(err)
 	}
 	var names []string
-	for _, s := range z.Specs() {
+	for _, s := range z.Infos() {
 		names = append(names, s.Name)
 	}
 	return names
@@ -70,7 +70,7 @@ func TestGenerateZooCoversKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 		var pooledCNN, mlp bool
-		for _, s := range z.Specs() {
+		for _, s := range z.Infos() {
 			if s.Family == "cnn" && s.Pool {
 				pooledCNN = true
 			}
@@ -91,7 +91,7 @@ func TestGenerateZooBuildsDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range z.Specs() {
+	for _, s := range z.Infos() {
 		a, err := z.Build(s.ID, 99)
 		if err != nil {
 			t.Fatalf("spec %s does not build: %v", s.Name, err)
@@ -124,21 +124,32 @@ func TestGenerateZooRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestZooInfos: the serializable metadata mirrors the registered specs.
+// TestZooInfos: the metadata registration derives from each stack
+// describes the network Zoo.Build builds from it.
 func TestZooInfos(t *testing.T) {
 	z, err := DefaultZoo(28, 28, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := z.Infos()
-	if len(infos) != z.Len() {
-		t.Fatalf("%d infos for %d specs", len(infos), z.Len())
-	}
-	for i, s := range z.Specs() {
-		in := infos[i]
-		if in.ID != s.ID || in.Name != s.Name || in.Family != s.Family ||
-			in.Depth != s.Depth || in.Width != s.Width || in.Pool != s.Pool || in.Layers != s.Layers {
-			t.Fatalf("info %d = %+v, spec = %+v", i, in, s)
+	for i, in := range z.Infos() {
+		n, err := z.Build(i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weights, pool, conv := 0, false, false
+		for _, l := range n.Layers {
+			switch l.(type) {
+			case *Conv2D:
+				conv = true
+				weights++
+			case *Dense:
+				weights++
+			case *MaxPool2:
+				pool = true
+			}
+		}
+		if in.ID != i || in.Layers != len(n.Layers) || in.Depth != weights || in.Pool != pool || (in.Family == "cnn") != conv {
+			t.Fatalf("info %d = %+v, built %d layers (%d weight layers, pool %v, conv %v)", i, in, len(n.Layers), weights, pool, conv)
 		}
 	}
 }

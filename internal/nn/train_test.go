@@ -19,7 +19,7 @@ import (
 // minibatch order at Seed+2.
 type trainRun struct {
 	arch            Arch
-	mlp             *MLPArch // when set, trains this MLP instead of arch
+	mlp             *Stack // when set, trains this MLP instead of arch
 	gen             func(dataset.Config) (*dataset.Set, *dataset.Set, error)
 	perClass, batch int
 	epochs          int
@@ -73,7 +73,7 @@ func (r trainRun) digest(t testing.TB) string {
 func (r trainRun) build() (*Network, error) {
 	rng := rand.New(rand.NewSource(2))
 	if r.mlp != nil {
-		return BuildMLP(*r.mlp, rng)
+		return r.mlp.Build(rng)
 	}
 	return Build(r.arch, rng)
 }
@@ -90,7 +90,7 @@ func TestTrainPinsDefaultScenarios(t *testing.T) {
 		// this test's full-size training would only add minutes.
 		t.Skip("full-size training is slow under -race; the bits do not depend on it")
 	}
-	mlp := MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}
+	mlp := mlpStack(28, 28, 1, 10, []int{128, 64})
 	for _, tc := range []struct {
 		run  trainRun
 		want string

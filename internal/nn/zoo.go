@@ -10,178 +10,120 @@ package nn
 // count), width (hidden sizes, conv channels) and topology (pooling on or
 // off).
 //
-// Construction is deterministic: Zoo.Build derives every weight from the
-// caller's seed alone, so two processes (or two pipeline shards) that
+// Every architecture is a Stack. Registration walks the stack's shapes
+// only, so a zoo holds no weights: Zoo.Build draws them from the
+// caller's seed alone, and two processes (or two pipeline shards) that
 // build the same spec from the same seed hold bit-identical networks.
 
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/tensor"
 )
 
-// Spec is one registered architecture: an identifier (the class label of
-// the archid stage), human-readable metadata, and a deterministic builder.
+// Spec is one architecture to register: its name and its stack.
 type Spec struct {
-	// ID is the architecture's class label, assigned by registration order.
-	ID int
 	// Name identifies the architecture ("mlp-128-64", "cnn-8-16", ...).
-	Name string
-	// Family is the coarse topology family ("mlp" or "cnn").
-	Family string
-	// Depth/Width/Pool summarize the fingerprintable hyper-parameters:
-	// Depth counts weight layers (dense + conv), Width is the dominant
-	// hidden size or channel count, Pool reports pooling presence.
-	Depth, Width int
-	Pool         bool
-	// Layers is the length of the built layer stack (what per-layer
-	// attribution observes).
-	Layers int
-	// Build constructs the network with weights drawn from rng.
-	Build func(rng *rand.Rand) (*Network, error)
+	Name  string
+	Stack Stack
 }
 
-// Zoo is an ordered registry of architecture specs.
+// Zoo is an ordered registry of architectures.
 type Zoo struct {
-	specs  []Spec
+	stacks []Stack
+	infos  []SpecInfo
 	byName map[string]int
 }
 
 // NewZoo creates an empty registry.
 func NewZoo() *Zoo { return &Zoo{byName: map[string]int{}} }
 
-// Register adds a spec under the next free ID. Names must be unique; the
-// build function is probed once (with a throwaway RNG) so a malformed
-// architecture fails at registration, not mid-campaign.
+// Register adds a spec under the next free ID and derives its metadata
+// from its stack. Names must be unique, and the stack is planned (no
+// weight is drawn) so an unrealizable architecture fails at
+// registration, not mid-campaign.
 func (z *Zoo) Register(s Spec) error {
-	if s.Name == "" || s.Build == nil {
-		return fmt.Errorf("nn: zoo spec needs a name and a build function")
+	if s.Name == "" {
+		return fmt.Errorf("nn: zoo spec needs a name")
 	}
 	if _, dup := z.byName[s.Name]; dup {
 		return fmt.Errorf("nn: duplicate zoo spec %q", s.Name)
 	}
-	net, err := s.Build(rand.New(rand.NewSource(0)))
+	plan, err := s.Stack.plan()
 	if err != nil {
-		return fmt.Errorf("nn: zoo spec %q does not build: %w", s.Name, err)
+		return fmt.Errorf("nn: zoo spec %q is not realizable: %w", s.Name, err)
 	}
-	s.ID = len(z.specs)
-	s.Layers = len(net.Layers)
-	z.byName[s.Name] = s.ID
-	z.specs = append(z.specs, s)
+	info := SpecInfo{ID: len(z.infos), Name: s.Name, Family: "mlp", Pool: s.Stack.has("pool"), Layers: len(plan)}
+	if s.Stack.has("conv") {
+		info.Family = "cnn"
+	}
+	last := 0 // the latest weight layer's width; Width excludes the output layer
+	for _, l := range s.Stack.Layers {
+		if l.Kind == "conv" || l.Kind == "dense" {
+			info.Depth++
+			info.Width = max(info.Width, last)
+			last = l.Out
+		}
+	}
+	z.byName[s.Name] = info.ID
+	z.stacks = append(z.stacks, s.Stack)
+	z.infos = append(z.infos, info)
 	return nil
 }
 
-// Specs returns the registered architectures in ID order.
-func (z *Zoo) Specs() []Spec { return z.specs }
-
 // Len returns the number of registered architectures.
-func (z *Zoo) Len() int { return len(z.specs) }
+func (z *Zoo) Len() int { return len(z.infos) }
 
-// ByName resolves a spec by name.
-func (z *Zoo) ByName(name string) (Spec, bool) {
+// ByName resolves an architecture by name.
+func (z *Zoo) ByName(name string) (SpecInfo, bool) {
 	id, ok := z.byName[name]
 	if !ok {
-		return Spec{}, false
+		return SpecInfo{}, false
 	}
-	return z.specs[id], true
+	return z.infos[id], true
 }
 
-// ByID resolves a spec by class label.
-func (z *Zoo) ByID(id int) (Spec, bool) {
-	if id < 0 || id >= len(z.specs) {
-		return Spec{}, false
+// ByID resolves an architecture by class label.
+func (z *Zoo) ByID(id int) (SpecInfo, bool) {
+	if id < 0 || id >= len(z.infos) {
+		return SpecInfo{}, false
 	}
-	return z.specs[id], true
+	return z.infos[id], true
 }
 
 // Build constructs the identified architecture with weights derived from
 // seed alone — the deterministic construction the archid pipeline's
 // worker-invariance guarantee rests on.
 func (z *Zoo) Build(id int, seed int64) (*Network, error) {
-	s, ok := z.ByID(id)
-	if !ok {
+	if id < 0 || id >= len(z.stacks) {
 		return nil, fmt.Errorf("nn: zoo has no architecture %d", id)
 	}
-	return s.Build(rand.New(rand.NewSource(seed)))
+	return z.stacks[id].Build(rand.New(rand.NewSource(seed)))
 }
 
-// SpecInfo is the serializable metadata of one zoo architecture (the Spec
-// minus its build closure), as reported in campaign results and goldens by
+// SpecInfo is the metadata of one zoo architecture, derived from its
+// stack at registration, as reported in campaign results and goldens by
 // the fingerprinting and topology-recovery stages.
 type SpecInfo struct {
-	ID     int    `json:"id"`
-	Name   string `json:"name"`
+	// ID is the architecture's class label, assigned by registration order.
+	ID   int    `json:"id"`
+	Name string `json:"name"`
+	// Family is "cnn" when the stack has a conv layer, otherwise "mlp".
 	Family string `json:"family"`
-	Depth  int    `json:"depth"`
-	Width  int    `json:"width"`
-	Pool   bool   `json:"pool"`
-	Layers int    `json:"layers"`
+	// Depth/Width/Pool summarize the fingerprintable hyper-parameters:
+	// Depth counts weight layers (conv + dense), Width is the largest
+	// width or channel count of a weight layer before the output layer,
+	// and Pool reports pooling presence.
+	Depth int  `json:"depth"`
+	Width int  `json:"width"`
+	Pool  bool `json:"pool"`
+	// Layers is the length of the built layer stack, flatten included
+	// (what per-layer attribution observes).
+	Layers int `json:"layers"`
 }
 
-// Infos returns the registered architectures' serializable metadata in ID
-// order.
-func (z *Zoo) Infos() []SpecInfo {
-	out := make([]SpecInfo, 0, z.Len())
-	for _, s := range z.specs {
-		out = append(out, SpecInfo{ID: s.ID, Name: s.Name, Family: s.Family,
-			Depth: s.Depth, Width: s.Width, Pool: s.Pool, Layers: s.Layers})
-	}
-	return out
-}
-
-// ConvNetArch is the generalized convolutional architecture behind the
-// zoo's CNN variants: Channels[i] output channels per conv block, each
-// block conv→ReLU(→2×2 pool when Pool), then flatten→dense.
-type ConvNetArch struct {
-	Name          string
-	InH, InW, InC int
-	Channels      []int
-	Kernel        int
-	Pool          bool
-	Classes       int
-}
-
-// BuildConvNet constructs the network for a generalized CNN architecture.
-func BuildConvNet(a ConvNetArch, rng *rand.Rand) (*Network, error) {
-	if a.Classes <= 1 {
-		return nil, fmt.Errorf("nn: convnet needs at least 2 classes, got %d", a.Classes)
-	}
-	if len(a.Channels) == 0 {
-		return nil, fmt.Errorf("nn: convnet needs at least one conv block")
-	}
-	if a.Kernel <= 0 {
-		return nil, fmt.Errorf("nn: convnet kernel must be positive, got %d", a.Kernel)
-	}
-	var layers []Layer
-	inH, inW, inC := a.InH, a.InW, a.InC
-	for i, outC := range a.Channels {
-		g := tensor.ConvGeom{InH: inH, InW: inW, InC: inC, K: a.Kernel, Stride: 1, Pad: 0, OutC: outC}
-		c, err := NewConv2D(g, rng)
-		if err != nil {
-			return nil, fmt.Errorf("nn: conv block %d: %w", i, err)
-		}
-		layers = append(layers, c, NewReLU(c.OutShape()))
-		s := c.OutShape()
-		if a.Pool {
-			p, err := NewMaxPool2(s)
-			if err != nil {
-				return nil, fmt.Errorf("nn: pool block %d: %w", i, err)
-			}
-			layers = append(layers, p)
-			s = p.OutShape()
-		}
-		inH, inW, inC = s[0], s[1], s[2]
-	}
-	flat := NewFlatten([]int{inH, inW, inC})
-	layers = append(layers, flat)
-	d, err := NewDense(flat.OutShape()[0], a.Classes, rng)
-	if err != nil {
-		return nil, fmt.Errorf("nn: dense: %w", err)
-	}
-	layers = append(layers, d)
-	return &Network{InShape: []int{a.InH, a.InW, a.InC}, Layers: layers, Classes: a.Classes}, nil
-}
+// Infos returns the registered architectures' metadata in ID order.
+// Callers must not modify it.
+func (z *Zoo) Infos() []SpecInfo { return z.infos }
 
 // DefaultZoo registers the reference hypothesis space for an input shape:
 // seven architectures spanning MLP depth/width, CNN conv count and
@@ -190,31 +132,10 @@ func BuildConvNet(a ConvNetArch, rng *rand.Rand) (*Network, error) {
 func DefaultZoo(inH, inW, inC, classes int) (*Zoo, error) {
 	z := NewZoo()
 	mlp := func(name string, hidden ...int) Spec {
-		a := MLPArch{Name: name, InH: inH, InW: inW, InC: inC, Hidden: hidden, Classes: classes}
-		width := 0
-		for _, h := range hidden {
-			if h > width {
-				width = h
-			}
-		}
-		return Spec{
-			Name: name, Family: "mlp", Depth: len(hidden) + 1, Width: width,
-			Build: func(rng *rand.Rand) (*Network, error) { return BuildMLP(a, rng) },
-		}
+		return Spec{Name: name, Stack: mlpStack(inH, inW, inC, classes, hidden)}
 	}
 	cnn := func(name string, pool bool, channels ...int) Spec {
-		a := ConvNetArch{Name: name, InH: inH, InW: inW, InC: inC,
-			Channels: channels, Kernel: 3, Pool: pool, Classes: classes}
-		width := 0
-		for _, c := range channels {
-			if c > width {
-				width = c
-			}
-		}
-		return Spec{
-			Name: name, Family: "cnn", Depth: len(channels) + 1, Width: width, Pool: pool,
-			Build: func(rng *rand.Rand) (*Network, error) { return BuildConvNet(a, rng) },
-		}
+		return Spec{Name: name, Stack: convStack(inH, inW, inC, classes, 3, pool, channels)}
 	}
 	for _, s := range []Spec{
 		mlp("mlp-64", 64),                    // shallow, narrow

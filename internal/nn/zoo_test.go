@@ -17,7 +17,7 @@ func TestDefaultZooRegistersDistinctArchitectures(t *testing.T) {
 	}
 	seenName := map[string]bool{}
 	seenShape := map[[3]int]bool{} // (family-coded depth, width, layers) uniqueness proxy
-	for i, s := range z.Specs() {
+	for i, s := range z.Infos() {
 		if s.ID != i {
 			t.Fatalf("spec %q has ID %d at position %d", s.Name, s.ID, i)
 		}
@@ -54,7 +54,7 @@ func TestZooBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range z.Specs() {
+	for _, s := range z.Infos() {
 		a, err := z.Build(s.ID, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
@@ -105,7 +105,7 @@ func TestZooNetworksForward(t *testing.T) {
 	for i := range img.Data {
 		img.Data[i] = float32(rng.Float64())
 	}
-	for _, s := range z.Specs() {
+	for _, s := range z.Infos() {
 		net, err := z.Build(s.ID, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -122,18 +122,13 @@ func TestZooNetworksForward(t *testing.T) {
 
 func TestZooRegisterValidation(t *testing.T) {
 	z := NewZoo()
-	if err := z.Register(Spec{Name: "", Build: nil}); err == nil {
-		t.Fatal("empty spec accepted")
+	ok := Spec{Name: "ok", Stack: mlpStack(4, 4, 1, 2, []int{8})}
+	if err := z.Register(Spec{Stack: ok.Stack}); err == nil {
+		t.Fatal("unnamed spec accepted")
 	}
-	bad := Spec{Name: "bad", Build: func(rng *rand.Rand) (*Network, error) {
-		return BuildMLP(MLPArch{Name: "bad", InH: 0, InW: 0, InC: 0, Classes: 10}, rng)
-	}}
-	if err := z.Register(bad); err == nil {
-		t.Fatal("unbuildable spec accepted")
+	if err := z.Register(Spec{Name: "bad", Stack: mlpStack(0, 0, 0, 10, nil)}); err == nil {
+		t.Fatal("unrealizable spec accepted")
 	}
-	ok := Spec{Name: "ok", Family: "mlp", Depth: 1, Width: 8, Build: func(rng *rand.Rand) (*Network, error) {
-		return BuildMLP(MLPArch{Name: "ok", InH: 4, InW: 4, InC: 1, Hidden: []int{8}, Classes: 2}, rng)
-	}}
 	if err := z.Register(ok); err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +140,46 @@ func TestZooRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestBuildConvNetValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := BuildConvNet(ConvNetArch{InH: 8, InW: 8, InC: 1, Channels: []int{4}, Kernel: 3, Classes: 1}, rng); err == nil {
-		t.Fatal("single-class convnet accepted")
+// TestStackWalkRules: every realizability rule of the walk refuses its
+// stack, both when building and when registering, and a stack that
+// breaks none builds.
+func TestStackWalkRules(t *testing.T) {
+	conv := func(out, k int) StackLayer { return StackLayer{Kind: "conv", Out: out, K: k} }
+	dense := func(out int) StackLayer { return StackLayer{Kind: "dense", Out: out} }
+	relu, pool := StackLayer{Kind: "relu"}, StackLayer{Kind: "pool"}
+	on12 := func(layers ...StackLayer) Stack {
+		return Stack{InH: 12, InW: 12, InC: 1, Classes: 4, Layers: layers}
 	}
-	if _, err := BuildConvNet(ConvNetArch{InH: 8, InW: 8, InC: 1, Kernel: 3, Classes: 10}, rng); err == nil {
-		t.Fatal("convnet without conv blocks accepted")
+	for _, tc := range []struct {
+		name  string
+		stack Stack
+	}{
+		{"no input", Stack{InH: 0, InW: 12, InC: 1, Classes: 4, Layers: []StackLayer{dense(4)}}},
+		{"one class", Stack{InH: 12, InW: 12, InC: 1, Classes: 1, Layers: []StackLayer{dense(4)}}},
+		{"empty", on12()},
+		{"conv after dense", on12(dense(8), conv(4, 3))},
+		{"pool after dense", on12(dense(8), pool)},
+		{"zero kernel", on12(conv(4, 0), dense(4))},
+		{"oversized kernel", on12(conv(4, 13), dense(4))},
+		{"zero channels", on12(conv(0, 3), dense(4))},
+		{"zero width dense", on12(dense(0))},
+		{"dense on a map pooled to nothing", on12(pool, pool, pool, pool, dense(4))},
+		{"unknown kind", on12(StackLayer{Kind: "wat"})},
+		{"output with no elements", on12(pool, pool, pool, pool)},
+	} {
+		if _, err := tc.stack.Build(testRNG()); err == nil {
+			t.Errorf("%s: %+v built", tc.name, tc.stack)
+		}
+		if err := NewZoo().Register(Spec{Name: tc.name, Stack: tc.stack}); err == nil {
+			t.Errorf("%s: %+v registered", tc.name, tc.stack)
+		}
 	}
-	if _, err := BuildConvNet(ConvNetArch{InH: 8, InW: 8, InC: 1, Channels: []int{4}, Classes: 10}, rng); err == nil {
-		t.Fatal("zero kernel accepted")
+	n, err := on12(conv(4, 3), relu, pool, dense(8), relu, dense(4)).Build(testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// conv, relu, pool, flatten, dense, relu, dense.
+	if len(n.Layers) != 7 {
+		t.Fatalf("built %d layers, want 7", len(n.Layers))
 	}
 }

@@ -112,9 +112,10 @@ func randomStack(rng *rand.Rand) []LayerGuess {
 }
 
 // TestBuildRecoveredMatchesReference: the shape-first builder fails
-// exactly where the reference fails, and where both build they hold the
-// same layers, shapes and weight bits, since the weights are drawn in
-// the same layer order from the same seed.
+// exactly where the reference fails or builds a network whose output has
+// no elements (which no deployment can classify with), and where both
+// build they hold the same layers, shapes and weight bits, since the
+// weights are drawn in the same layer order from the same seed.
 func TestBuildRecoveredMatchesReference(t *testing.T) {
 	type rebuildCase struct {
 		name          string
@@ -149,10 +150,11 @@ func TestBuildRecoveredMatchesReference(t *testing.T) {
 		seed := int64(i + 1)
 		want, wantErr := referenceBuildRecovered(tc.guesses, tc.inH, tc.inW, tc.inC, 4, seed)
 		got, gotErr := buildRecovered(tc.guesses, tc.inH, tc.inW, tc.inC, 4, seed)
-		if (gotErr == nil) != (wantErr == nil) {
+		wantFail := wantErr != nil || tensor.Volume(want.Layers[len(want.Layers)-1].OutShape()) == 0
+		if (gotErr != nil) != wantFail {
 			t.Fatalf("%s %v on %dx%dx%d: error %v, reference error %v", tc.name, tc.guesses, tc.inH, tc.inW, tc.inC, gotErr, wantErr)
 		}
-		if wantErr != nil {
+		if wantFail {
 			continue
 		}
 		built++

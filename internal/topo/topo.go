@@ -690,100 +690,16 @@ func runtimeMean(cfg Config, event march.Event) float64 {
 	}
 }
 
-// shapedLayer is one layer of a recovered stack as the shape walk
-// planned it: its kind and what its constructor takes, with no weights.
-type shapedLayer struct {
-	kind    string
-	geom    tensor.ConvGeom // conv
-	shape   []int           // relu, pool, flatten: the input shape
-	in, out int             // dense
-}
-
-// shapeRecovered walks a recovered stack's geometry from the input shape
-// and plans its layers, inserting the flatten before the first dense
-// layer. It is the one place the realizability rules live: a stack is
-// not realizable when it is empty, when a conv or pool follows the dense
-// collapse, when a conv does not fit its map (tensor.ConvGeom.Validate,
-// the check nn.NewConv2D makes), when a dense layer has no inputs (a map
-// pooled to nothing) or no width, or when a kind is unknown.
-func shapeRecovered(guesses []LayerGuess, inH, inW, inC int) ([]shapedLayer, error) {
-	if len(guesses) == 0 {
-		return nil, fmt.Errorf("topo: empty recovered stack")
-	}
-	h, w, ch := inH, inW, inC
-	flat := false
-	plan := make([]shapedLayer, 0, len(guesses)+1)
-	for i, g := range guesses {
-		switch g.Kind {
-		case "conv":
-			if flat {
-				return nil, fmt.Errorf("topo: recovered conv at %d after dense collapse", i)
-			}
-			geom := tensor.ConvGeom{InH: h, InW: w, InC: ch, K: max(g.Kernel, 1), Stride: 1, Pad: 0, OutC: g.Param}
-			if err := geom.Validate(); err != nil {
-				return nil, fmt.Errorf("topo: recovered conv at %d does not fit %dx%d: %w", i, h, w, err)
-			}
-			plan = append(plan, shapedLayer{kind: "conv", geom: geom})
-			h, w, ch = geom.OutH(), geom.OutW(), geom.OutC
-		case "relu":
-			shape := []int{h, w, ch}
-			if flat {
-				shape = []int{ch}
-			}
-			plan = append(plan, shapedLayer{kind: "relu", shape: shape})
-		case "pool":
-			if flat {
-				return nil, fmt.Errorf("topo: recovered pool at %d after dense collapse", i)
-			}
-			plan = append(plan, shapedLayer{kind: "pool", shape: []int{h, w, ch}})
-			h, w = h/2, w/2
-		case "dense":
-			in := ch
-			if !flat {
-				plan = append(plan, shapedLayer{kind: "flatten", shape: []int{h, w, ch}})
-				in, flat = h*w*ch, true
-			}
-			if in < 1 || g.Param < 1 {
-				return nil, fmt.Errorf("topo: recovered dense at %d maps %d inputs to width %d", i, in, g.Param)
-			}
-			plan = append(plan, shapedLayer{kind: "dense", in: in, out: g.Param})
-			h, w, ch = 1, 1, g.Param
-		default:
-			return nil, fmt.Errorf("topo: recovered unknown layer kind %q at %d", g.Kind, i)
-		}
-	}
-	return plan, nil
-}
-
 // buildRecovered materializes a recovered layer stack as a network with
 // fresh deterministic weights — the candidate the attacker profiles to
-// validate the reconstruction. The whole stack is shaped first
-// (shapeRecovered), so a stack that is not realizable fails, which the
-// scorer reports as an unverifiable reconstruction, before any weight is
-// drawn. A realizable stack draws its weights layer by layer from seed.
+// validate the reconstruction. The guesses lower to an nn.Stack (a conv
+// kernel below 1 reads as 1), whose walk holds the realizability rules:
+// a stack that is not realizable fails before any weight is drawn, which
+// the scorer reports as an unverifiable reconstruction.
 func buildRecovered(guesses []LayerGuess, inH, inW, inC, classes int, seed int64) (*nn.Network, error) {
-	plan, err := shapeRecovered(guesses, inH, inW, inC)
-	if err != nil {
-		return nil, err
+	s := nn.Stack{InH: inH, InW: inW, InC: inC, Classes: classes, Layers: make([]nn.StackLayer, len(guesses))}
+	for i, g := range guesses {
+		s.Layers[i] = nn.StackLayer{Kind: g.Kind, Out: g.Param, K: max(g.Kernel, 1)}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	layers := make([]nn.Layer, len(plan))
-	for i, p := range plan {
-		switch p.kind {
-		case "conv":
-			layers[i], err = nn.NewConv2D(p.geom, rng)
-		case "relu":
-			layers[i] = nn.NewReLU(p.shape)
-		case "pool":
-			layers[i], err = nn.NewMaxPool2(p.shape)
-		case "flatten":
-			layers[i] = nn.NewFlatten(p.shape)
-		case "dense":
-			layers[i], err = nn.NewDense(p.in, p.out, rng)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &nn.Network{InShape: []int{inH, inW, inC}, Layers: layers, Classes: classes}, nil
+	return s.Build(rand.New(rand.NewSource(seed)))
 }

@@ -323,6 +323,7 @@ var (
 		{"unknown kind", []LayerGuess{{Kind: "wat"}}},
 		{"oversized kernel", []LayerGuess{{Kind: "conv", Param: 4, Kernel: 31}}},
 		{"zero width dense", []LayerGuess{{Kind: "dense", Param: 0}}},
+		{"pool x4 to 0x0", []LayerGuess{{Kind: "pool"}, {Kind: "pool"}, {Kind: "pool"}, {Kind: "pool"}}},
 	}
 	saneStack = []LayerGuess{
 		{Kind: "conv", Param: 4, Kernel: 3}, {Kind: "relu"}, {Kind: "pool"},
