@@ -16,6 +16,7 @@ import (
 	"context"
 
 	"repro/internal/archid"
+	"repro/internal/march"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -84,7 +85,7 @@ func (s *Scenario) ArchIDGrouped(ctx context.Context, level DefenseLevel, cfg Ar
 	}
 	events := cfg.Events
 	if len(events) == 0 {
-		events = []Event{EvCacheMisses, EvBranches}
+		events = march.BaseEvents()
 	}
 	spec := s.workerSpec(StageArchID, level, events)
 	spec.Seed, spec.ProfileRuns, spec.AttackRuns, spec.MaxInputs, spec.NoPad =

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/march"
 	"repro/internal/obs"
 )
 
@@ -64,7 +65,7 @@ func (c AttackConfig) withDefaults() AttackConfig {
 		c.Classes = PaperClasses()
 	}
 	if len(c.Events) == 0 {
-		c.Events = []Event{EvCacheMisses, EvBranches}
+		c.Events = march.BaseEvents()
 	}
 	if c.ProfileRuns <= 0 {
 		c.ProfileRuns = 100

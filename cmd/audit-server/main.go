@@ -8,7 +8,7 @@
 // Usage:
 //
 //	audit-server [-addr :8347] [-processes 4] [-worker-bin PATH]
-//	             [-journal BASE] [-fabric-tcp]
+//	             [-journal BASE]
 //
 // API:
 //

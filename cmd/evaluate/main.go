@@ -7,7 +7,7 @@
 //
 //	evaluate -dataset mnist [-runs 300] [-classes 1,2,3,4] [-defense baseline]
 //	         [-alpha 0.05] [-csv out.csv] [-events base] [-workers N] [-seed 1]
-//	         [-processes N] [-worker-bin PATH] [-journal BASE] [-fabric-tcp]
+//	         [-processes N] [-worker-bin PATH] [-journal BASE]
 //
 // The campaign runs on the concurrent sharded pipeline: collection fans
 // out over -workers workers (0 = GOMAXPROCS) with deterministic per-shard

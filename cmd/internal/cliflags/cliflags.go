@@ -1,6 +1,6 @@
 // Package cliflags registers the flags the campaign commands share: the
-// distributed audit fabric (-processes, -worker-bin, -journal,
-// -fabric-tcp) and telemetry export (-trace, -obs).
+// distributed audit fabric (-processes, -worker-bin, -journal) and
+// telemetry export (-trace, -obs).
 package cliflags
 
 import (
@@ -23,7 +23,6 @@ func AddFabric(fs *flag.FlagSet) *Fabric {
 	fs.IntVar(&f.Processes, "processes", 0, "shardworker OS processes via the distributed audit fabric; 0 = in-process")
 	fs.StringVar(&f.Config.WorkerBin, "worker-bin", "", "shardworker binary for -processes (default $REPRO_SHARDWORKER)")
 	fs.StringVar(&f.Config.Journal, "journal", "", "shard-completion journal base path; reruns resume finished shards")
-	fs.BoolVar(&f.Config.TCP, "fabric-tcp", false, "dispatch fabric shards over loopback TCP instead of pipes")
 	return f
 }
 

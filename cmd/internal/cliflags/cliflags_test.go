@@ -15,8 +15,8 @@ func TestFabricFlags(t *testing.T) {
 		want  repro.FabricConfig
 	}{
 		{nil, 0, repro.FabricConfig{}},
-		{[]string{"-processes", "2", "-worker-bin", "bin/sw", "-journal", "j/audit", "-fabric-tcp"},
-			2, repro.FabricConfig{WorkerBin: "bin/sw", Journal: "j/audit", TCP: true}},
+		{[]string{"-processes", "2", "-worker-bin", "bin/sw", "-journal", "j/audit"},
+			2, repro.FabricConfig{WorkerBin: "bin/sw", Journal: "j/audit"}},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		f := AddFabric(fs)
@@ -26,7 +26,7 @@ func TestFabricFlags(t *testing.T) {
 		if f.Processes != tc.procs {
 			t.Errorf("%v: Processes = %d, want %d", tc.args, f.Processes, tc.procs)
 		}
-		if f.Config.WorkerBin != tc.want.WorkerBin || f.Config.Journal != tc.want.Journal || f.Config.TCP != tc.want.TCP {
+		if f.Config.WorkerBin != tc.want.WorkerBin || f.Config.Journal != tc.want.Journal {
 			t.Errorf("%v: Config = %+v, want %+v", tc.args, f.Config, tc.want)
 		}
 	}

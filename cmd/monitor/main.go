@@ -13,7 +13,7 @@
 //	        [-alpha 0.05] [-events base] [-workers N] [-seed 0] [-batch 1]
 //	        [-mann-whitney] [-min-samples 8] [-no-stop] [-tenants 0] [-quantum 5000]
 //	        [-json] [-csv out.csv]
-//	        [-processes N] [-worker-bin PATH] [-journal BASE] [-fabric-tcp]
+//	        [-processes N] [-worker-bin PATH] [-journal BASE]
 //
 // The consumed window stream is deterministic, so the detection — and
 // its trace count — is identical at any -workers or -processes value.

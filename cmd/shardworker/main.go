@@ -9,13 +9,13 @@
 //
 // Usage:
 //
-//	shardworker                      # frames on stdin/stdout (default)
-//	shardworker -connect 127.0.0.1:N # frames on a TCP connection
+//	shardworker # frames on stdin/stdout
 //
 // The process is never run by hand: it speaks length-prefixed JSON
-// frames (internal/fabric) on its transport and nothing else. In stdio
-// mode os.Stdout is rebound to stderr before serving so stray prints
-// from any library can never corrupt the framing.
+// frames (internal/fabric) on stdin/stdout and nothing else, and takes
+// no flags, so a coordinator passing one fails loudly. os.Stdout is
+// rebound to stderr before serving so stray prints from any library can
+// never corrupt the framing.
 //
 // Fault-injection hooks, honoured only to make the failure-path test
 // suite deterministic:
@@ -32,9 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"os"
 	"strconv"
 
@@ -46,26 +44,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("shardworker: ")
-	connect := flag.String("connect", "", "coordinator TCP address; default is stdin/stdout frames")
 	flag.Parse()
 
-	var in io.Reader
-	var out io.Writer
-	if *connect != "" {
-		conn, err := net.Dial("tcp", *connect)
-		if err != nil {
-			log.Fatalf("connecting to coordinator: %v", err)
-		}
-		defer conn.Close()
-		in, out = conn, conn
-	} else {
-		in, out = os.Stdin, os.Stdout
-		// Anything that prints to os.Stdout after this point lands on
-		// stderr instead of corrupting the frame stream.
-		os.Stdout = os.Stderr
-	}
+	out := os.Stdout
+	// Anything that prints to os.Stdout after this point lands on stderr
+	// instead of corrupting the frame stream.
+	os.Stdout = os.Stderr
 
-	if err := fabric.Serve(context.Background(), in, out, repro.NewWorkerRunner, faultHooks()); err != nil {
+	if err := fabric.Serve(context.Background(), os.Stdin, out, repro.NewWorkerRunner, faultHooks()); err != nil {
 		log.Fatal(err)
 	}
 }

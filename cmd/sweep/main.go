@@ -11,7 +11,7 @@
 //	      [-events "base;fig2b"] [-classes 1,2,3,4] [-alpha 0.05]
 //	      [-workers N] [-cell-parallel 2] [-seed 1] [-attack] [-attack-runs N]
 //	      [-archid] [-archid-runs N] [-topo] [-topo-holdout N]
-//	      [-processes N] [-worker-bin PATH] [-journal BASE] [-fabric-tcp]
+//	      [-processes N] [-worker-bin PATH] [-journal BASE]
 //	      [-format csv|json] [-o grid.csv]
 //
 // Event sets are separated by semicolons; each set is a named set (base,

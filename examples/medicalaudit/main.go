@@ -60,7 +60,7 @@ func main() {
 	fmt.Println("\ndemonstrating the harm: an insider profiles the service,")
 	fmt.Println("then infers each patient's diagnosis category from HPCs alone.")
 
-	events := []march.Event{march.EvCacheMisses, march.EvBranches}
+	events := march.BaseEvents()
 	pmu, err := hpc.NewPMU(s.Engine, hpc.DefaultCounters)
 	if err != nil {
 		log.Fatal(err)

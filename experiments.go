@@ -88,7 +88,7 @@ func FigureDistributions(w io.Writer, title string, rep *Report, e Event) error 
 // TableTTests renders the Table 1/2 layout (t and p per category pair for
 // cache-misses and branches).
 func TableTTests(w io.Writer, rep *Report) error {
-	return report.TTable(w, rep, EvCacheMisses, EvBranches)
+	return report.TTable(w, rep, march.BaseEvents()...)
 }
 
 // RenderAlarms prints the evaluator's alarms.

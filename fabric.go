@@ -39,9 +39,6 @@ type FabricConfig struct {
 	// collection session appends ".<stage>.g<session>". "" disables
 	// journaling (campaigns are not resumable after a crash).
 	Journal string
-	// TCP dispatches shards over loopback TCP connections instead of the
-	// default stdin/stdout pipes.
-	TCP bool
 	// Env adds environment variables to every worker process (the
 	// fault-injection hooks in tests).
 	Env []string

@@ -243,18 +243,6 @@ func TestTopoGoldenByteInvariantAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestFabricTCPTransportByteIdentical re-runs the small report campaign
-// with shards dispatched over loopback TCP connections instead of
-// stdin/stdout pipes; the transport must be invisible in the bytes.
-func TestFabricTCPTransportByteIdentical(t *testing.T) {
-	want := smallEvalBytes(t, 0, FabricConfig{})
-	fc := fabricCfg(t)
-	fc.TCP = true
-	if got := smallEvalBytes(t, 2, fc); !bytes.Equal(got, want) {
-		t.Fatalf("TCP transport changed report bytes:\n--- tcp ---\n%s\n--- in-process ---\n%s", got, want)
-	}
-}
-
 // journalFiles lists the per-session journal files under base.
 func journalFiles(t *testing.T, base string) []string {
 	t.Helper()

@@ -95,7 +95,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if len(c.Events) == 0 {
-		c.Events = []march.Event{march.EvCacheMisses, march.EvBranches}
+		c.Events = march.BaseEvents()
 	}
 	if c.Alpha <= 0 || c.Alpha >= 1 {
 		c.Alpha = 0.05

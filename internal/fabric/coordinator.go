@@ -10,7 +10,6 @@ package fabric
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -59,118 +58,37 @@ func (c *Coordinator) Run(ctx context.Context, plans []pipeline.Plan) ([][]byte,
 // RunStream executes every plan and delivers each result payload —
 // strictly in plans-slice order, on the caller's goroutine — the moment
 // it and all its predecessors are available, instead of assembling the
-// whole campaign first. Journal-served shards are delivered without
-// re-execution and completions are journaled exactly as Run journals
-// them, so an interrupted streaming campaign resumes identically. A
-// non-nil error from deliver cancels the outstanding dispatches, drains
-// them, and is returned verbatim — the streaming monitor stops a
-// campaign mid-flight by returning its stop sentinel here.
+// whole campaign first. Plans run on the pipeline's ordered executor
+// (pipeline.EachOrdered) over Procs() lanes, claimed in slice order, so
+// the shards the deliverer waits on are always the ones being executed.
+// A journaled shard is served from the journal without re-execution;
+// any other is dispatched, then journaled, so an interrupted streaming
+// campaign resumes identically. The first dispatch or journal failure
+// cancels the outstanding dispatches, drains them and is returned. A
+// non-nil error from deliver does the same and is returned verbatim —
+// the streaming monitor stops a campaign mid-flight by returning its
+// stop sentinel here.
 func (c *Coordinator) RunStream(ctx context.Context, plans []pipeline.Plan, deliver func(i int, payload []byte) error) error {
-	ready := make([]chan []byte, len(plans))
-	for i := range ready {
-		ready[i] = make(chan []byte, 1)
-	}
-	var pending []int
-	for i, pl := range plans {
+	return pipeline.EachOrdered(ctx, max(c.Dispatcher.Procs(), 1), len(plans), func(ctx context.Context, _, i int) ([]byte, error) {
+		pl := plans[i]
 		if c.Journal != nil {
-			if p, ok := c.Journal.Payload(pl.Index); ok {
-				ready[i] <- p
+			if payload, ok := c.Journal.Payload(pl.Index); ok {
 				c.Obs.Add(obs.CJournalSkips, 1)
 				c.Obs.Add(obs.CShardsDone, 1)
-				continue
+				return payload, nil
 			}
 		}
-		pending = append(pending, i)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	if len(pending) > 0 {
-		procs := c.Dispatcher.Procs()
-		if procs < 1 {
-			procs = 1
+		payload, err := c.Dispatcher.Dispatch(ctx, pl)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: shard %d: %w", pl.Index, err)
 		}
-		if procs > len(pending) {
-			procs = len(pending)
-		}
-		jobs := make(chan int)
-		for k := 0; k < procs; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					payload, err := c.Dispatcher.Dispatch(runCtx, plans[i])
-					if err != nil {
-						fail(fmt.Errorf("fabric: shard %d: %w", plans[i].Index, err))
-						return
-					}
-					if c.Journal != nil {
-						if err := c.Journal.Append(plans[i].Index, payload); err != nil {
-							fail(err)
-							return
-						}
-						c.Obs.Add(obs.CJournalAppends, 1)
-					}
-					c.Obs.Add(obs.CShardsDone, 1)
-					ready[i] <- payload // cap 1: never blocks
-				}
-			}()
-		}
-		// Plans are fed in slice order, so the shards the deliverer is
-		// waiting on are always the ones being executed.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(jobs)
-			for _, i := range pending {
-				select {
-				case jobs <- i:
-				case <-runCtx.Done():
-					return
-				}
+		if c.Journal != nil {
+			if err := c.Journal.Append(pl.Index, payload); err != nil {
+				return nil, err
 			}
-		}()
-	}
-
-	var deliverErr error
-stream:
-	for i := range plans {
-		var payload []byte
-		select {
-		case payload = <-ready[i]:
-		case <-runCtx.Done():
-			// A completed shard may have raced the cancellation: take it
-			// if it is already buffered, otherwise stop delivering.
-			select {
-			case payload = <-ready[i]:
-			default:
-				break stream
-			}
+			c.Obs.Add(obs.CJournalAppends, 1)
 		}
-		if err := deliver(i, payload); err != nil {
-			deliverErr = err
-			cancel()
-			break
-		}
-	}
-	wg.Wait()
-	switch {
-	case deliverErr != nil:
-		return deliverErr
-	case firstErr != nil:
-		return firstErr
-	default:
-		return ctx.Err()
-	}
+		c.Obs.Add(obs.CShardsDone, 1)
+		return payload, nil
+	}, deliver)
 }

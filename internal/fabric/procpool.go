@@ -2,11 +2,10 @@ package fabric
 
 // ProcPool is the subprocess Dispatcher: it launches N shardworker
 // processes, initializes each with the campaign spec, and dispatches
-// shard plans over length-prefixed frames — stdin/stdout pipes by
-// default, a local TCP connection per worker behind the TCP flag. A
-// worker's death mid-shard fails the dispatch with the process's exit
-// status and captured stderr, which the coordinator turns into prompt
-// cancellation of everything outstanding.
+// shard plans over length-prefixed frames on each worker's stdin/stdout
+// pipes. A worker's death mid-shard fails the dispatch with the
+// process's exit status and captured stderr, which the coordinator turns
+// into prompt cancellation of everything outstanding.
 
 import (
 	"bufio"
@@ -15,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -79,12 +77,9 @@ type PoolConfig struct {
 	Spec []byte
 	// Procs is the number of worker processes (0 → 1).
 	Procs int
-	// TCP switches the transport from stdio pipes to a loopback TCP
-	// connection per worker (workers are launched with -connect addr).
-	TCP bool
 	// Obs, when non-nil, arms the fabric's telemetry: workers are asked
 	// (via the init frame envelope, never the spec) to ship their spans
-	// and counters back over telemetry frames, transports count frames
+	// and counters back over telemetry frames, the pipes count frames
 	// and bytes, and worker exits are recorded as events. The campaign's
 	// bytes are identical with or without it.
 	Obs *obs.Recorder
@@ -96,7 +91,6 @@ type worker struct {
 	cmd      *exec.Cmd
 	in       io.WriteCloser
 	out      *bufio.Reader
-	conn     net.Conn // TCP transport; nil in stdio mode
 	stderr   *tailBuffer
 	waitOnce sync.Once
 	waitErr  error
@@ -104,7 +98,7 @@ type worker struct {
 }
 
 // countingWriter tallies bytes written to a worker into the pool
-// recorder; Close passes through so stdio-mode shutdown still works.
+// recorder; Close passes through so shutdown still closes the pipe.
 type countingWriter struct {
 	w   io.WriteCloser
 	rec *obs.Recorder
@@ -134,12 +128,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// kill tears the worker down hard: closing the TCP conn (if any) and
-// killing the process unblocks any read the dispatcher is parked on.
+// kill tears the worker down hard: killing the process closes its end
+// of the pipes, which unblocks any read the dispatcher is parked on.
 func (w *worker) kill() {
-	if w.conn != nil {
-		w.conn.Close()
-	}
 	if w.cmd.Process != nil {
 		w.cmd.Process.Kill()
 	}
@@ -179,13 +170,12 @@ var _ pipeline.Dispatcher = (*ProcPool)(nil)
 // only once every worker has acknowledged the campaign spec with a ready
 // frame, so dispatch latency never includes campaign construction.
 //
-// Workers are launched one at a time — start the process, accept its
-// connection (TCP pools), send the init frame — so each accepted
-// connection belongs to the process just started. Their handshakes then
-// complete concurrently: every worker builds its campaign at once, and
-// pool start costs one campaign construction, not Procs of them. If any
-// worker fails, the others are killed, every launched process is reaped,
-// and the error is the lowest-id failing worker's.
+// Workers are launched one at a time — start the process, send the init
+// frame — and their handshakes then complete concurrently: every worker
+// builds its campaign at once, and pool start costs one campaign
+// construction, not Procs of them. If any worker fails, the others are
+// killed, every launched process is reaped, and the error is the
+// lowest-id failing worker's.
 func StartPool(ctx context.Context, cfg PoolConfig) (*ProcPool, error) {
 	if cfg.Bin == "" {
 		return nil, fmt.Errorf("fabric: no shardworker binary configured")
@@ -205,17 +195,8 @@ func StartPool(ctx context.Context, cfg PoolConfig) (*ProcPool, error) {
 		p.Close()
 		return nil, err
 	}
-	var ln net.Listener
-	if cfg.TCP {
-		var err error
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("fabric: tcp listener: %w", err)
-		}
-		defer ln.Close()
-	}
 	for i := 0; i < cfg.Procs; i++ {
-		w, err := p.launch(i, ln)
+		w, err := p.launch(i)
 		if err != nil {
 			return abort(err)
 		}
@@ -267,50 +248,24 @@ func handshakeErr(errs []error) error {
 	return canceled
 }
 
-// launch starts worker id, connects its transport and sends it the init
+// launch starts worker id on its stdio pipes and sends it the init
 // frame; awaitReady completes the handshake.
-func (p *ProcPool) launch(id int, ln net.Listener) (*worker, error) {
-	var args []string
-	if ln != nil {
-		args = []string{"-connect", ln.Addr().String()}
-	}
-	cmd := exec.Command(p.cfg.Bin, args...)
+func (p *ProcPool) launch(id int) (*worker, error) {
+	cmd := exec.Command(p.cfg.Bin)
 	cmd.Env = append(os.Environ(), p.cfg.Env...)
 	w := &worker{id: id, cmd: cmd, stderr: &tailBuffer{}}
 	cmd.Stderr = w.stderr
-
-	if ln == nil {
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		w.in, w.out = in, bufio.NewReader(p.countReads(out))
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("fabric: starting worker %d (%s): %w", id, p.cfg.Bin, err)
-		}
-	} else {
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("fabric: starting worker %d (%s): %w", id, p.cfg.Bin, err)
-		}
-		// Workers are launched and accepted one at a time, so this
-		// connection belongs to this process.
-		if tl, ok := ln.(*net.TCPListener); ok {
-			//detlint:allow seedpurity — IO watchdog: the accept deadline bounds a hung worker handshake and never reaches campaign bytes
-			tl.SetDeadline(time.Now().Add(30 * time.Second))
-		}
-		conn, err := ln.Accept()
-		if err != nil {
-			w.kill()
-			w.wait()
-			return nil, fmt.Errorf("fabric: worker %d never connected: %v (%s)", id, err, w.describe())
-		}
-		w.conn = conn
-		w.in = conn
-		w.out = bufio.NewReader(p.countReads(conn))
+	in, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	w.in, w.out = in, bufio.NewReader(p.countReads(out))
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("fabric: starting worker %d (%s): %w", id, p.cfg.Bin, err)
 	}
 	if p.cfg.Obs != nil {
 		w.in = &countingWriter{w: w.in, rec: p.cfg.Obs}
@@ -341,8 +296,8 @@ func (p *ProcPool) awaitReady(ctx context.Context, w *worker) error {
 	}
 }
 
-// countReads wraps a worker transport's read side with byte telemetry
-// when the pool recorder is armed; obs-off pools read the raw transport.
+// countReads wraps a worker's stdout pipe with byte telemetry when the
+// pool recorder is armed; obs-off pools read the raw pipe.
 func (p *ProcPool) countReads(r io.Reader) io.Reader {
 	if p.cfg.Obs == nil {
 		return r
@@ -380,10 +335,10 @@ func (p *ProcPool) noteExit(w *worker) {
 }
 
 // readFrom reads one frame from a worker under a context watchdog: if
-// ctx is cancelled while the read blocks, the worker is killed (and its
-// conn closed), which unblocks the read immediately. The watchdog is
-// gone when readFrom returns, so a later cancellation of ctx never
-// reaches a worker whose read already succeeded.
+// ctx is cancelled while the read blocks, the worker is killed, which
+// unblocks the read immediately. The watchdog is gone when readFrom
+// returns, so a later cancellation of ctx never reaches a worker whose
+// read already succeeded.
 func (p *ProcPool) readFrom(ctx context.Context, w *worker) (Frame, error) {
 	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -519,9 +474,7 @@ func (p *ProcPool) Close() error {
 		go func(w *worker) {
 			defer wg.Done()
 			p.writeTo(w, Frame{Type: TypeShutdown})
-			if w.conn == nil {
-				w.in.Close()
-			}
+			w.in.Close()
 			done := make(chan struct{})
 			go func() {
 				w.wait()
@@ -532,9 +485,6 @@ func (p *ProcPool) Close() error {
 			case <-time.After(5 * time.Second):
 				w.kill()
 				<-done
-			}
-			if w.conn != nil {
-				w.conn.Close()
 			}
 			p.noteExit(w)
 		}(w)

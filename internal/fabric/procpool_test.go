@@ -12,12 +12,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,23 +48,9 @@ func fakeWorkerProcs() int {
 	return n
 }
 
-// fakeOut is where a fake worker writes frames: stdout, or the
-// coordinator connection of a TCP pool.
-var fakeOut io.Writer = os.Stdout
-
-// readInit connects a fake worker's transport — the "-connect addr"
-// connection of a TCP pool, else stdin/stdout — and reads its init
-// frame.
+// readInit reads a fake worker's init frame from stdin.
 func readInit() *bufio.Reader {
-	var in io.Reader = os.Stdin
-	if i := slices.Index(os.Args, "-connect"); i >= 0 && i+1 < len(os.Args) {
-		conn, err := net.Dial("tcp", os.Args[i+1])
-		if err != nil {
-			os.Exit(2)
-		}
-		in, fakeOut = conn, conn
-	}
-	br := bufio.NewReader(in)
+	br := bufio.NewReader(os.Stdin)
 	if f, err := ReadFrame(br); err != nil || f.Type != TypeInit {
 		os.Exit(2)
 	}
@@ -106,10 +89,10 @@ func runBarrierWorker() {
 	br := readInit()
 	os.WriteFile(filepath.Join(fakeWorkerDir(), fmt.Sprintf("init-%d", os.Getpid())), nil, 0o644)
 	if err := awaitFiles("init-*", fakeWorkerProcs()); err != nil {
-		WriteFrame(fakeOut, Frame{Type: TypeError, Err: err.Error()})
+		WriteFrame(os.Stdout, Frame{Type: TypeError, Err: err.Error()})
 		os.Exit(1)
 	}
-	WriteFrame(fakeOut, Frame{Type: TypeReady})
+	WriteFrame(os.Stdout, Frame{Type: TypeReady})
 	serveShutdown(br)
 }
 
@@ -121,16 +104,16 @@ func runRejectOneWorker() {
 	os.WriteFile(filepath.Join(fakeWorkerDir(), fmt.Sprintf("pid-%d", os.Getpid())), nil, 0o644)
 	br := readInit()
 	if err := awaitFiles("pid-*", fakeWorkerProcs()); err != nil {
-		WriteFrame(fakeOut, Frame{Type: TypeError, Err: err.Error()})
+		WriteFrame(os.Stdout, Frame{Type: TypeError, Err: err.Error()})
 		os.Exit(1)
 	}
 	if f, err := os.OpenFile(filepath.Join(fakeWorkerDir(), "reject"), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
 		f.Close()
-		WriteFrame(fakeOut, Frame{Type: TypeError, Err: "fake worker rejects the spec"})
+		WriteFrame(os.Stdout, Frame{Type: TypeError, Err: "fake worker rejects the spec"})
 		os.Exit(1)
 	}
 	time.Sleep(20 * time.Second)
-	WriteFrame(fakeOut, Frame{Type: TypeReady})
+	WriteFrame(os.Stdout, Frame{Type: TypeReady})
 	serveShutdown(br)
 }
 
@@ -149,17 +132,11 @@ func fakePool(mode, dir string, procs int) PoolConfig {
 // frame before the pool waits on any ready frame, so workers that each
 // need all the others initialized complete the handshake.
 func TestStartPoolHandshakesConcurrently(t *testing.T) {
-	for _, tcp := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
-			cfg := fakePool("barrier", t.TempDir(), 3)
-			cfg.TCP = tcp
-			pool, err := StartPool(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("StartPool: %v", err)
-			}
-			pool.Close()
-		})
+	pool, err := StartPool(context.Background(), fakePool("barrier", t.TempDir(), 3))
+	if err != nil {
+		t.Fatalf("StartPool: %v", err)
 	}
+	pool.Close()
 }
 
 // TestStartPoolHandshakeFailureReapsAll: one worker of three rejects the

@@ -21,9 +21,8 @@
 // worker failure cancels the outstanding dispatches and surfaces the
 // worker's stderr.
 //
-// Transport is length-prefixed JSON frames over stdin/stdout pipes (the
-// default) or a local TCP connection (the -connect variant), chosen by
-// the pool configuration.
+// Transport is length-prefixed JSON frames over each worker's
+// stdin/stdout pipes.
 package fabric
 
 import (

@@ -2,9 +2,8 @@ package fabric
 
 // The worker side of the protocol: a shardworker process reads frames
 // from its coordinator, builds the campaign runner from the init spec,
-// and answers each shard frame with a result frame. Serve is transport-
-// agnostic — cmd/shardworker hands it either its stdio pipes or a TCP
-// connection.
+// and answers each shard frame with a result frame. Serve reads and
+// writes plain streams; cmd/shardworker hands it its stdio pipes.
 
 import (
 	"context"

@@ -327,7 +327,7 @@ func ParseEventList(s string) ([]march.Event, error) {
 func ParseEventSpec(s string) ([]march.Event, error) {
 	switch strings.TrimSpace(s) {
 	case "base":
-		return []march.Event{march.EvCacheMisses, march.EvBranches}, nil
+		return march.BaseEvents(), nil
 	case "fig2b":
 		return march.AllEvents(), nil
 	case "extended":

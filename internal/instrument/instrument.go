@@ -168,10 +168,19 @@ type Classifier struct {
 }
 
 // New builds a Classifier, allocating all weight tensors in the engine's
-// simulated address space.
+// simulated address space. A network whose output has no elements is
+// refused: it has no logit to predict a class from.
 func New(net *nn.Network, engine *march.Engine, opts Options) (*Classifier, error) {
 	if net == nil || engine == nil {
 		return nil, fmt.Errorf("instrument: nil network or engine")
+	}
+	out := net.InShape
+	if n := len(net.Layers); n > 0 {
+		out = net.Layers[n-1].OutShape()
+	}
+	if tensor.Volume(out) <= 0 {
+		// Classify ends in argmax over the logits.
+		return nil, fmt.Errorf("instrument: network output %v has no elements", out)
 	}
 	c := &Classifier{engine: engine, net: net, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
 	arena := engine.Arena()

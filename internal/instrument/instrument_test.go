@@ -50,6 +50,30 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsEmptyOutput: a hand-built network whose output has no
+// elements (a 2x2 pool over a 1x1 map) is refused at construction, before
+// any weight lands in the arena, instead of panicking in its first
+// Classify's argmax.
+func TestNewRejectsEmptyOutput(t *testing.T) {
+	pool, err := nn.NewMaxPool2([]int{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &nn.Network{InShape: []int{1, 1, 1}, Layers: []nn.Layer{pool}, Classes: 2}
+	eng, err := march.NewEngine(march.Config{Hierarchy: SimHierarchy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := eng.Arena().Mark()
+	_, err = New(net, eng, Options{})
+	if err == nil || !strings.Contains(err.Error(), "no elements") {
+		t.Fatalf("New = %v, want an empty-output error", err)
+	}
+	if got := eng.Arena().Mark(); got != mark {
+		t.Fatalf("rejected network moved the arena mark %v -> %v", mark, got)
+	}
+}
+
 func TestClassifyMatchesReferenceNetwork(t *testing.T) {
 	// The instrumented forward pass must compute exactly the same
 	// prediction as the reference nn implementation.

@@ -81,6 +81,11 @@ func ParseEvent(name string) (Event, error) {
 	return 0, fmt.Errorf("march: unknown event %q", name)
 }
 
+// BaseEvents returns the paper's base event set (Tables 1 and 2):
+// cache-misses and branches. Every campaign defaults to it, and it is the
+// "base" event spec.
+func BaseEvents() []Event { return []Event{EvCacheMisses, EvBranches} }
+
 // AllEvents returns the eight events of Figure 2(b) in the paper's
 // (alphabetical) order, as perf prints them.
 func AllEvents() []Event {

@@ -22,11 +22,13 @@
 // produce the same profiles, the same PairTests and the same Report.
 //
 // A shard produces exactly one thing: its per-run HPC profiles
-// (core.Evaluator.CollectShardProfiles). In-process, one shard executor
-// (runShards) runs every collection: it hands whole shards to the
+// (core.Evaluator.CollectShardProfiles). One ordered executor
+// (EachOrdered) runs every collection: it hands whole shards to the
 // caller's goroutine in a fixed order — plan order for
-// CollectProfilesByClass, (start, class) order for Stream. Shards may
-// also run on worker processes (WirePlans, MergeEncoded, StreamFrom).
+// CollectProfilesByClass, (start, class) order for Stream. In-process,
+// runShards runs each shard on it; shards may also run on worker
+// processes (WirePlans, MergeEncoded, StreamFrom), whose coordinator
+// (fabric.Coordinator.RunStream) dispatches them on the same executor.
 // Either way the profiles land at their (class, run) offsets through one
 // placement routine or are cut into windows by one cutter, and
 // ReportFromProfiles turns them into distributions in the one place that
@@ -40,8 +42,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hpc"
@@ -167,73 +167,30 @@ func (p *Pipeline) CollectProfilesByClass(ctx context.Context, factory ClassTarg
 	return byClass, nil
 }
 
-// runShards is the package's one shard executor. It runs shards over the
-// worker pool, handed out in slice order, and calls deliver on the
-// caller's goroutine with each finished shard's profiles, strictly in
-// slice order: shards[k] is delivered once it and every shard before it
-// have finished. Each shard has a 1-slot ready channel, so no worker
-// ever waits on the deliverer. A non-nil error from deliver cancels the
-// outstanding shards and is returned verbatim. Otherwise the first
-// collection error is returned, or the context's error once the caller
-// is cancelled; a cancelled caller gets no further deliveries.
+// runShards runs shards over the worker pool on the one ordered
+// executor (EachOrdered): shards are handed out in slice order, and
+// deliver gets each finished shard's profiles on the caller's goroutine,
+// strictly in slice order. A deliver error cancels the outstanding
+// shards and is returned verbatim; otherwise the first collection error
+// is returned, or the context's error once the caller is cancelled.
 func (p *Pipeline) runShards(ctx context.Context, factory ClassTargetFactory, shards []core.Shard, deliver func(core.Shard, []hpc.Profile) error) error {
-	ready := make([]chan []hpc.Profile, len(shards))
-	for k := range ready {
-		ready[k] = make(chan []hpc.Profile, 1)
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	collectErr := make(chan error, 1)
-	go func() {
-		err := p.forEach(runCtx, len(shards), func(ctx context.Context, w, k int) error {
-			sh := shards[k]
-			sp := p.cfg.Obs.ShardSpan(w, sh.Index, sh.Class)
-			defer sp.End()
-			target, err := factory(sh.Class, sh.Seed)
-			if err != nil {
-				return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
-			}
-			profs, err := p.ev.CollectShardProfiles(ctx, target, sh)
-			if err != nil {
-				return err
-			}
-			p.cfg.Obs.Add(obs.CShardsDone, 1)
-			ready[k] <- profs // cap 1: never blocks
-			return nil
-		})
-		cancel() // wake the deliverer if collection stopped short
-		collectErr <- err
-	}()
-
-	var err error
-	for k, sh := range shards {
-		var profs []hpc.Profile
-		select {
-		case profs = <-ready[k]:
-		case <-runCtx.Done():
-			// The context closes on failure or once every shard has
-			// finished; finished shards are already buffered, so a
-			// non-blocking take loses nothing.
-			select {
-			case profs = <-ready[k]:
-			default:
-			}
-		}
-		if profs == nil {
-			break // collection stopped short; its error says why
-		}
-		if err = ctx.Err(); err == nil {
-			err = deliver(sh, profs)
-		}
+	return EachOrdered(ctx, p.cfg.Workers, len(shards), func(ctx context.Context, w, k int) ([]hpc.Profile, error) {
+		sh := shards[k]
+		sp := p.cfg.Obs.ShardSpan(w, sh.Index, sh.Class)
+		defer sp.End()
+		target, err := factory(sh.Class, sh.Seed)
 		if err != nil {
-			cancel()
-			break
+			return nil, fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
 		}
-	}
-	if cErr := <-collectErr; err == nil {
-		err = cErr
-	}
-	return err
+		profs, err := p.ev.CollectShardProfiles(ctx, target, sh)
+		if err != nil {
+			return nil, err
+		}
+		p.cfg.Obs.Add(obs.CShardsDone, 1)
+		return profs, nil
+	}, func(k int, profs []hpc.Profile) error {
+		return deliver(shards[k], profs)
+	})
 }
 
 // Test batches the pairwise hypothesis tests of collected distributions
@@ -253,7 +210,7 @@ func (p *Pipeline) Test(ctx context.Context, d *core.Distributions) ([]core.Pair
 	p.cfg.Obs.SetPhase("test")
 	stage := p.cfg.Obs.Span("pipeline", "test")
 	defer stage.End()
-	err = p.forEach(ctx, batches, func(ctx context.Context, w, b int) error {
+	err = EachCtx(ctx, p.cfg.Workers, batches, func(ctx context.Context, w, b int) error {
 		lo := b * batch
 		hi := lo + batch
 		if hi > len(jobs) {
@@ -311,92 +268,4 @@ func (p *Pipeline) ReportFromProfiles(ctx context.Context, name string, byClass 
 	p.cfg.Obs.SetPhase("report")
 	defer p.cfg.Obs.Span("pipeline", "report").End()
 	return p.ev.BuildReport(name, d, tests), nil
-}
-
-// forEach runs fn(0..n-1) over the worker pool (Each), stopping on the
-// first error or context cancellation and returning that first error. fn
-// additionally receives the worker index w (0..workers-1) running it —
-// telemetry uses it as the span's thread lane; nothing else may, since
-// which worker runs which job is scheduling-dependent.
-func (p *Pipeline) forEach(ctx context.Context, n int, fn func(ctx context.Context, w, i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	err := Each(p.cfg.Workers, n, func(w, i int) error {
-		err := ctx.Err()
-		if err == nil {
-			err = fn(ctx, w, i)
-		}
-		if err != nil {
-			errOnce.Do(func() {
-				firstErr = err
-				cancel()
-			})
-		}
-		return err
-	})
-	if err != nil {
-		// The first failure in time, not Each's lowest-index one: a
-		// failure cancels ctx, so lower-index jobs still running fail
-		// with the cancellation, which is not the cause.
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// Each runs fn(w, i) for every i in [0, n) over min(workers, n)
-// goroutines (workers 0 → GOMAXPROCS) and returns the lowest-index
-// error, the one a serial loop would have stopped at. w is the lane
-// (0..workers-1) running job i; it is scheduling-dependent, so a job may
-// use it only for telemetry. Each job must write only its own index's
-// slot of any shared output. Lanes claim indices in increasing order and
-// stop claiming once a job has failed, but every claimed job runs, so
-// every index below a failure runs too. At one worker Each is a plain
-// loop on the caller's goroutine: the sequential reference.
-func Each(workers, n int, fn func(w, i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var (
-		next   int64
-		failed int32
-		wg     sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for atomic.LoadInt32(&failed) == 0 {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= n {
-					return
-				}
-				if errs[i] = fn(w, i); errs[i] != nil {
-					atomic.StoreInt32(&failed, 1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,10 +1,10 @@
 package pipeline
 
 // The Stream stage: ordered delivery of profile windows to an
-// incremental consumer. Collection runs on the package's one shard
-// executor — same shard plan, same fresh per-shard targets, same
-// derived seeds as CollectProfilesByClass — and only the delivery order
-// differs: whole shards reach the caller's goroutine in stream order,
+// incremental consumer. Collection runs on the package's one ordered
+// executor (EachOrdered, via runShards) — same shard plan, same fresh
+// per-shard targets, same derived seeds as CollectProfilesByClass — and
+// only the delivery order differs: whole shards reach the caller's goroutine in stream order,
 // and each is cut into windows there:
 //
 //	shards ── collect (N workers, whole shards, fed in stream order)

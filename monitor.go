@@ -296,7 +296,7 @@ func (s *Scenario) MonitorCtx(ctx context.Context, cfg MonitorConfig) (*MonitorR
 	}
 	events := cfg.Events
 	if len(events) == 0 {
-		events = []Event{EvCacheMisses, EvBranches}
+		events = march.BaseEvents()
 	}
 	seed := cfg.Seed
 	if seed == 0 {

@@ -335,7 +335,6 @@ func (ss *session) startFabric(ctx context.Context) (coord *fabric.Coordinator, 
 		Env:   x.fabric.Env,
 		Spec:  spec,
 		Procs: x.procs,
-		TCP:   x.fabric.TCP,
 		Obs:   x.obs,
 	})
 	if err != nil {

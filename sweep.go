@@ -23,6 +23,7 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/march"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // SweepConfig describes the grid. Zero-value fields default to the paper's
@@ -164,7 +165,9 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepGrid, error) {
 }
 
 // SweepProgress is Sweep with a per-cell completion callback (may be nil);
-// progress calls are serialized.
+// progress calls are serialized, in completion order. Cells run on
+// pipeline.EachCtx: the first cell to fail cancels the others, and its
+// error is returned.
 func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResult)) (*SweepGrid, error) {
 	cfg = cfg.withDefaults()
 
@@ -194,7 +197,6 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 	}
 
 	type cell struct {
-		index   int
 		dataset Dataset
 		defense DefenseLevel
 		runs    int
@@ -207,8 +209,8 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 			for _, runs := range cfg.TraceBudgets {
 				for i, spec := range cfg.EventSets {
 					cells = append(cells, cell{
-						index: len(cells), dataset: d, defense: def,
-						runs: runs, spec: spec, events: eventSets[i],
+						dataset: d, defense: def, runs: runs,
+						spec: spec, events: eventSets[i],
 					})
 				}
 			}
@@ -216,131 +218,96 @@ func SweepProgress(ctx context.Context, cfg SweepConfig, progress func(SweepResu
 	}
 
 	grid := &SweepGrid{Results: make([]SweepResult, len(cells))}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg         sync.WaitGroup
-		errOnce    sync.Once
-		firstErr   error
-		progressMu sync.Mutex
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
+	var progressMu sync.Mutex
+	err := pipeline.EachCtx(ctx, cfg.CellParallel, len(cells), func(ctx context.Context, _, i int) error {
+		cl := cells[i]
+		// Wall-clock telemetry only: start feeds WallMS, which the
+		// digest and goldens exclude. The obs clock is the repo's one
+		// sanctioned wall-clock source (system clock when cfg.Obs is
+		// nil).
+		start := cfg.Obs.Clock().Now()
+		rep, err := scenarios[cl.dataset].EvaluateGrouped(ctx, cl.defense, EvalConfig{
+			Classes:      cfg.Classes,
+			Events:       cl.events,
+			RunsPerClass: cl.runs,
+			Alpha:        cfg.Alpha,
+			Workers:      cfg.Workers,
+			Processes:    cfg.Processes,
+			Fabric:       cfg.Fabric,
+			Seed:         core.DeriveSeed(cfg.Seed, i, 0),
+			Obs:          cfg.Obs,
 		})
-	}
-	sem := make(chan struct{}, cfg.CellParallel)
-	for _, cl := range cells {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			fail(ctx.Err())
+		if err != nil {
+			return fmt.Errorf("sweep: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err)
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(cl cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Wall-clock telemetry only: start feeds WallMS, which the
-			// digest and goldens exclude. The obs clock is the repo's one
-			// sanctioned wall-clock source (system clock when cfg.Obs is
-			// nil).
-			start := cfg.Obs.Clock().Now()
-			rep, err := scenarios[cl.dataset].EvaluateGrouped(ctx, cl.defense, EvalConfig{
-				Classes:      cfg.Classes,
-				Events:       cl.events,
-				RunsPerClass: cl.runs,
-				Alpha:        cfg.Alpha,
-				Workers:      cfg.Workers,
-				Processes:    cfg.Processes,
-				Fabric:       cfg.Fabric,
-				Seed:         core.DeriveSeed(cfg.Seed, cl.index, 0),
-				Obs:          cfg.Obs,
+		var atk *AttackResult
+		if cfg.Attack {
+			atkRuns := derivedHoldout(cfg.AttackRuns, cl.runs)
+			atk, err = scenarios[cl.dataset].AttackGrouped(ctx, cl.defense, AttackConfig{
+				Classes:     cfg.Classes,
+				Events:      cl.events,
+				ProfileRuns: cl.runs,
+				AttackRuns:  atkRuns,
+				Workers:     cfg.Workers,
+				Processes:   cfg.Processes,
+				Fabric:      cfg.Fabric,
+				// Domain 3 keeps attack-stage observations disjoint from
+				// the cell's evaluation campaign (domain 0 above).
+				Seed: core.DeriveSeed(cfg.Seed, i, 3),
+				Obs:  cfg.Obs,
 			})
 			if err != nil {
-				fail(fmt.Errorf("sweep: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err))
-				return
+				return fmt.Errorf("sweep attack: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err)
 			}
-			var atk *AttackResult
-			if cfg.Attack {
-				atkRuns := derivedHoldout(cfg.AttackRuns, cl.runs)
-				atk, err = scenarios[cl.dataset].AttackGrouped(ctx, cl.defense, AttackConfig{
-					Classes:     cfg.Classes,
-					Events:      cl.events,
-					ProfileRuns: cl.runs,
-					AttackRuns:  atkRuns,
-					Workers:     cfg.Workers,
-					Processes:   cfg.Processes,
-					Fabric:      cfg.Fabric,
-					// Domain 3 keeps attack-stage observations disjoint from
-					// the cell's evaluation campaign (domain 0 above).
-					Seed: core.DeriveSeed(cfg.Seed, cl.index, 3),
-					Obs:  cfg.Obs,
-				})
-				if err != nil {
-					fail(fmt.Errorf("sweep attack: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err))
-					return
-				}
+		}
+		var arch *ArchIDResult
+		if cfg.ArchID {
+			archRuns := derivedHoldout(cfg.ArchIDRuns, cl.runs)
+			arch, err = scenarios[cl.dataset].ArchIDGrouped(ctx, cl.defense, ArchIDConfig{
+				Events:      cl.events,
+				ProfileRuns: cl.runs,
+				AttackRuns:  archRuns,
+				Workers:     cfg.Workers,
+				Processes:   cfg.Processes,
+				Fabric:      cfg.Fabric,
+				// Domain 4 keeps archid observations disjoint from the
+				// cell's evaluation (0) and attack (3) campaigns.
+				Seed: core.DeriveSeed(cfg.Seed, i, 4),
+				Obs:  cfg.Obs,
+			})
+			if err != nil {
+				return fmt.Errorf("sweep archid: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err)
 			}
-			var arch *ArchIDResult
-			if cfg.ArchID {
-				archRuns := derivedHoldout(cfg.ArchIDRuns, cl.runs)
-				arch, err = scenarios[cl.dataset].ArchIDGrouped(ctx, cl.defense, ArchIDConfig{
-					Events:      cl.events,
-					ProfileRuns: cl.runs,
-					AttackRuns:  archRuns,
-					Workers:     cfg.Workers,
-					Processes:   cfg.Processes,
-					Fabric:      cfg.Fabric,
-					// Domain 4 keeps archid observations disjoint from the
-					// cell's evaluation (0) and attack (3) campaigns.
-					Seed: core.DeriveSeed(cfg.Seed, cl.index, 4),
-					Obs:  cfg.Obs,
-				})
-				if err != nil {
-					fail(fmt.Errorf("sweep archid: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err))
-					return
-				}
+		}
+		var tp *TopoResult
+		if cfg.Topo {
+			tp, err = scenarios[cl.dataset].TopoGrouped(ctx, cl.defense, TopoConfig{
+				Events:    cl.events,
+				Holdout:   cfg.TopoHoldout,
+				Runs:      derivedHoldout(0, cl.runs),
+				Workers:   cfg.Workers,
+				Processes: cfg.Processes,
+				Fabric:    cfg.Fabric,
+				// Domain 5 keeps topo observations disjoint from the
+				// cell's evaluation (0), attack (3) and archid (4)
+				// campaigns.
+				Seed: core.DeriveSeed(cfg.Seed, i, 5),
+				Obs:  cfg.Obs,
+			})
+			if err != nil {
+				return fmt.Errorf("sweep topo: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err)
 			}
-			var tp *TopoResult
-			if cfg.Topo {
-				tp, err = scenarios[cl.dataset].TopoGrouped(ctx, cl.defense, TopoConfig{
-					Events:    cl.events,
-					Holdout:   cfg.TopoHoldout,
-					Runs:      derivedHoldout(0, cl.runs),
-					Workers:   cfg.Workers,
-					Processes: cfg.Processes,
-					Fabric:    cfg.Fabric,
-					// Domain 5 keeps topo observations disjoint from the
-					// cell's evaluation (0), attack (3) and archid (4)
-					// campaigns.
-					Seed: core.DeriveSeed(cfg.Seed, cl.index, 5),
-					Obs:  cfg.Obs,
-				})
-				if err != nil {
-					fail(fmt.Errorf("sweep topo: %s/%s runs=%d events=%s: %w", cl.dataset, cl.defense, cl.runs, cl.spec, err))
-					return
-				}
-			}
-			res := summarize(cl.dataset, cl.defense, cl.runs, cl.spec, len(cl.events), rep, atk, arch, tp, cfg.Obs.Clock().Now().Sub(start))
-			grid.Results[cl.index] = res
-			if progress != nil {
-				progressMu.Lock()
-				progress(res)
-				progressMu.Unlock()
-			}
-		}(cl)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// The deferred cancel has not run yet, so a non-nil error here means
-	// the caller's context was cancelled before the grid completed.
-	if err := ctx.Err(); err != nil {
+		}
+		res := summarize(cl.dataset, cl.defense, cl.runs, cl.spec, len(cl.events), rep, atk, arch, tp, cfg.Obs.Clock().Now().Sub(start))
+		grid.Results[i] = res
+		if progress != nil {
+			progressMu.Lock()
+			progress(res)
+			progressMu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return grid, nil
@@ -368,7 +335,7 @@ func (s *Scenario) evaluate(ctx context.Context, level DefenseLevel, cfg EvalCon
 	}
 	events := cfg.Events
 	if len(events) == 0 {
-		events = []Event{EvCacheMisses, EvBranches}
+		events = march.BaseEvents()
 	}
 	root := cfg.Seed
 	if root == 0 {
