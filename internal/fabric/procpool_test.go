@@ -131,12 +131,17 @@ func fakePool(mode, dir string, procs int) PoolConfig {
 // TestStartPoolHandshakesConcurrently: every worker receives its init
 // frame before the pool waits on any ready frame, so workers that each
 // need all the others initialized complete the handshake.
+// The subtest is the pipe transport, the fabric's only one: its name
+// still says it is not TCP, so its results stay comparable with runs of
+// the suite from before the TCP transport was removed.
 func TestStartPoolHandshakesConcurrently(t *testing.T) {
-	pool, err := StartPool(context.Background(), fakePool("barrier", t.TempDir(), 3))
-	if err != nil {
-		t.Fatalf("StartPool: %v", err)
-	}
-	pool.Close()
+	t.Run("tcp=false", func(t *testing.T) {
+		pool, err := StartPool(context.Background(), fakePool("barrier", t.TempDir(), 3))
+		if err != nil {
+			t.Fatalf("StartPool: %v", err)
+		}
+		pool.Close()
+	})
 }
 
 // TestStartPoolHandshakeFailureReapsAll: one worker of three rejects the
