@@ -7,7 +7,9 @@ package march
 // to change.
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/march/cache"
 	"repro/internal/march/mem"
@@ -103,6 +105,35 @@ func invalidate(e *Engine) {
 	}
 }
 
+// TestBranchRunMatchesIndividualBranches: BranchRun(pc, taken, n) leaves
+// the counters and stall cycles exactly where n Branch(pc, taken) calls
+// leave them, runs after runs on one warm engine (no Ring attached).
+func TestBranchRunMatchesIndividualBranches(t *testing.T) {
+	lengths := []uint64{0, 1, 2, 3, 5, 12, 13, 40, 700}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		run, each := simEngine(t), simEngine(t)
+		for step := 0; step < 150; step++ {
+			pc := 0x400000 + uint64(rng.Intn(32))*4
+			taken := rng.Intn(3) != 0
+			n := lengths[rng.Intn(len(lengths))]
+			run.BranchRun(pc, taken, n)
+			for i := uint64(0); i < n; i++ {
+				each.Branch(pc, taken)
+			}
+			if run.Counts() != each.Counts() || run.StallCycles() != each.StallCycles() {
+				t.Logf("seed %d step %d: BranchRun(%#x, %v, %d) diverged:\n  run  %v stall %d\n  each %v stall %d",
+					seed, step, pc, taken, n, run.Counts(), run.StallCycles(), each.Counts(), each.StallCycles())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadRangeAfterInvalidate(t *testing.T) {
 	// Invalidating mid-stream must not let the batched path replay hits on
 	// dropped lines.
@@ -168,11 +199,26 @@ func TestEngineLoadCachedLineZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Engine.LoadRange allocates %v/op, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(1000, func() {
+}
+
+// TestEngineBranchZeroAlloc is the allocation gate for the branch path:
+// a warm Branch and a warm BranchRun must not allocate.
+func TestEngineBranchZeroAlloc(t *testing.T) {
+	if raceinfo.Enabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	e := simEngine(t)
+	e.Branch(0x40, true)
+	e.BranchRun(0x80, false, 64)
+	if allocs := testing.AllocsPerRun(1000, func() {
 		e.Branch(0x40, true)
-	})
-	if allocs != 0 {
+	}); allocs != 0 {
 		t.Fatalf("Engine.Branch allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.BranchRun(0x80, false, 64)
+	}); allocs != 0 {
+		t.Fatalf("Engine.BranchRun allocates %v/op, want 0", allocs)
 	}
 }
 

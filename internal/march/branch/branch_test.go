@@ -2,6 +2,7 @@ package branch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -201,6 +202,45 @@ func TestQuickDeterminism(t *testing.T) {
 		return run() == run()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRecordRunMatchesRecords: RecordRun(pc, taken, n) leaves the
+// predictor exactly where n Record(pc, taken) calls leave it and returns
+// the number of those calls that mispredict — for n below, at and well
+// past the point where the run's state stops changing.
+func TestQuickRecordRunMatchesRecords(t *testing.T) {
+	lengths := []uint64{0, 1, 2, 3, 4, 5, 8, 12, 13, 16, 24, 40, 1000}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		run, each := New(Tournament), New(Tournament)
+		for step := 0; step < 200; step++ {
+			pc := uint64(rng.Intn(16)) * 4
+			if rng.Intn(4) == 0 {
+				pc += uint64(rng.Intn(4)) << 14 // aliases the same table entries
+			}
+			taken := rng.Intn(3) != 0
+			n := lengths[rng.Intn(len(lengths))]
+			got := run.RecordRun(pc, taken, n)
+			var want uint64
+			for i := uint64(0); i < n; i++ {
+				if !each.Record(pc, taken) {
+					want++
+				}
+			}
+			if got != want {
+				t.Logf("seed %d step %d: RecordRun(%#x, %v, %d) = %d mispredicts, Record calls %d", seed, step, pc, taken, n, got, want)
+				return false
+			}
+			if !reflect.DeepEqual(run, each) {
+				t.Logf("seed %d step %d: state diverged after RecordRun(%#x, %v, %d)", seed, step, pc, taken, n)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
