@@ -72,9 +72,10 @@ bench-json:
 	@echo "wrote $(BENCH_JSON)"
 
 # Allocation gate: the hot paths (Cache.Access, Engine.Load on a
-# cached line, PMU.MeasureOnceInto steady state, the core's measured-run
-# loop into a shard's preallocated profiles, the nil-Recorder telemetry
-# hooks, and a warm training replica's per-sample pass) must stay at 0
+# cached line, warm Engine.Branch/BranchRun, PMU.MeasureOnceInto steady
+# state, the core's measured-run loop into a shard's preallocated
+# profiles, the nil-Recorder telemetry hooks, and a warm training
+# replica's per-sample pass) must stay at 0
 # allocs/op. Networks that are never trained must allocate only what
 # they use: the default zoo's victims their weights (AllocBound in
 # archid), and an unrealizable recovered stack almost nothing, since

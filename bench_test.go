@@ -247,56 +247,6 @@ func BenchmarkAblationDefenseVsBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredictors compares branch predictor algorithms on the
-// instrumented MNIST inference: mispredict rate per predictor.
-func BenchmarkAblationPredictors(b *testing.B) {
-	s, err := DefaultScenario(DatasetMNIST)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pools, err := s.ClassPools(1, 2, 3, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	kinds := []branch.Kind{branch.StaticTaken, branch.Bimodal, branch.GShare, branch.Tournament}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 || !printOnce("ablation-predictors") {
-			break
-		}
-		b.StopTimer()
-		fmt.Printf("\n=== Ablation: branch predictors (MNIST inference) ===\n")
-		fmt.Printf("%-14s%14s%14s%16s\n", "predictor", "branches", "mispredicts", "mispredict-rate")
-		b.StartTimer()
-		for _, kind := range kinds {
-			eng, err := march.NewEngine(march.Config{
-				Hierarchy: instrument.SimHierarchy(),
-				Predictor: branch.New(kind),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cls, err := instrument.New(s.Net, eng, instrument.Options{SparsitySkip: true, Runtime: instrument.NoRuntime()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for c := 1; c <= 4; c++ {
-				for r := 0; r < 10; r++ {
-					if _, err := cls.Classify(pools[c][r%len(pools[c])]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			counts := eng.Counts()
-			br := counts.Get(EvBranches)
-			miss := counts.Get(EvBranchMisses)
-			b.StopTimer()
-			fmt.Printf("%-14s%14d%14d%15.2f%%\n", kind, br, miss, 100*float64(miss)/float64(br))
-			b.StartTimer()
-		}
-	}
-}
-
 // BenchmarkAblationCacheGeometry sweeps the LLC size and reports the
 // strongest cache-miss |t| across category pairs: the leak requires the
 // working set to exceed the LLC.
@@ -646,7 +596,7 @@ func BenchmarkEngineLoadRange(b *testing.B) {
 // BenchmarkBranchPredict measures the tournament predictor's per-branch
 // cost.
 func BenchmarkBranchPredict(b *testing.B) {
-	p := branch.New(branch.Tournament)
+	p := branch.New()
 	rng := rand.New(rand.NewSource(2))
 	pattern := make([]bool, 4096)
 	for i := range pattern {

@@ -58,21 +58,7 @@ func main() {
 // recording progress telemetry into rec (served live on the campaign's
 // /progress endpoint; report bytes never depend on it).
 func runCampaign(ctx context.Context, req CampaignRequest, processes int, fc repro.FabricConfig, rec *obs.Recorder) (json.RawMessage, error) {
-	level, err := repro.ParseDefense(req.Scenario.Defense)
-	if err != nil {
-		return nil, err
-	}
-	s, err := repro.NewScenario(repro.ScenarioConfig{
-		Dataset:        req.Scenario.Dataset,
-		Seed:           req.Scenario.Seed,
-		PerClassTrain:  req.Scenario.PerClassTrain,
-		PerClassTest:   req.Scenario.PerClassTest,
-		Epochs:         req.Scenario.Epochs,
-		LR:             req.Scenario.LR,
-		Defense:        level,
-		DisableRuntime: req.Scenario.DisableRuntime,
-		DisableNoise:   req.Scenario.DisableNoise,
-	})
+	s, err := req.Scenario.Build()
 	if err != nil {
 		return nil, err
 	}

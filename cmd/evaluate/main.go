@@ -22,10 +22,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"runtime"
 
 	"repro"
@@ -68,6 +70,9 @@ func main() {
 		nw = runtime.GOMAXPROCS(0) // the pipeline default, for the banner
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	s, err := repro.NewScenario(repro.ScenarioConfig{Dataset: repro.Dataset(*dsName), Defense: level})
 	if err != nil {
 		log.Fatal(err)
@@ -87,7 +92,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := s.Evaluate(repro.EvalConfig{
+	rep, err := s.EvaluateCtx(ctx, repro.EvalConfig{
 		Classes: cls, Events: evs, RunsPerClass: *runs, Alpha: *alpha,
 		Workers: *workers, Seed: *seed,
 		Processes: fab.Processes, Fabric: fab.Config,

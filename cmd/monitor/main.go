@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"runtime"
 
 	"repro"
@@ -79,6 +80,9 @@ func main() {
 		nw = runtime.GOMAXPROCS(0) // the pipeline default, for the banner
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	s, err := repro.NewScenario(repro.ScenarioConfig{Dataset: repro.Dataset(*dsName), Defense: level})
 	if err != nil {
 		log.Fatal(err)
@@ -94,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rep, err := s.MonitorCtx(context.Background(), repro.MonitorConfig{
+	rep, err := s.MonitorCtx(ctx, repro.MonitorConfig{
 		Classes: cls, Events: evs, Budget: *budget, Alpha: *alpha,
 		Workers: *workers, Seed: *seed, Batch: *batch,
 		MannWhitney: *mannWhitney, MinSamples: *minSamples, NoStop: *noStop,

@@ -90,13 +90,24 @@ func (s *Scenario) spec() ScenarioSpec {
 	}
 }
 
-// scenario rebuilds the spec's scenario on a worker: with shipped
-// weights it generates the dataset and deploys the decoded network (no
-// training, no accuracy pass); without them it runs the full recipe.
-func (sp ScenarioSpec) scenario() (*Scenario, error) {
-	cfg, err := sp.config()
+// Build rebuilds the spec's scenario: with shipped weights it generates
+// the dataset and deploys the decoded network (no training, no accuracy
+// pass); without them it runs the full recipe (NewScenario).
+func (sp ScenarioSpec) Build() (*Scenario, error) {
+	level, err := ParseDefense(sp.Defense)
 	if err != nil {
 		return nil, err
+	}
+	cfg := ScenarioConfig{
+		Dataset:        sp.Dataset,
+		Seed:           sp.Seed,
+		PerClassTrain:  sp.PerClassTrain,
+		PerClassTest:   sp.PerClassTest,
+		Epochs:         sp.Epochs,
+		LR:             sp.LR,
+		Defense:        level,
+		DisableRuntime: sp.DisableRuntime,
+		DisableNoise:   sp.DisableNoise,
 	}
 	if len(sp.Net) == 0 {
 		return NewScenario(cfg)
@@ -113,24 +124,6 @@ func (sp ScenarioSpec) scenario() (*Scenario, error) {
 		return nil, fmt.Errorf("repro: shipped network is architecture %q, the %s scenario deploys %q", arch.Name, cfg.Dataset, s.Arch.Name)
 	}
 	return s.deploy(net)
-}
-
-func (sp ScenarioSpec) config() (ScenarioConfig, error) {
-	level, err := ParseDefense(sp.Defense)
-	if err != nil {
-		return ScenarioConfig{}, err
-	}
-	return ScenarioConfig{
-		Dataset:        sp.Dataset,
-		Seed:           sp.Seed,
-		PerClassTrain:  sp.PerClassTrain,
-		PerClassTest:   sp.PerClassTest,
-		Epochs:         sp.Epochs,
-		LR:             sp.LR,
-		Defense:        level,
-		DisableRuntime: sp.DisableRuntime,
-		DisableNoise:   sp.DisableNoise,
-	}, nil
 }
 
 // Fabric stage names, the WorkerSpec.Stage values. Report and attack
@@ -229,7 +222,7 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	if spec.Proto != specProto {
 		return nil, fmt.Errorf("repro: worker spec proto %q, want %q — coordinator and shardworker binaries are out of sync", spec.Proto, specProto)
 	}
-	s, err := spec.Scenario.scenario()
+	s, err := spec.Scenario.Build()
 	if err != nil {
 		return nil, fmt.Errorf("repro: rebuilding scenario: %w", err)
 	}

@@ -32,7 +32,6 @@ import (
 var keptKnobs = map[string]string{
 	"repro/internal/pipeline.Config.ShardRuns":  "the pipeline package's own test seam: its tests cut many small shards from small campaigns",
 	"repro.FabricConfig.Env":                    "the shardworker fault-injection hooks are set through the environment, by the fabric fault tests only",
-	"repro/internal/march.Config.Predictor":     "BenchmarkAblationPredictors compares branch predictors on one engine",
 	"repro/internal/core.Config.HolmCorrection": "perfbench serializes core.Report with its Config, and perfbench/refs.json pins those bytes",
 	"repro/internal/core.Config.WarmupRuns":     "pinned by perfbench/refs.json, as HolmCorrection; tests also shorten or drop the warm-up",
 	"repro/internal/core.Config.Registers":      "pinned by perfbench/refs.json, as HolmCorrection",

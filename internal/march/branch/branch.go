@@ -1,321 +1,92 @@
-// Package branch implements the branch predictor simulators behind the
-// `branches` and `branch-misses` HPC events.
+// Package branch implements the branch predictor behind the `branches`
+// and `branch-misses` HPC events, and the BTB beside it.
 //
 // The instrumented CNN routes its data-dependent branches (ReLU sign tests,
-// sparsity-skip tests, max-pool comparisons) through a predictor; mispredict
-// counts feed the branch-misses event and the cycle penalty model.
+// sparsity-skip tests, max-pool comparisons) through one tournament
+// predictor; mispredict counts feed the branch-misses event and the cycle
+// penalty model.
 package branch
 
-import "fmt"
-
-// Kind selects the predictor algorithm.
-type Kind int
-
-// Predictor kinds.
-const (
-	StaticTaken Kind = iota
-	Bimodal
-	GShare
-	Tournament
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case StaticTaken:
-		return "static-taken"
-	case Bimodal:
-		return "bimodal"
-	case GShare:
-		return "gshare"
-	case Tournament:
-		return "tournament"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Stats holds predictor counters.
-type Stats struct {
-	Branches    uint64
-	Mispredicts uint64
-}
-
-// Predictor is the common interface: Predict-then-Update per branch.
-type Predictor interface {
-	// Record predicts the branch at pc, compares with the actual outcome,
-	// updates internal state, and returns whether the prediction was correct.
-	Record(pc uint64, taken bool) bool
-	// RecordRun replays n consecutive branches at pc with the same outcome
-	// and returns the number of mispredicts. State and counters end up
-	// exactly as n Record(pc, taken) calls would leave them; implementations
-	// iterate only until the touched state reaches a fixpoint (saturating
-	// counters and a saturated history register stop changing after a
-	// handful of identical outcomes) and account the remainder in O(1).
-	RecordRun(pc uint64, taken bool, n uint64) uint64
-	// Stats returns the counters so far.
-	Stats() Stats
-	// Reset clears both state and counters.
-	Reset()
-	// Kind reports the algorithm.
-	Kind() Kind
-}
-
 // tableBits is the log2 of every pattern table's size (4096 two-bit
-// counters); GShare's global history is as long.
-const tableBits = 12
+// counters); the global history is as long.
+const (
+	tableBits = 12
+	tableMask = 1<<tableBits - 1
+)
 
 // btbBits is the log2 of the BTB's entry count (512 entries).
 const btbBits = 9
 
-// New constructs a predictor of the given kind; an unknown kind is
-// static-taken.
-func New(kind Kind) Predictor {
-	switch kind {
-	case Bimodal:
-		return newBimodal()
-	case GShare:
-		return newGShare()
-	case Tournament:
-		return &tournament{
-			bim:     newBimodal(),
-			gsh:     newGShare(),
-			chooser: make([]uint8, 1<<tableBits),
-			mask:    (1 << tableBits) - 1,
-		}
-	default:
-		return &static{}
-	}
-}
-
-// static always predicts taken.
-type static struct{ stats Stats }
-
-func (s *static) Record(_ uint64, taken bool) bool {
-	s.stats.Branches++
-	if !taken {
-		s.stats.Mispredicts++
-		return false
-	}
-	return true
-}
-func (s *static) RecordRun(_ uint64, taken bool, n uint64) uint64 {
-	s.stats.Branches += n
-	if !taken {
-		s.stats.Mispredicts += n
-		return n
-	}
-	return 0
-}
-
-func (s *static) Stats() Stats { return s.stats }
-func (s *static) Reset()       { s.stats = Stats{} }
-func (s *static) Kind() Kind   { return StaticTaken }
-
-// bimodal is a classic table of 2-bit saturating counters indexed by pc.
-type bimodal struct {
-	table []uint8
-	mask  uint64
-	stats Stats
-}
-
-func newBimodal() *bimodal {
-	b := &bimodal{table: make([]uint8, 1<<tableBits), mask: (1 << tableBits) - 1}
-	for i := range b.table {
-		b.table[i] = 1 // weakly not-taken
-	}
-	return b
-}
-
-func (b *bimodal) Record(pc uint64, taken bool) bool {
-	idx := (pc >> 2) & b.mask
-	pred := b.table[idx] >= 2
-	b.table[idx] = bump(b.table[idx], taken)
-	b.stats.Branches++
-	if pred != taken {
-		b.stats.Mispredicts++
-		return false
-	}
-	return true
-}
-
-func (b *bimodal) RecordRun(pc uint64, taken bool, n uint64) uint64 {
-	idx := (pc >> 2) & b.mask
-	var mis uint64
-	for n > 0 {
-		ctr := b.table[idx]
-		next := bump(ctr, taken)
-		if next == ctr {
-			// Saturated toward the outcome: the counter (and therefore the
-			// prediction, which now matches taken) no longer changes.
-			break
-		}
-		if (ctr >= 2) != taken {
-			mis++
-		}
-		b.table[idx] = next
-		b.stats.Branches++
-		n--
-	}
-	if n > 0 {
-		b.stats.Branches += n
-		if (b.table[idx] >= 2) != taken {
-			mis += n
-		}
-	}
-	b.stats.Mispredicts += mis
-	return mis
-}
-
-func (b *bimodal) Stats() Stats { return b.stats }
-func (b *bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
-	b.stats = Stats{}
-}
-func (b *bimodal) Kind() Kind { return Bimodal }
-
-// gshare XORs global history into the table index.
-type gshare struct {
-	table   []uint8
-	mask    uint64
+// Predictor is a tournament predictor. A bimodal table of 2-bit saturating
+// counters indexed by pc and a gshare table indexed by pc XOR the global
+// history each predict; a chooser table of 2-bit counters indexed by pc
+// picks one (≥2 → trust gshare) and, when the two disagree, trains toward
+// whichever was right.
+type Predictor struct {
+	bimodal [1 << tableBits]uint8
+	gshare  [1 << tableBits]uint8
+	chooser [1 << tableBits]uint8
 	history uint64
-	hmask   uint64
-	stats   Stats
 }
 
-func newGShare() *gshare {
-	g := &gshare{table: make([]uint8, 1<<tableBits), mask: (1 << tableBits) - 1, hmask: (1 << tableBits) - 1}
-	for i := range g.table {
-		g.table[i] = 1
-	}
-	return g
+// New builds a predictor in its reset state.
+func New() *Predictor {
+	p := &Predictor{}
+	p.Reset()
+	return p
 }
 
-func (g *gshare) predictIdx(pc uint64) uint64 {
-	return ((pc >> 2) ^ g.history) & g.mask
-}
-
-func (g *gshare) Record(pc uint64, taken bool) bool {
-	idx := g.predictIdx(pc)
-	pred := g.table[idx] >= 2
-	g.table[idx] = bump(g.table[idx], taken)
-	g.history = ((g.history << 1) | b2u(taken)) & g.hmask
-	g.stats.Branches++
-	if pred != taken {
-		g.stats.Mispredicts++
-		return false
-	}
-	return true
-}
-
-func (g *gshare) RecordRun(pc uint64, taken bool, n uint64) uint64 {
-	tk := b2u(taken)
-	var mis uint64
-	for n > 0 {
-		idx := g.predictIdx(pc)
-		ctr := g.table[idx]
-		next := bump(ctr, taken)
-		nh := ((g.history << 1) | tk) & g.hmask
-		if next == ctr && nh == g.history {
-			// Fixpoint: the history register is saturated (so the table
-			// index repeats) and the indexed counter is saturated toward
-			// the outcome — no further iteration changes any state.
-			break
-		}
-		if (ctr >= 2) != taken {
-			mis++
-		}
-		g.table[idx] = next
-		g.history = nh
-		g.stats.Branches++
-		n--
-	}
-	if n > 0 {
-		g.stats.Branches += n
-		if (g.table[g.predictIdx(pc)] >= 2) != taken {
-			mis += n
-		}
-	}
-	g.stats.Mispredicts += mis
-	return mis
-}
-
-func (g *gshare) Stats() Stats { return g.stats }
-func (g *gshare) Reset() {
-	for i := range g.table {
-		g.table[i] = 1
-	}
-	g.history = 0
-	g.stats = Stats{}
-}
-func (g *gshare) Kind() Kind { return GShare }
-
-// tournament arbitrates between bimodal and gshare with a chooser table of
-// 2-bit counters (≥2 → trust gshare).
-type tournament struct {
-	bim     *bimodal
-	gsh     *gshare
-	chooser []uint8
-	mask    uint64
-	stats   Stats
-}
-
-func (t *tournament) Record(pc uint64, taken bool) bool {
+// Record predicts the branch at pc, compares with the actual outcome,
+// trains every table, and returns whether the prediction was correct.
+//
+//detlint:allocpath
+func (p *Predictor) Record(pc uint64, taken bool) bool {
 	key := pc >> 2
-	idx := key & t.mask
-	bIdx := key & t.bim.mask
-	gIdx := (key ^ t.gsh.history) & t.gsh.mask
-	bCtr := t.bim.table[bIdx]
-	gCtr := t.gsh.table[gIdx]
-	cCtr := t.chooser[idx]
+	idx := key & tableMask
+	gIdx := (key ^ p.history) & tableMask
+	bCtr := p.bimodal[idx]
+	gCtr := p.gshare[gIdx]
+	cCtr := p.chooser[idx]
 	bPred := bCtr >= 2
 	gPred := gCtr >= 2
 	pred := bPred
 	if cCtr >= 2 {
 		pred = gPred
 	}
-	// Train components inline — predictor state ends up exactly as
-	// bim.Record/gsh.Record would leave it, without paying the calls and
-	// the duplicate index computations on the hot path. The components'
-	// own stats are not maintained here: they are unexported and
-	// unobservable behind a tournament (its Stats() reports only the
-	// arbitrated outcome).
-	t.bim.table[bIdx] = bump(bCtr, taken)
-	t.gsh.table[gIdx] = bump(gCtr, taken)
-	t.gsh.history = ((t.gsh.history << 1) | b2u(taken)) & t.gsh.hmask
-	// Train chooser toward whichever component was right.
+	p.bimodal[idx] = bump(bCtr, taken)
+	p.gshare[gIdx] = bump(gCtr, taken)
+	p.history = ((p.history << 1) | b2u(taken)) & tableMask
 	if bPred != gPred {
-		t.chooser[idx] = bump(cCtr, taken == gPred)
+		p.chooser[idx] = bump(cCtr, taken == gPred)
 	}
-	t.stats.Branches++
-	if pred != taken {
-		t.stats.Mispredicts++
-		return false
-	}
-	return true
+	return pred == taken
 }
 
-func (t *tournament) RecordRun(pc uint64, taken bool, n uint64) uint64 {
+// RecordRun replays n consecutive branches at pc with the same outcome and
+// returns the number of mispredicts. The tables end up exactly as n
+// Record(pc, taken) calls would leave them: the replay iterates only until
+// the touched state reaches a fixpoint (saturating counters and a
+// saturated history register stop changing after a handful of identical
+// outcomes) and accounts the remainder in O(1).
+//
+//detlint:allocpath
+func (p *Predictor) RecordRun(pc uint64, taken bool, n uint64) uint64 {
 	key := pc >> 2
-	idx := key & t.mask
-	bIdx := key & t.bim.mask
+	idx := key & tableMask
 	tk := b2u(taken)
-	// Hoist the per-pc state (fixed indices) and the gshare registers into
-	// locals for the replay loop; only the gshare counter's index moves.
-	gTab, gMask, hMask := t.gsh.table, t.gsh.mask, t.gsh.hmask
-	hist := t.gsh.history
-	bCtr := t.bim.table[bIdx]
-	cCtr := t.chooser[idx]
-	var mis, done uint64
+	// The bimodal and chooser counters sit at pc's fixed index; only the
+	// gshare counter's index moves with the history.
+	hist := p.history
+	bCtr := p.bimodal[idx]
+	cCtr := p.chooser[idx]
+	var mis uint64
 	for n > 0 {
 		// One exact iteration of Record's body, plus fixpoint detection.
-		gIdx := (key ^ hist) & gMask
-		gCtr := gTab[gIdx]
+		gIdx := (key ^ hist) & tableMask
+		gCtr := p.gshare[gIdx]
 		bNext := bump(bCtr, taken)
 		gNext := bump(gCtr, taken)
-		nh := ((hist << 1) | tk) & hMask
+		nh := ((hist << 1) | tk) & tableMask
 		bPred := bCtr >= 2
 		gPred := gCtr >= 2
 		cNext := cCtr
@@ -335,38 +106,35 @@ func (t *tournament) RecordRun(pc uint64, taken bool, n uint64) uint64 {
 		if pred != taken {
 			mis++
 		}
-		gTab[gIdx] = gNext
+		p.gshare[gIdx] = gNext
 		bCtr, cCtr, hist = bNext, cNext, nh
-		done++
 		n--
 	}
-	t.bim.table[bIdx] = bCtr
-	t.chooser[idx] = cCtr
-	t.gsh.history = hist
-	t.stats.Branches += done
+	p.bimodal[idx] = bCtr
+	p.chooser[idx] = cCtr
+	p.history = hist
 	if n > 0 {
-		t.stats.Branches += n
-		gIdx := (key ^ hist) & gMask
 		pred := bCtr >= 2
 		if cCtr >= 2 {
-			pred = gTab[gIdx] >= 2
+			pred = p.gshare[(key^hist)&tableMask] >= 2
 		}
 		if pred != taken {
 			mis += n
 		}
 	}
-	t.stats.Mispredicts += mis
 	return mis
 }
 
-func (t *tournament) Stats() Stats { return t.stats }
-func (t *tournament) Reset() {
-	t.bim.Reset()
-	t.gsh.Reset()
-	clear(t.chooser)
-	t.stats = Stats{}
+// Reset returns every table to its initial state: pattern counters weakly
+// not-taken, chooser trusting bimodal, history clear.
+func (p *Predictor) Reset() {
+	for i := range p.bimodal {
+		p.bimodal[i] = 1
+		p.gshare[i] = 1
+	}
+	clear(p.chooser[:])
+	p.history = 0
 }
-func (t *tournament) Kind() Kind { return Tournament }
 
 // bumpTab folds the 2-bit saturating counter transition into a lookup
 // (index = counter<<1 | taken): branchless on the predictor hot path.

@@ -2,129 +2,99 @@ package branch
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// mispredictRate returns mispredicts/branches (0 when no branches).
-func mispredictRate(s Stats) float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Branches)
-}
-
-func TestKindString(t *testing.T) {
-	names := map[Kind]string{
-		StaticTaken: "static-taken", Bimodal: "bimodal", GShare: "gshare",
-		Tournament: "tournament", Kind(7): "kind(7)",
-	}
-	for k, want := range names {
-		if k.String() != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), want)
+// rates feeds n branches (pc(i), taken(i)) to p and returns the
+// mispredict rate of the tournament and of each of its components. A
+// component's tables train the same whatever the chooser picks, so its
+// rate here is the rate it would have on its own.
+func rates(p *Predictor, n int, pc func(i int) uint64, taken func(i int) bool) (tour, bim, gsh float64) {
+	var tm, bm, gm int
+	for i := 0; i < n; i++ {
+		at, tk := pc(i), taken(i)
+		key := at >> 2
+		if (p.bimodal[key&tableMask] >= 2) != tk {
+			bm++
+		}
+		if (p.gshare[(key^p.history)&tableMask] >= 2) != tk {
+			gm++
+		}
+		if !p.Record(at, tk) {
+			tm++
 		}
 	}
-}
-
-func TestStaticTaken(t *testing.T) {
-	p := New(StaticTaken)
-	p.Record(0x40, true)
-	p.Record(0x40, false)
-	st := p.Stats()
-	if st.Branches != 2 || st.Mispredicts != 1 {
-		t.Fatalf("stats = %+v, want 2 branches / 1 miss", st)
-	}
-	if mispredictRate(st) != 0.5 {
-		t.Fatalf("rate = %v, want 0.5", mispredictRate(st))
-	}
+	return float64(tm) / float64(n), float64(bm) / float64(n), float64(gm) / float64(n)
 }
 
 func TestBimodalLearnsConstantBranch(t *testing.T) {
-	p := New(Bimodal)
-	// Always-taken branch: after warm-up, no more mispredicts.
-	for i := 0; i < 100; i++ {
-		p.Record(0x1000, true)
-	}
-	st := p.Stats()
-	if st.Mispredicts > 2 {
-		t.Fatalf("bimodal mispredicted %d times on a constant branch", st.Mispredicts)
+	// Always-taken branch: after warm-up, neither the bimodal component
+	// nor the tournament mispredicts any more.
+	tour, bim, _ := rates(New(), 100, func(int) uint64 { return 0x1000 }, func(int) bool { return true })
+	if tour > 0.02 || bim > 0.02 {
+		t.Fatalf("rates on a constant branch = %v (tournament), %v (bimodal), want <= 0.02", tour, bim)
 	}
 }
 
 func TestBimodalAlternatingWorstCase(t *testing.T) {
-	p := New(Bimodal)
-	for i := 0; i < 1000; i++ {
-		p.Record(0x2000, i%2 == 0)
-	}
-	// A strict alternation defeats a 2-bit counter: expect a high rate.
-	if r := mispredictRate(p.Stats()); r < 0.4 {
-		t.Fatalf("bimodal rate on alternation = %v, want >= 0.4", r)
+	// A strict alternation defeats a 2-bit counter: expect a high rate
+	// from the bimodal component.
+	_, bim, _ := rates(New(), 1000, func(int) uint64 { return 0x2000 }, func(i int) bool { return i%2 == 0 })
+	if bim < 0.4 {
+		t.Fatalf("bimodal rate on alternation = %v, want >= 0.4", bim)
 	}
 }
 
 func TestGShareLearnsAlternation(t *testing.T) {
-	p := New(GShare)
-	for i := 0; i < 2000; i++ {
-		p.Record(0x2000, i%2 == 0)
-	}
-	// History lets gshare nail a period-2 pattern after warm-up.
-	if r := mispredictRate(p.Stats()); r > 0.1 {
-		t.Fatalf("gshare rate on alternation = %v, want <= 0.1", r)
+	// History lets gshare nail a period-2 pattern after warm-up, and the
+	// chooser hands the branch to it.
+	tour, _, gsh := rates(New(), 2000, func(int) uint64 { return 0x2000 }, func(i int) bool { return i%2 == 0 })
+	if tour > 0.1 || gsh > 0.1 {
+		t.Fatalf("rates on alternation = %v (tournament), %v (gshare), want <= 0.1", tour, gsh)
 	}
 }
 
 func TestGShareLearnsLongerPattern(t *testing.T) {
-	p := New(GShare)
 	pattern := []bool{true, true, false, true, false, false}
-	for i := 0; i < 6000; i++ {
-		p.Record(0x3000, pattern[i%len(pattern)])
-	}
-	if r := mispredictRate(p.Stats()); r > 0.1 {
-		t.Fatalf("gshare rate on period-6 pattern = %v, want <= 0.1", r)
+	tour, _, gsh := rates(New(), 6000, func(int) uint64 { return 0x3000 }, func(i int) bool { return pattern[i%len(pattern)] })
+	if tour > 0.1 || gsh > 0.1 {
+		t.Fatalf("rates on period-6 pattern = %v (tournament), %v (gshare), want <= 0.1", tour, gsh)
 	}
 }
 
 func TestTournamentBeatsOrMatchesComponents(t *testing.T) {
 	// Mixed workload: one biased branch (bimodal-friendly) + one patterned
-	// branch (gshare-friendly).
-	run := func(kind Kind) float64 {
-		p := New(kind)
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 8000; i++ {
-			p.Record(0x100, rng.Float64() < 0.95)
-			p.Record(0x200, i%2 == 0)
-		}
-		return mispredictRate(p.Stats())
-	}
-	tRate := run(Tournament)
-	bRate := run(Bimodal)
-	gRate := run(GShare)
-	if tRate > bRate+0.02 && tRate > gRate+0.02 {
-		t.Fatalf("tournament (%.3f) worse than both bimodal (%.3f) and gshare (%.3f)", tRate, bRate, gRate)
+	// branch (gshare-friendly), interleaved.
+	rng := rand.New(rand.NewSource(3))
+	tour, bim, gsh := rates(New(), 16000,
+		func(i int) uint64 { return 0x100 << (i % 2) },
+		func(i int) bool {
+			if i%2 == 0 {
+				return rng.Float64() < 0.95
+			}
+			return i%4 == 1
+		})
+	if tour > bim+0.02 && tour > gsh+0.02 {
+		t.Fatalf("tournament (%.3f) worse than both bimodal (%.3f) and gshare (%.3f)", tour, bim, gsh)
 	}
 }
 
 func TestPredictorReset(t *testing.T) {
-	for _, kind := range []Kind{StaticTaken, Bimodal, GShare, Tournament} {
-		p := New(kind)
-		for i := 0; i < 50; i++ {
-			p.Record(uint64(i*4), i%3 == 0)
-		}
-		p.Reset()
-		if st := p.Stats(); st.Branches != 0 || st.Mispredicts != 0 {
-			t.Errorf("%v: Reset left stats %+v", kind, st)
-		}
-		if p.Kind() != kind {
-			t.Errorf("Kind() = %v, want %v", p.Kind(), kind)
-		}
+	p := New()
+	for i := 0; i < 50; i++ {
+		p.Record(uint64(i*4), i%3 == 0)
+	}
+	p.Reset()
+	if *p != *New() {
+		t.Fatal("Reset left trained state behind")
 	}
 }
 
-// TestBimodalTableSize: the pattern table has 4096 counters, so PCs
+// TestBimodalTableSize: the pattern tables have 4096 counters, so PCs
 // 4096×4 apart share one and PCs 2048×4 apart do not.
 func TestBimodalTableSize(t *testing.T) {
-	p := New(Bimodal)
+	p := New()
 	for i := 0; i < 4; i++ {
 		p.Record(0x1000, true)
 	}
@@ -133,13 +103,6 @@ func TestBimodalTableSize(t *testing.T) {
 	}
 	if p.Record(0x1000+2048*4, true) {
 		t.Fatal("a PC 2048 entries away hit on an untrained counter")
-	}
-}
-
-func TestUnknownKindFallsBackToStatic(t *testing.T) {
-	p := New(Kind(42))
-	if p.Kind() != StaticTaken {
-		t.Fatalf("unknown kind produced %v", p.Kind())
 	}
 }
 
@@ -172,34 +135,22 @@ func TestBTB(t *testing.T) {
 	}
 }
 
-func TestQuickStatsInvariant(t *testing.T) {
-	// branches == number of Record calls; mispredicts <= branches.
-	f := func(seed int64, kindRaw uint8) bool {
-		p := New(Kind(int(kindRaw) % 4))
-		rng := rand.New(rand.NewSource(seed))
-		n := 500 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			p.Record(uint64(rng.Intn(64)*4), rng.Intn(2) == 0)
-		}
-		st := p.Stats()
-		return st.Branches == uint64(n) && st.Mispredicts <= st.Branches
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickDeterminism(t *testing.T) {
 	f := func(seed int64) bool {
-		run := func() Stats {
-			p := New(Tournament)
+		run := func() (*Predictor, int) {
+			p := New()
 			rng := rand.New(rand.NewSource(seed))
+			miss := 0
 			for i := 0; i < 1500; i++ {
-				p.Record(uint64(rng.Intn(128)*4), rng.Float64() < 0.7)
+				if !p.Record(uint64(rng.Intn(128)*4), rng.Float64() < 0.7) {
+					miss++
+				}
 			}
-			return p.Stats()
+			return p, miss
 		}
-		return run() == run()
+		a, am := run()
+		b, bm := run()
+		return am == bm && *a == *b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -214,7 +165,7 @@ func TestQuickRecordRunMatchesRecords(t *testing.T) {
 	lengths := []uint64{0, 1, 2, 3, 4, 5, 8, 12, 13, 16, 24, 40, 1000}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		run, each := New(Tournament), New(Tournament)
+		run, each := New(), New()
 		for step := 0; step < 200; step++ {
 			pc := uint64(rng.Intn(16)) * 4
 			if rng.Intn(4) == 0 {
@@ -233,7 +184,7 @@ func TestQuickRecordRunMatchesRecords(t *testing.T) {
 				t.Logf("seed %d step %d: RecordRun(%#x, %v, %d) = %d mispredicts, Record calls %d", seed, step, pc, taken, n, got, want)
 				return false
 			}
-			if !reflect.DeepEqual(run, each) {
+			if *run != *each {
 				t.Logf("seed %d step %d: state diverged after RecordRun(%#x, %v, %d)", seed, step, pc, taken, n)
 				return false
 			}

@@ -196,12 +196,12 @@ func (n *NoiseModel) Apply(c *Counts) {
 	}
 }
 
-// Config assembles an Engine. Every engine also gets a 512-entry BTB, the
-// DefaultTLB data-side TLB, the DefaultTiming model and an arena at
-// mem.DefaultBase with 64-byte alignment.
+// Config assembles an Engine. Every engine also gets the tournament branch
+// predictor, a 512-entry BTB, the DefaultTLB data-side TLB, the
+// DefaultTiming model and an arena at mem.DefaultBase with 64-byte
+// alignment.
 type Config struct {
 	Hierarchy *cache.Hierarchy // nil → cache.DefaultHierarchy()
-	Predictor branch.Predictor // nil → tournament
 	Noise     *NoiseModel      // nil → no noise
 }
 
@@ -231,7 +231,7 @@ const touchSlots = 512
 type Engine struct {
 	caches *cache.Hierarchy
 	l1     *cache.Cache // caches.Levels[0], cached for the fast path
-	pred   branch.Predictor
+	pred   *branch.Predictor
 	btb    *branch.BTB
 	tlb    *cache.Cache
 	timing TimingModel
@@ -293,7 +293,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		caches: cfg.Hierarchy,
-		pred:   cfg.Predictor,
+		pred:   branch.New(),
 		btb:    branch.NewBTB(),
 		tlb:    DefaultTLB(),
 		timing: DefaultTiming(),
@@ -302,9 +302,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if e.caches == nil {
 		e.caches = cache.DefaultHierarchy()
-	}
-	if e.pred == nil {
-		e.pred = branch.New(branch.Tournament)
 	}
 	e.l1 = e.caches.Levels[0]
 	e.pair = cache.Pair{Data: e.l1, TLB: e.tlb}
@@ -731,6 +728,8 @@ func (e *Engine) LoadStoreRange(base mem.Addr, elem uint64, count int) {
 }
 
 // Branch simulates one data-dependent conditional branch at pc.
+//
+//detlint:allocpath
 func (e *Engine) Branch(pc uint64, taken bool) {
 	e.instructions++
 	e.branches++
@@ -890,9 +889,6 @@ func (e *Engine) ResetCounters() {
 	e.nextYield = e.yieldQuantum // quantum clock restarts with the instruction counter
 	e.caches.ResetStats()
 	e.tlb.ResetStats()
-	// Predictor stats are embedded with its state; extract-and-subtract
-	// would complicate the Stats invariant, so we absorb them here: the
-	// engine's own mispredict counter is authoritative for events.
 }
 
 // ColdReset flushes caches, TLB, predictor and counters completely.

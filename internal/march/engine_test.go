@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/march/branch"
 	"repro/internal/march/cache"
 	"repro/internal/march/mem"
 )
@@ -288,15 +287,9 @@ func TestEngineCustomComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(Config{
-		Hierarchy: h,
-		Predictor: branch.New(branch.Bimodal),
-	})
+	e, err := NewEngine(Config{Hierarchy: h})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.pred.Kind() != branch.Bimodal {
-		t.Fatal("custom predictor not used")
 	}
 	if len(e.Hierarchy().Levels) != 1 {
 		t.Fatal("custom hierarchy not used")

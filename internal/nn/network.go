@@ -238,15 +238,14 @@ func newGradients(n *Network) gradients {
 	return g
 }
 
-// sgd is stochastic gradient descent with classical momentum and optional
-// L2 weight decay.
+// sgd is stochastic gradient descent with classical momentum.
 type sgd struct {
-	lr, momentum, weightDecay float64
-	velocity                  map[*tensor.Tensor][]float32
+	lr, momentum float64
+	velocity     map[*tensor.Tensor][]float32
 }
 
-func newSGD(lr, momentum, weightDecay float64) *sgd {
-	return &sgd{lr: lr, momentum: momentum, weightDecay: weightDecay, velocity: map[*tensor.Tensor][]float32{}}
+func newSGD(lr, momentum float64) *sgd {
+	return &sgd{lr: lr, momentum: momentum, velocity: map[*tensor.Tensor][]float32{}}
 }
 
 // step applies one update to every parameter given its accumulated
@@ -258,7 +257,6 @@ func (o *sgd) step(n *Network, g gradients, batchSize int) {
 	inv := float32(1.0 / float64(batchSize))
 	lr := float32(o.lr)
 	mu := float32(o.momentum)
-	wd := float32(o.weightDecay)
 	for li, l := range n.Layers {
 		for pi, p := range l.Params() {
 			vel, ok := o.velocity[p.Value]
@@ -268,8 +266,7 @@ func (o *sgd) step(n *Network, g gradients, batchSize int) {
 			}
 			grad := g[li][pi]
 			for i := range p.Value.Data {
-				gi := grad[i]*inv + wd*p.Value.Data[i]
-				vel[i] = mu*vel[i] - lr*gi
+				vel[i] = mu*vel[i] - lr*(grad[i]*inv)
 				p.Value.Data[i] += vel[i]
 			}
 			clear(grad)
@@ -326,7 +323,7 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 			return fmt.Errorf("nn: label %d of sample %d out of range for %d logits", l, i, classes)
 		}
 	}
-	grads, opt := newGradients(n), newSGD(cfg.LR, cfg.Momentum, 0)
+	grads, opt := newGradients(n), newSGD(cfg.LR, cfg.Momentum)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(inputs))
 	for i := range order {

@@ -253,7 +253,7 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 		in.Data[i] = 0.5
 	}
 	g := backprop(t, n, in, 0)
-	newSGD(0.1, 0.9, 0).step(n, g, 1)
+	newSGD(0.1, 0.9).step(n, g, 1)
 	after := n.Params()[0].Value
 	moved := false
 	for i := range before {
