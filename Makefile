@@ -1,7 +1,6 @@
 # Developer/CI entry points. `make ci` is the gate: a gofmt check over
-# the tracked Go files, vet (with the
-# detlint analyzers wired in as a vettool), build, the determinism lint
-# sweep, the full test suite under the race detector, the allocation
+# the tracked Go files, go vet, build, the determinism lint sweep
+# (detlint), the full test suite under the race detector, the allocation
 # gate for the simulation hot paths (run without -race, which would
 # perturb the counts), a short hot-path benchmark smoke so ns/op
 # regressions fail fast, the determinism smokes (fabric, batch, stream,
@@ -28,20 +27,11 @@ all: build
 build:
 	$(GO) build ./...
 
-# DETLINT is where the vettool binary is staged for `make vet`.
-DETLINT := $(shell mktemp -u)/detlint
-
-# vet runs the standard suite plus the repo's own analyzers through the
-# go vet tool protocol, so editors and CI share one diagnostic stream.
 vet:
 	$(GO) vet ./...
-	@mkdir -p $(dir $(DETLINT))
-	$(GO) build -o $(DETLINT) ./cmd/detlint
-	$(GO) vet -vettool=$(DETLINT) ./...
-	@rm -rf $(dir $(DETLINT))
 
-# lint runs the determinism analyzer suite standalone (faster iteration
-# than the vet protocol; same findings).
+# lint runs the repo's determinism analyzer suite (detlint) over every
+# package of the module.
 lint:
 	$(GO) run ./cmd/detlint ./...
 

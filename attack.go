@@ -1,6 +1,6 @@
 package repro
 
-// The attack stage: the exploitation counterpart of Evaluate. Where the
+// The attack stage: the exploitation counterpart of EvaluateCtx. Where the
 // Evaluator reports that HPC distributions are *distinguishable*, the
 // attack stage quantifies that they are *exploitable* — a profiling
 // adversary (Gaussian template and kNN, following the paper's threat model

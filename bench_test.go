@@ -64,7 +64,7 @@ func headlineReport(b *testing.B, d Dataset) *Report {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := s.Evaluate(EvalConfig{})
+	rep, err := s.EvaluateCtx(context.Background(), EvalConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func runTableBench(b *testing.B, d Dataset, label string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.Evaluate(EvalConfig{})
+		rep, err := s.EvaluateCtx(context.Background(), EvalConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkAblationDefenseVsBaseline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := s.Evaluate(EvalConfig{RunsPerClass: 120})
+			rep, err := s.EvaluateCtx(context.Background(), EvalConfig{RunsPerClass: 120})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 		fmt.Printf("%-10s%16s%20s\n", "n/class", "max |t| (misses)", "significant pairs")
 		b.StartTimer()
 		for _, n := range sizes {
-			rep, err := s.Evaluate(EvalConfig{RunsPerClass: n, Events: []Event{EvCacheMisses}})
+			rep, err := s.EvaluateCtx(context.Background(), EvalConfig{RunsPerClass: n, Events: []Event{EvCacheMisses}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,10 +14,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 
 	"repro"
 )
@@ -32,6 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	allOK := true
 	for _, d := range []repro.Dataset{repro.DatasetMNIST, repro.DatasetCIFAR} {
 		s, err := repro.DefaultScenario(d)
@@ -39,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s (test accuracy %.3f) ==\n", d, s.TestAccuracy)
-		rep, err := s.Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
+		rep, err := s.EvaluateCtx(ctx, repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}

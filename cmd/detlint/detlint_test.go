@@ -3,7 +3,7 @@ package main
 // Meta-tests driving the real detlint binary end to end: the clean
 // fixture must produce zero findings and exit 0, the dirty fixture must
 // reproduce testdata/dirty/expected.txt byte for byte and exit 1, and
-// the -V handshake must answer the go vet tool protocol.
+// -run must restrict the suite.
 
 import (
 	"os"
@@ -63,19 +63,6 @@ func TestDetlintDirtyFixture(t *testing.T) {
 	}
 	if string(out) != string(want) {
 		t.Errorf("detlint -dir dirty diagnostics drifted.\n--- got ---\n%s--- want ---\n%s", out, want)
-	}
-}
-
-func TestDetlintVersionHandshake(t *testing.T) {
-	bin := buildDetlint(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("detlint -V=full: %v", err)
-	}
-	// The go command requires "<name> version <version>..." on one line.
-	fields := strings.Fields(string(out))
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("detlint -V=full: want %q shape, got %q", "detlint version <v>", string(out))
 	}
 }
 

@@ -1,17 +1,13 @@
 // Command detlint runs this repository's determinism-and-hot-path
 // analyzer suite (internal/lint) over Go packages.
 //
-// Standalone:
+// Usage:
 //
 //	detlint ./...              lint package patterns (via go list)
 //	detlint -dir path/to/dir   lint a bare directory of Go files
 //	                           (works on testdata trees go list ignores;
 //	                           path-scoped analyzers run unconditionally)
 //	detlint -run maporder,seedpurity ./...   subset of analyzers
-//
-// As a vet tool (shares diagnostics with editors and CI):
-//
-//	go vet -vettool=$(which detlint) ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -31,22 +27,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet's tool protocol probes -V=full first and then invokes the
-	// tool with a *.cfg argument; both bypass normal flag handling.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("detlint version detlint-1.0\n")
-		return 0
-	}
-	// The go command also probes `-flags` for the tool's flag definitions
-	// (a JSON array); detlint exposes none to the vet driver.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetTool(args[0])
-	}
-
 	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
 	dir := fs.String("dir", "", "lint a bare directory of Go files instead of package patterns")
 	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")

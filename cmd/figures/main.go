@@ -18,10 +18,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 
 	"repro"
 )
@@ -43,6 +45,9 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	want := func(id string) bool { return *fig == "all" || *fig == id }
 
 	// One scenario per dataset (at the requested defense level), shared
@@ -59,7 +64,7 @@ func main() {
 		return s
 	}
 	mustReport := func(d repro.Dataset) *repro.Report {
-		rep, err := scenario(d).Evaluate(repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
+		rep, err := scenario(d).EvaluateCtx(ctx, repro.EvalConfig{RunsPerClass: *runs, Workers: *workers, Seed: *seed})
 		check(err)
 		return rep
 	}

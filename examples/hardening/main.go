@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -51,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := s.Evaluate(repro.EvalConfig{RunsPerClass: 120})
+		rep, err := s.EvaluateCtx(context.Background(), repro.EvalConfig{RunsPerClass: 120})
 		if err != nil {
 			log.Fatal(err)
 		}

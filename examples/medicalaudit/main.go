@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 
 	// --- Audit phase: the Evaluator's verdict. ---
 	fmt.Println("audit: monitoring HPCs over classifications of each category...")
-	rep, err := s.Evaluate(repro.EvalConfig{
+	rep, err := s.EvaluateCtx(context.Background(), repro.EvalConfig{
 		Classes:      []int{1, 2, 3, 4},
 		RunsPerClass: 100,
 	})

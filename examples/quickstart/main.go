@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	// the CPU with deterministic per-shard seeds, so any worker count
 	// reproduces the same report.
 	fmt.Println("evaluating leakage for categories 1-4 (cache-misses, branches)...")
-	rep, err := s.Evaluate(repro.EvalConfig{RunsPerClass: 100, Workers: runtime.GOMAXPROCS(0)})
+	rep, err := s.EvaluateCtx(context.Background(), repro.EvalConfig{RunsPerClass: 100, Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

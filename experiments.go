@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -15,9 +16,9 @@ import (
 // per-category means in the order of cfg.Classes. Set cfg.Workers to run
 // the collection campaign on the concurrent sharded pipeline; the means
 // are reproducible for a fixed cfg.Seed at any worker count.
-func Figure1(s *Scenario, cfg EvalConfig) ([]float64, *Report, error) {
+func Figure1(ctx context.Context, s *Scenario, cfg EvalConfig) ([]float64, *Report, error) {
 	cfg.Events = []Event{EvCacheMisses}
-	rep, err := s.Evaluate(cfg)
+	rep, err := s.EvaluateCtx(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

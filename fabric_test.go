@@ -109,7 +109,7 @@ func smallEvalBytes(t *testing.T, procs int, fc FabricConfig) []byte {
 	if procs == 0 {
 		cfg.Obs = obs.New(obs.Config{})
 	}
-	rep, err := attackScenario(t).Evaluate(cfg)
+	rep, err := attackScenario(t).EvaluateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestGoldenReportByteInvariantAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 4} {
-		rep, err := s.Evaluate(EvalConfig{
+		rep, err := s.EvaluateCtx(context.Background(), EvalConfig{
 			Classes:      []int{1, 2},
 			RunsPerClass: 60,
 			Workers:      2,
@@ -266,7 +266,7 @@ func TestFabricSIGKILLResumeByteIdentical(t *testing.T) {
 	fc := fabricCfg(t)
 	fc.Journal = filepath.Join(dir, "audit")
 	fc.Env = []string{"REPRO_FABRIC_TEST_KILL_BEFORE_SHARD=" + filepath.Join(dir, "kill-claimed")}
-	_, err := attackScenario(t).Evaluate(smallEvalConfig(2, fc))
+	_, err := attackScenario(t).EvaluateCtx(context.Background(), smallEvalConfig(2, fc))
 	if err == nil {
 		t.Fatal("campaign with a SIGKILLed worker succeeded")
 	}
@@ -335,7 +335,7 @@ func TestFabricJournalCorruptTailReRunsOnlyMissing(t *testing.T) {
 func TestFabricWorkerExitSurfacesStderr(t *testing.T) {
 	fc := fabricCfg(t)
 	fc.Env = []string{"REPRO_FABRIC_TEST_FAIL_AFTER_RESULTS=1"}
-	_, err := attackScenario(t).Evaluate(smallEvalConfig(2, fc))
+	_, err := attackScenario(t).EvaluateCtx(context.Background(), smallEvalConfig(2, fc))
 	if err == nil {
 		t.Fatal("campaign with dying workers succeeded")
 	}
@@ -365,7 +365,7 @@ func TestFabricSpecProtoMismatchFailsLoudly(t *testing.T) {
 // without a worker binary must fail with a message naming both knobs.
 func TestFabricNeedsWorkerBinary(t *testing.T) {
 	t.Setenv("REPRO_SHARDWORKER", "")
-	_, err := attackScenario(t).Evaluate(smallEvalConfig(1, FabricConfig{}))
+	_, err := attackScenario(t).EvaluateCtx(context.Background(), smallEvalConfig(1, FabricConfig{}))
 	if err == nil || !strings.Contains(err.Error(), "REPRO_SHARDWORKER") {
 		t.Fatalf("missing worker binary not reported: %v", err)
 	}
@@ -441,7 +441,7 @@ func TestWorkerUsesShippedNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(sc *Scenario, procs int, fc FabricConfig) []byte {
-		rep, err := sc.Evaluate(smallEvalConfig(procs, fc))
+		rep, err := sc.EvaluateCtx(context.Background(), smallEvalConfig(procs, fc))
 		if err != nil {
 			t.Fatal(err)
 		}

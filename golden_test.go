@@ -8,6 +8,7 @@ package repro
 //	go test -run TestGoldenReport -update .
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -55,7 +56,7 @@ func goldenCampaign(t *testing.T) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Evaluate(EvalConfig{
+	rep, err := s.EvaluateCtx(context.Background(), EvalConfig{
 		Classes:      []int{1, 2},
 		RunsPerClass: 60,
 		Workers:      2,
@@ -176,7 +177,7 @@ func TestGoldenReportByteInvariantAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	marshal := func(workers int) []byte {
-		rep, err := s.Evaluate(EvalConfig{
+		rep, err := s.EvaluateCtx(context.Background(), EvalConfig{
 			Classes:      []int{1, 2},
 			RunsPerClass: 60,
 			Workers:      workers,
@@ -237,7 +238,7 @@ func TestGoldenReportWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Report {
-		rep, err := s.Evaluate(EvalConfig{
+		rep, err := s.EvaluateCtx(context.Background(), EvalConfig{
 			Classes:      []int{1, 2},
 			RunsPerClass: 30,
 			Workers:      workers,

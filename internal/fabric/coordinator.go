@@ -67,7 +67,9 @@ func (c *Coordinator) Run(ctx context.Context, plans []pipeline.Plan) ([][]byte,
 // cancels the outstanding dispatches, drains them and is returned. A
 // non-nil error from deliver does the same and is returned verbatim —
 // the streaming monitor stops a campaign mid-flight by returning its
-// stop sentinel here.
+// stop sentinel here. A dispatch error reads "fabric: shard N: cause":
+// the coordinator is the one layer that names the shard, so dispatchers
+// and workers report the cause alone.
 func (c *Coordinator) RunStream(ctx context.Context, plans []pipeline.Plan, deliver func(i int, payload []byte) error) error {
 	return pipeline.EachOrdered(ctx, max(c.Dispatcher.Procs(), 1), len(plans), func(ctx context.Context, _, i int) ([]byte, error) {
 		pl := plans[i]

@@ -368,6 +368,7 @@ func (p *ProcPool) readFrom(ctx context.Context, w *worker) (Frame, error) {
 // Dispatch sends one plan to an idle worker and returns its canonical
 // result payload. A worker that dies or misbehaves mid-shard is removed
 // from the pool and the dispatch fails with its exit status and stderr.
+// Errors do not name the shard; the Coordinator does.
 func (p *ProcPool) Dispatch(ctx context.Context, plan pipeline.Plan) ([]byte, error) {
 	var w *worker
 	select {
@@ -375,7 +376,7 @@ func (p *ProcPool) Dispatch(ctx context.Context, plan pipeline.Plan) ([]byte, er
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.closed:
-		return nil, fmt.Errorf("fabric: pool closed")
+		return nil, fmt.Errorf("pool closed")
 	}
 	payload, err := p.dispatchTo(ctx, w, plan)
 	if err != nil {
@@ -400,11 +401,11 @@ func (p *ProcPool) dispatchTo(ctx context.Context, w *worker, plan pipeline.Plan
 	p.cfg.Obs.Add(obs.CShardsDispatched, 1)
 	if err := p.writeTo(w, Frame{Type: TypeShard, Plan: &plan}); err != nil {
 		w.kill()
-		return nil, fmt.Errorf("fabric: sending shard %d: %v (%s)", plan.Index, err, w.describe())
+		return nil, fmt.Errorf("sending: %v (%s)", err, w.describe())
 	}
 	f, err := p.readFrom(ctx, w)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d: %w", plan.Index, err)
+		return nil, err
 	}
 	// A worker ships telemetry frames ahead of its result; ingest them
 	// and keep reading — the dispatch still ends on result or error.
@@ -412,22 +413,22 @@ func (p *ProcPool) dispatchTo(ctx context.Context, w *worker, plan pipeline.Plan
 		p.ingestTelemetry(f)
 		f, err = p.readFrom(ctx, w)
 		if err != nil {
-			return nil, fmt.Errorf("fabric: shard %d: %w", plan.Index, err)
+			return nil, err
 		}
 	}
 	switch f.Type {
 	case TypeResult:
 		if f.Index != plan.Index {
-			return nil, fmt.Errorf("fabric: worker %d answered shard %d with result for shard %d", w.id, plan.Index, f.Index)
+			return nil, fmt.Errorf("worker %d answered with the result for shard %d", w.id, f.Index)
 		}
 		if got := pipeline.PayloadDigest(f.Payload); got != f.Digest {
-			return nil, fmt.Errorf("fabric: shard %d payload digest mismatch: %s != %s", plan.Index, got, f.Digest)
+			return nil, fmt.Errorf("payload digest mismatch: %s != %s", got, f.Digest)
 		}
 		return f.Payload, nil
 	case TypeError:
-		return nil, fmt.Errorf("fabric: shard %d failed on worker %d: %s", plan.Index, w.id, f.Err)
+		return nil, fmt.Errorf("failed on worker %d: %s", w.id, f.Err)
 	default:
-		return nil, fmt.Errorf("fabric: worker %d sent unexpected %q frame for shard %d", w.id, f.Type, plan.Index)
+		return nil, fmt.Errorf("worker %d sent an unexpected %q frame", w.id, f.Type)
 	}
 }
 

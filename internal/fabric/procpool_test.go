@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hpc"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -33,6 +34,8 @@ func TestMain(m *testing.M) {
 		runBarrierWorker()
 	case "reject-one":
 		runRejectOneWorker()
+	case "stall", "die", "fail":
+		runShardFaultWorker(os.Getenv("FABRIC_TEST_WORKER"))
 	default:
 		runChattyWorker()
 	}
@@ -274,5 +277,83 @@ func TestProcPoolChattyWorkerExitTelemetry(t *testing.T) {
 	}
 	if exits != 1 {
 		t.Fatalf("worker_exits counter = %d, want 1 (exit telemetry must be once per worker)", exits)
+	}
+}
+
+// failingRunner fails every plan it is asked to execute.
+type failingRunner struct{}
+
+func (failingRunner) Execute(context.Context, pipeline.Plan) ([]hpc.Profile, error) {
+	return nil, errors.New("synthetic execution failure")
+}
+
+// runShardFaultWorker handshakes and then faults on its first shard:
+// "stall" marks the shard received and never answers it, "die" exits
+// without an answer, and "fail" serves the real worker loop with a
+// runner that fails every plan.
+func runShardFaultWorker(mode string) {
+	if mode == "fail" {
+		build := func(context.Context, []byte) (Runner, error) { return failingRunner{}, nil }
+		if Serve(context.Background(), os.Stdin, os.Stdout, build, nil) != nil {
+			os.Exit(1)
+		}
+		return
+	}
+	br := readInit()
+	WriteFrame(os.Stdout, Frame{Type: TypeReady})
+	if f, err := ReadFrame(br); err != nil || f.Type != TypeShard {
+		return
+	}
+	if mode == "die" {
+		os.Stderr.WriteString("fake worker dies mid-shard")
+		os.Exit(3)
+	}
+	os.WriteFile(filepath.Join(fakeWorkerDir(), "shard"), nil, 0o644)
+	serveShutdown(br)
+}
+
+// TestCoordinatorNamesShardOnce: whether the campaign is cancelled while
+// a shard is out, the worker dies mid-shard, or the worker reports the
+// shard failed, the campaign error names the shard exactly once.
+func TestCoordinatorNamesShardOnce(t *testing.T) {
+	for _, tc := range []struct{ mode, cause string }{
+		{"stall", "context canceled"},
+		{"die", "fake worker dies mid-shard"},
+		{"fail", "synthetic execution failure"},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			dir := t.TempDir()
+			pool, err := StartPool(context.Background(), fakePool(tc.mode, dir, 1))
+			if err != nil {
+				t.Fatalf("StartPool: %v", err)
+			}
+			defer pool.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.mode == "stall" {
+				// Cancel only once the worker holds the shard, so the
+				// dispatch is in flight when the campaign gives up.
+				go func() {
+					for {
+						if _, err := os.Stat(filepath.Join(dir, "shard")); err == nil {
+							cancel()
+							return
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}()
+			}
+			plans := []pipeline.Plan{{Index: 7, Class: 1, Count: 1, Seed: 1}}
+			_, err = (&Coordinator{Dispatcher: pool}).Run(ctx, plans)
+			if err == nil {
+				t.Fatal("campaign succeeded against a faulting worker")
+			}
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("error does not carry the cause %q: %v", tc.cause, err)
+			}
+			if n := strings.Count(err.Error(), "fabric: shard 7:"); n != 1 {
+				t.Fatalf("error names the shard %d times, want once: %v", n, err)
+			}
+		})
 	}
 }

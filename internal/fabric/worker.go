@@ -94,18 +94,18 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, build BuildRunner, opt
 			}
 			if opts.BeforeExecute != nil {
 				if err := opts.BeforeExecute(*f.Plan); err != nil {
-					return failShard(w, fmt.Errorf("fabric: shard %d: %w", f.Plan.Index, err))
+					return failShard(w, err)
 				}
 			}
 			sp := rec.ShardSpan(0, f.Plan.Index, f.Plan.Class)
 			profs, err := runner.Execute(ctx, *f.Plan)
 			sp.End()
 			if err != nil {
-				return failShard(w, fmt.Errorf("fabric: shard %d: %w", f.Plan.Index, err))
+				return failShard(w, err)
 			}
 			payload, err := pipeline.EncodeProfiles(profs)
 			if err != nil {
-				return failShard(w, fmt.Errorf("fabric: shard %d: %w", f.Plan.Index, err))
+				return failShard(w, err)
 			}
 			// Ship the worker's telemetry BEFORE the result, so the
 			// coordinator's per-dispatch read loop ingests it and still
@@ -137,7 +137,8 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, build BuildRunner, opt
 }
 
 // failShard reports a shard failure on the wire and returns it; the
-// write error, if any, is secondary to the execution error.
+// write error, if any, is secondary to the execution error. The error
+// does not name the shard: the coordinator does that.
 func failShard(w io.Writer, err error) error {
 	WriteFrame(w, Frame{Type: TypeError, Err: err.Error()})
 	return err

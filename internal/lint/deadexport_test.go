@@ -9,9 +9,8 @@ package lint
 // that satisfy an interface. An exported internal function or method
 // left unmarked is a finding.
 //
-// This is a test rather than a detlint analyzer: the vettool protocol
-// shows an analyzer one package at a time, so it cannot see callers in
-// other packages.
+// This is a test rather than a detlint analyzer: the analyzers run one
+// package at a time, so they cannot see callers in other packages.
 
 import (
 	"go/ast"

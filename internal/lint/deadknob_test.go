@@ -36,7 +36,6 @@ var keptKnobs = map[string]string{
 	"repro/internal/core.Config.WarmupRuns":     "pinned by perfbench/refs.json, as HolmCorrection; tests also shorten or drop the warm-up",
 	"repro/internal/core.Config.Registers":      "pinned by perfbench/refs.json, as HolmCorrection",
 	"repro/cmd/audit-server.CampaignRequest":    "JSON request body, decoded from each POST",
-	"repro/cmd/detlint.vetConfig":               "JSON config file that go vet hands a -vettool",
 	"repro/cmd/obsview.rawTraceFile":            "JSON trace file that obsview validates",
 	"repro/cmd/obsview.rawTraceEvent":           "JSON trace event that obsview validates",
 	"repro/internal/lint.listedPkg":             "JSON package record decoded from go list -json",

@@ -9,8 +9,7 @@
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the stdlib alone, because this module takes
-// no dependencies. See cmd/detlint for the standalone and go vet -vettool
-// entry points.
+// no dependencies. cmd/detlint is the driver.
 package lint
 
 import (

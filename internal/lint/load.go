@@ -207,27 +207,6 @@ func LoadDir(dir string) (*Package, error) {
 	return &Package{Path: path, Fset: fset, Files: files, Types: pkg, Info: info, ExplicitDir: true}, nil
 }
 
-// CheckUnit type-checks one already-parsed package against dependency
-// export data resolved by exportFile (import path → export file), and
-// wraps it for analysis. It is the load path of the `go vet -vettool`
-// protocol, where the vet config supplies what `go list -export` supplies
-// standalone.
-func CheckUnit(fset *token.FileSet, importPath string, files []*ast.File, exportFile func(string) (string, bool)) (*Package, error) {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exportFile(path)
-		if !ok || file == "" {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	pkg, info, err := check(fset, importPath, files, imp)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: importPath, Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}
-
 // check type-checks one package's files, returning the full Info tables
 // the analyzers consume.
 func check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {

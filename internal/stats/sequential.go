@@ -8,11 +8,9 @@ package stats
 //
 //   - incremental test state (SeqMannWhitney, SeqWelch) that absorbs one
 //     observation at a time and can be interrogated at any point. The
-//     Mann-Whitney implementation is *bit-identical* to the batch
-//     MannWhitneyU on the same multisets: it walks the merged samples in
-//     the same ascending tie-group order and accumulates the rank sum
-//     and tie correction in the same float-addition sequence, so a
-//     monitor run to exhaustion reproduces the batch p-values exactly;
+//     batch MannWhitneyU is SeqMannWhitney's Test over sorted copies of
+//     its samples, so a monitor run to exhaustion reproduces the batch
+//     p-values exactly;
 //   - an alpha-spending boundary (SpendingBoundary) that schedules how
 //     much of the overall significance level each interim look may
 //     consume, so repeated testing does not silently inflate the
@@ -28,8 +26,7 @@ import (
 // are inserted one at a time and Test recomputes the tie-corrected
 // rank-sum statistic over everything seen so far. Both samples are kept
 // sorted, so a look costs one linear merge walk instead of a fresh
-// sort; run to exhaustion, Test returns bit-for-bit the MannWhitneyU
-// result of the same two samples.
+// sort.
 type SeqMannWhitney struct {
 	a, b []float64 // ascending
 }
@@ -57,9 +54,7 @@ func (s *SeqMannWhitney) Nb() int { return len(s.b) }
 
 // Test runs the tie-corrected rank-sum test over everything absorbed so
 // far. The merged walk visits tie groups in ascending value order and,
-// within a group, adds the shared mid-rank once per first-sample member
-// — the exact accumulation sequence of the batch MannWhitneyU, which is
-// what makes the sequential and batch p-values bit-identical.
+// within a group, adds the shared mid-rank once per first-sample member.
 func (s *SeqMannWhitney) Test() (MannWhitneyResult, error) {
 	na, nb := len(s.a), len(s.b)
 	if na < 2 || nb < 2 {
@@ -85,8 +80,7 @@ func (s *SeqMannWhitney) Test() (MannWhitneyResult, error) {
 			j++
 			cb++
 		}
-		// Ranks pos+1 .. pos+ca+cb share the mid-rank, exactly as the
-		// batch group [i, j) shares float64(i+1+j)/2.
+		// Ranks pos+1 .. pos+ca+cb share the mid-rank.
 		t := float64(ca + cb)
 		mid := float64(pos+1+pos+ca+cb) / 2
 		if t > 1 {
@@ -102,8 +96,10 @@ func (s *SeqMannWhitney) Test() (MannWhitneyResult, error) {
 	mean := float64(na) * float64(nb) / 2
 	varU := float64(na) * float64(nb) / 12 * ((n + 1) - tieTerm/(n*(n-1)))
 	if varU <= 0 {
+		// All observations identical: no evidence of difference.
 		return MannWhitneyResult{U: u, Z: 0, P: 1}, nil
 	}
+	// Continuity correction toward the mean.
 	d := u - mean
 	switch {
 	case d > 0.5:

@@ -1,13 +1,13 @@
 package repro
 
 // The streaming leakage monitor: instead of collecting a campaign's full
-// trace budget and scoring it afterwards (Evaluate), the monitor consumes
+// trace budget and scoring it afterwards (EvaluateCtx), the monitor consumes
 // profile windows as the pipeline delivers them, maintains sequential
 // hypothesis tests per (event, class-pair), and stops the campaign the
 // moment a test crosses its alpha-spending boundary — reporting how many
 // monitored classifications the detection cost. A campaign that runs to
 // exhaustion ends in the ordinary batch report, byte-identical to
-// Evaluate on the same configuration.
+// EvaluateCtx on the same configuration.
 
 import (
 	"context"
@@ -34,7 +34,7 @@ type MonitorConfig struct {
 	Events  []Event
 	// Budget is the per-class trace budget: the campaign never consumes
 	// more than this many monitored classifications per category, and a
-	// run to exhaustion equals a batch Evaluate with RunsPerClass=Budget.
+	// run to exhaustion equals a batch EvaluateCtx with RunsPerClass=Budget.
 	Budget int
 	// Alpha is the overall significance level. The sequential boundary
 	// spends it across looks so the per-hypothesis false-positive rate of
@@ -132,7 +132,7 @@ type MonitorReport struct {
 	TracesSeen int `json:"traces_seen"`
 	// Report is the batch evaluation of the full budget, present only
 	// when the campaign ran to exhaustion; it is byte-identical to
-	// Evaluate with RunsPerClass=Budget on the same scenario and seed.
+	// EvaluateCtx with RunsPerClass=Budget on the same scenario and seed.
 	Report *Report `json:"report,omitempty"`
 }
 

@@ -59,7 +59,7 @@ func goldenMonitorConfig() MonitorConfig {
 // campaign — at one worker and at eight.
 func TestMonitorExhaustionMatchesBatchEvaluate(t *testing.T) {
 	s := monitorScenario(t)
-	batch, err := s.Evaluate(EvalConfig{
+	batch, err := s.EvaluateCtx(context.Background(), EvalConfig{
 		Classes:      []int{1, 2},
 		RunsPerClass: 60,
 		Workers:      2,

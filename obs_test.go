@@ -59,14 +59,14 @@ func TestObsReportByteInvariant(t *testing.T) {
 		Workers:      8,
 		Seed:         17,
 	}
-	off, err := s.Evaluate(cfg)
+	off, err := s.EvaluateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rec, jsonl := armedRecorder()
 	cfg.Obs = rec
-	on, err := s.Evaluate(cfg)
+	on, err := s.EvaluateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

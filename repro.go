@@ -6,7 +6,7 @@
 //
 //   - a Scenario bundles a synthetic dataset, a CNN trained on it, and an
 //     instrumented execution of that CNN on a simulated core;
-//   - Evaluate runs the paper's Evaluator (HPC collection + pairwise Welch
+//   - EvaluateCtx runs the paper's Evaluator (HPC collection + pairwise Welch
 //     t-tests) against the scenario and reports alarms;
 //   - the experiment helpers regenerate every table and figure of the
 //     paper's evaluation section (see bench_test.go and cmd/figures).
@@ -15,7 +15,7 @@
 //
 //	s, err := repro.NewScenario(repro.ScenarioConfig{Dataset: repro.DatasetMNIST})
 //	if err != nil { ... }
-//	rep, err := s.Evaluate(repro.EvalConfig{})
+//	rep, err := s.EvaluateCtx(context.Background(), repro.EvalConfig{})
 //	if err != nil { ... }
 //	if rep.Leaky() { fmt.Println("input privacy leak detected") }
 package repro
@@ -360,19 +360,14 @@ type EvalConfig struct {
 	Obs *obs.Recorder
 }
 
-// Evaluate runs the paper's Evaluator against the scenario.
-func (s *Scenario) Evaluate(cfg EvalConfig) (*Report, error) {
-	return s.EvaluateCtx(context.Background(), cfg)
-}
-
-// EvaluateCtx is Evaluate with cancellation. The campaign runs on the
-// concurrent sharded pipeline (fresh per-shard engines, deterministic
-// per-shard seeds), in-process or — with cfg.Processes ≥ 1 — on
-// shardworker OS processes through the distributed audit fabric. Event
-// sets wider than the HPC register file run exactly as EvaluateGrouped
-// at the scenario's defense level; a set that fits one register group
-// uses the root seed itself (cfg.Seed, or the scenario seed) as its
-// pipeline root seed.
+// EvaluateCtx runs the paper's Evaluator against the scenario until it
+// finishes or ctx is cancelled. The campaign runs on the concurrent
+// sharded pipeline (fresh per-shard engines, deterministic per-shard
+// seeds), in-process or — with cfg.Processes ≥ 1 — on shardworker OS
+// processes through the distributed audit fabric. Event sets wider than
+// the HPC register file run exactly as EvaluateGrouped at the scenario's
+// defense level; a set that fits one register group uses the root seed
+// itself (cfg.Seed, or the scenario seed) as its pipeline root seed.
 func (s *Scenario) EvaluateCtx(ctx context.Context, cfg EvalConfig) (*Report, error) {
 	if len(cfg.Events) > hpc.DefaultCounters {
 		return s.EvaluateGrouped(ctx, s.Config.Defense, cfg)

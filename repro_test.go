@@ -44,7 +44,7 @@ func TestSmallScenarioEndToEnd(t *testing.T) {
 	if s.TestAccuracy < 0.5 {
 		t.Fatalf("test accuracy %.3f too low even for the small config", s.TestAccuracy)
 	}
-	rep, err := s.Evaluate(EvalConfig{Classes: []int{1, 2}, RunsPerClass: 10})
+	rep, err := s.EvaluateCtx(context.Background(), EvalConfig{Classes: []int{1, 2}, RunsPerClass: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFigure2bSmall(t *testing.T) {
 func TestFigure1ReturnsMeans(t *testing.T) {
 	s := smallScenario(t)
 	// Workers: 2 routes the figure's campaign through the sharded pipeline.
-	means, rep, err := Figure1(s, EvalConfig{Classes: []int{1, 2}, RunsPerClass: 8, Workers: 2})
+	means, rep, err := Figure1(context.Background(), s, EvalConfig{Classes: []int{1, 2}, RunsPerClass: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEvaluateDefenseQuietsAlarms(t *testing.T) {
 	// End-to-end: constant-time deployment of the small scenario must not
 	// produce cache-miss alarms even where the baseline does.
 	leaky := smallScenario(t)
-	leakyRep, err := leaky.Evaluate(EvalConfig{Classes: []int{1, 2, 3, 4}, RunsPerClass: 40})
+	leakyRep, err := leaky.EvaluateCtx(context.Background(), EvalConfig{Classes: []int{1, 2, 3, 4}, RunsPerClass: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestEvaluateDefenseQuietsAlarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardRep, err := hard.Evaluate(EvalConfig{Classes: []int{1, 2, 3, 4}, RunsPerClass: 40})
+	hardRep, err := hard.EvaluateCtx(context.Background(), EvalConfig{Classes: []int{1, 2, 3, 4}, RunsPerClass: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

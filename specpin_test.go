@@ -63,7 +63,7 @@ func TestWireSpecPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.Evaluate(EvalConfig{Classes: []int{1, 2}, RunsPerClass: 60, Workers: 2, Seed: 17, Processes: 1, Fabric: fc})
+		_, err = s.EvaluateCtx(context.Background(), EvalConfig{Classes: []int{1, 2}, RunsPerClass: 60, Workers: 2, Seed: 17, Processes: 1, Fabric: fc})
 		return err
 	}
 	archID := func(fc FabricConfig) error {
